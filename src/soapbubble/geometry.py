@@ -14,14 +14,6 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def as_unit(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate that v is unit length within tol and return it as float array."""
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > tol:
-        raise ValueError(f"vector {v} is not unit length within {tol}")
-    return v
-
-
 def tangent_frame(normal: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to `normal`.
 

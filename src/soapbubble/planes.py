@@ -147,7 +147,7 @@ def critical_position(
     `tol` is the resolution of the level: the bisection stops once its
     bracket is that narrow. Containment is judged against a separate
     threshold set by the surface's distance model. Analytic surfaces
-    (closed-form, bisection or Newton projection) use min(tol, 1e-11 * diam),
+    (closed-form or Newton projection) use min(tol, 1e-11 * diam),
     so the level converges to zero protrusion. A point cloud's
     nearest-sample distance is no better than 1.5 * spacing**2, so there the
     threshold is `tol` itself, caller-supplied or by default

@@ -332,82 +332,63 @@ class Ellipsoid(Surface):
 
 
 def _ellipsoid_nearest(P: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Nearest points on sum((x_i/a_i)^2)=1, via the largest root of the
-    radical equation sum((a_i xi_i / (t + a_i^2))^2) = 1 (bisection).
+    """Nearest points on sum((x_i/a_i)^2)=1, batched over the rows of P.
 
-    Coordinates with xi_i == 0 are handled by the standard ring-candidate
-    case split.
+    The nearest point is q_i = a_i^2 xi_i / (t + a_i^2) at the largest root
+    of sum((a_i xi_i / (t + a_i^2))^2) = 1. Coordinates with |xi_i| < 1e-14
+    are zeroed and drop out of the sum. The root is solved in the shifted
+    variable s = t + min a_i^2 over the remaining (active) coordinates, so a
+    tiny coordinate along the shortest active axis loses nothing to
+    cancellation. With w_i = (a_i xi_i)^2 and c_i = a_i^2 - min a_i^2 the
+    solve takes Newton steps on phi(s)^(-1/2) - 1, phi = sum(w_i/(s+c_i)^2),
+    which is exact when one term dominates, and bisects whenever a step
+    leaves the bracket [max(a_i|xi_i| - c_i), sqrt(sum w)]. A row stops once
+    it has converged, so its result does not depend on the batch.
+
+    A zeroed coordinate may come off its axis: the ring candidates of the
+    standard case split compete on distance. Rows with no active coordinate
+    (the centre) go to the shortest axis.
     """
     P = np.asarray(P, dtype=float)
     a2 = a**2
-    m, d = P.shape
-    out = np.empty_like(P)
-
-    absP = np.abs(P)
-    zero_mask = absP < 1e-14
-    generic = ~zero_mask.any(axis=1)
-
-    if np.any(generic):
-        out[generic] = _ellipsoid_nearest_generic(P[generic], a, a2)
-
-    # points with exact zero coordinates: rare; scalar case split
-    for idx in np.nonzero(~generic)[0]:
-        out[idx] = _ellipsoid_nearest_degenerate(P[idx], a, a2, zero_mask[idx])
-    return out
-
-
-def _ellipsoid_nearest_generic(P, a, a2):
-    w = (a * P) ** 2  # (m, d)
-
-    def f(t):
-        return np.sum(w / (t[:, None] + a2[None, :]) ** 2, axis=1) - 1.0
-
-    t_min = -a2.min()
-    lo = np.full(P.shape[0], t_min + 1e-14 * a2.max())
-    hi = np.maximum(np.sqrt(w.sum(axis=1)) - a2.min(), lo + a2.max())
-    for _ in range(64):
-        bad = f(hi) > 0.0
-        if not bad.any():
+    act = np.abs(P) >= 1e-14
+    live = act.any(axis=1)
+    w = np.where(act, (a * P) ** 2, 0.0)
+    c = np.where(act, a2 - np.where(act, a2, np.inf).min(axis=1, keepdims=True), np.inf)
+    # phi >= 1 at the largest one-term root, phi <= 1 at sqrt(sum w)
+    s = np.where(act, a * np.abs(P) - c, 0.0).max(axis=1)
+    lo, hi = s.copy(), np.sqrt(w.sum(axis=1))
+    todo = np.nonzero(live)[0]
+    for _ in range(200):  # a few to a few dozen steps in practice
+        if todo.size == 0:
             break
-        hi = np.where(bad, lo + 2.0 * (hi - lo), hi)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        pos = f(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    t = 0.5 * (lo + hi)
-    return a2[None, :] * P / (t[:, None] + a2[None, :])
-
-
-def _ellipsoid_nearest_degenerate(xi, a, a2, zmask):
-    act = ~zmask
-    if not act.any():
-        # center: nearest point sits on the shortest axis
-        j = int(np.argmin(a))
-        x = np.zeros_like(xi)
-        x[j] = a[j]
-        return x
-    # solve the reduced problem over active coordinates
-    sub = _ellipsoid_nearest_generic(xi[act][None, :], a[act], a2[act])[0]
-    best = np.zeros_like(xi)
-    best[act] = sub
-    best_d2 = float(np.sum((best - xi) ** 2))
-    # ring candidates: allow a zeroed coordinate j to come off the axis
-    for j in np.nonzero(zmask)[0]:
-        denom = a2[act] - a2[j]
-        if np.any(np.abs(denom) < 1e-30):
-            continue
-        e = a[act] * xi[act] / denom
-        s = float(np.sum(e**2))
-        if s >= 1.0:
-            continue
-        cand = np.zeros_like(xi)
-        cand[act] = a2[act] * xi[act] / denom
-        cand[j] = a[j] * math.sqrt(1.0 - s)
-        d2 = float(np.sum((cand - xi) ** 2))
-        if d2 < best_d2:
-            best, best_d2 = cand, d2
-    return best
+        st, d = s[todo], s[todo, None] + c[todo]
+        r = w[todo] / (d * d)
+        phi = r.sum(axis=1)
+        sq = np.sqrt(phi)
+        lt, ht = np.where(phi >= 1.0, st, lo[todo]), np.where(phi <= 1.0, st, hi[todo])
+        lo[todo], hi[todo] = lt, ht
+        new = st + phi * (sq - 1.0) / (r / d).sum(axis=1)
+        ok = np.abs(sq - 1.0) <= 1e-15  # at the rounding floor of phi
+        new = np.where((new >= lt) & (new <= ht), new, np.where(ok, st, 0.5 * (lt + ht)))
+        s[todo] = new
+        todo = todo[~(ok | (np.abs(new - st) <= 1e-15 * new))]
+    out = np.where(act, a2 * P / (s[:, None] + c), 0.0)
+    out[~live, np.argmin(a)] = a.min()
+    best_d2 = ((out - P) ** 2).sum(axis=1)
+    # ring candidates: a zeroed coordinate j comes off its axis
+    for j in np.nonzero((~act).any(axis=0))[0]:
+        rows = np.nonzero(~act[:, j] & live)[0]
+        Pr, ar = P[rows], act[rows]
+        tiny = np.abs(a2 - a2[j]) < 1e-30
+        denom = np.where(ar & ~tiny, a2 - a2[j], 1.0)
+        e2 = (np.where(ar, a * Pr / denom, 0.0) ** 2).sum(axis=1)
+        cand = np.where(ar, a2 * Pr / denom, 0.0)
+        cand[:, j] = a[j] * np.sqrt(np.maximum(1.0 - e2, 0.0))
+        d2 = ((cand - Pr) ** 2).sum(axis=1)
+        take = ~(ar & tiny).any(axis=1) & (e2 < 1.0) & (d2 < best_d2[rows])
+        out[rows[take]], best_d2[rows[take]] = cand[take], d2[take]
+    return out
 
 
 def _ellipsoid_area_quadrature(a: np.ndarray, res: int) -> float:

@@ -146,6 +146,72 @@ class TestSignedDistance:
         assert sb.signed_distance(s, xi) == pytest.approx(expect, abs=1e-12)
 
 
+@st.composite
+def ellipsoid_and_points(draw):
+    """An ellipsoid in R^2..R^4 and points inside, near and far from it, some
+    with coordinates zeroed or set just above the 1e-14 zero threshold."""
+    d = draw(st.integers(2, 4))
+    axes = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=d, max_size=d)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        if np.linalg.norm(u) < 0.1:
+            u = np.ones(d)
+        scale = draw(st.one_of(st.floats(0.0, 0.95), st.floats(0.99, 1.01), st.floats(1.5, 50.0)))
+        x = scale * axes * u / np.linalg.norm(u)
+        mods = draw(st.lists(st.sampled_from((None, None, None, 0.0, 1e-13, -1e-13)),
+                             min_size=d, max_size=d))
+        for i, v in enumerate(mods):
+            if v is not None:
+                x[i] = v
+        rows.append(x)
+    return sb.Ellipsoid(axes), np.array(rows)
+
+
+class TestEllipsoidProjection:
+    @pytest.mark.parametrize(
+        "axes, xi",
+        [
+            ([1.0, 2.0, 3.0], [1e-12, 0.2, 0.3]),
+            ([0.3, 1.0, 5.0], [1e-13, 0.5, 1.0]),
+            ([0.3, 1.0, 5.0], [5e-14, 0.3, -0.4]),
+        ],
+    )
+    def test_tiny_coordinate_on_shortest_axis(self, axes, xi):
+        # a coordinate just above the zero threshold along the shortest axis:
+        # the secular root sits within 1e-12 of -min a_i^2, where solving for
+        # t itself loses it to cancellation and lands off the surface
+        ell = sb.Ellipsoid(axes)
+        xi = np.array(xi)
+        q = ell.project(xi)
+        assert abs(ell.implicit(q)) <= 1e-12
+        zeroed = xi.copy()
+        zeroed[0] = 0.0
+        dist, dist0 = np.linalg.norm(xi - q), np.linalg.norm(zeroed - ell.project(zeroed))
+        assert abs(dist - dist0) <= 1e-12
+
+    @given(case=ellipsoid_and_points())
+    @settings(max_examples=200, deadline=None)
+    def test_projection_properties(self, case):
+        ell, P = case
+        Q = ell.project(P)
+        assert np.all(np.abs(ell.implicit(Q)) <= 1e-12)
+        # x - q is along the normal at q; the floor max(a) is the scale of
+        # the rounding in q, which a near point's tiny offset cannot resolve
+        v = P - Q
+        g = ell.implicit_grad(Q)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        resid = np.linalg.norm(v - np.einsum("md,md->m", v, g)[:, None] * g, axis=1)
+        scale = np.maximum(np.linalg.norm(v, axis=1), ell.semi_axes.max())
+        assert np.all(resid <= 1e-9 * scale)
+        # the stationary point found is the nearest one
+        dense = ell.sample_points(2000, np.random.default_rng(0))
+        brute = np.linalg.norm(P[:, None, :] - dense[None], axis=2).min(axis=1)
+        assert np.all(np.linalg.norm(v, axis=1) <= brute + 1e-12)
+        for i in range(P.shape[0]):
+            np.testing.assert_array_equal(ell.project(P[i]), Q[i])
+
+
 class TestTouchingRadius:
     def test_sphere(self):
         for r in (0.5, 1.0, 2.5):
