@@ -14,6 +14,17 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of `a` with `b` (one vector or matching rows).
+
+    Each row is rounded exactly as the 1-D `a[i] @ b[i]` is, so batched code
+    reproduces per-point code bit for bit (a plain `a @ b` does not).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def tangent_frame(normal: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to `normal`.
 

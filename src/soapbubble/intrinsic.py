@@ -67,12 +67,7 @@ def build_geodesic_graph(
     if k < 6:
         raise ValueError("k must be at least 6")
     pts = surface.probe_points(node_budget, seed)
-    if isinstance(surface, PointCloud):
-        samples = [surface.fit_sample(surface.nearest_index(p)) for p in pts]
-        pts = np.stack([s.point for s in samples])
-        normals = np.stack([s.inner_normal for s in samples])
-    else:
-        normals, _ = surface.curvatures_batch(pts)
+    normals, _ = surface.curvatures_batch(pts)
     m = pts.shape[0]
     tree = cKDTree(pts)
     dist, idx = tree.query(pts, k=min(k + 1, m))

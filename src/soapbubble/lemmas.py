@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import reflect, tangent_frame, unit
+from .geometry import row_dots, tangent_frame, unit
 from .intrinsic import GeodesicGraph, interface_distances
 from .planes import CriticalPlane, critical_caps, plane_crossing_fn
 from .surfaces import (
@@ -518,66 +518,63 @@ def verify_normal_tilt(
     band = caps.sigma_nodes[dist[caps.sigma_nodes] <= delta]
     band = band[: trials_cap]
 
-    margins = []
-    skipped = 0
-    witnesses = []
-    for i in band:
-        p = graph.points[i]
-        nu_p = graph.normals[i]
-        q = reflect(p, omega, m)
-        nu_q = nu_p - 2.0 * float(nu_p @ omega) * omega
-        alpha_cap = min(0.5 * rho, max(8.0 * plane.contact_gap, 0.05 * rho))
-        if alpha_cap + 2.0 * delta >= rho:
-            skipped += 1
-            continue
+    P, nu_p = graph.points[band], graph.normals[band]
+    q = P - 2.0 * (row_dots(P, omega) - m)[:, None] * omega
+    nu_q = nu_p - 2.0 * row_dots(nu_p, omega)[:, None] * omega
+    alpha_cap = min(0.5 * rho, max(8.0 * plane.contact_gap, 0.05 * rho))
+    if alpha_cap + 2.0 * delta >= rho:
+        alpha = np.full(len(band), math.nan)
+    else:
         alpha = _root_along(surface, q, -nu_q, alpha_cap)
-        if not np.isfinite(alpha) or alpha < 0:
-            skipped += 1
-            continue
-        q_hat = q - alpha * nu_q
-        g = surface.implicit_grad(q_hat)
-        nu_hat = g / np.linalg.norm(g)
-        if np.linalg.norm(nu_q - nu_hat) > alpha + match_tol:
-            skipped += 1
-            continue
-        t = float(nu_q @ omega)
-        bound = math.sqrt(8.0 * delta**2 / rho**2 + alpha / 2.0)
-        margins.append(min(t, bound - t))  # both 0 <= t and t <= bound
-        witnesses.append((p, t, bound, alpha))
+    found = np.nonzero(np.isfinite(alpha))[0]
+    g = surface.implicit_grad(q[found] - alpha[found, None] * nu_q[found])
+    nu_hat = g / np.sqrt(row_dots(g, g))[:, None]
+    diff = nu_q[found] - nu_hat
+    keep = found[np.sqrt(row_dots(diff, diff)) <= alpha[found] + match_tol]
+    t = row_dots(nu_q[keep], omega)
+    bound = np.sqrt(8.0 * delta**2 / rho**2 + alpha[keep] / 2.0)
+    margins = np.minimum(t, bound - t)  # both 0 <= t and t <= bound
 
     def witness(idx):
-        p, t, bound, alpha = witnesses[idx]
-        return {"cap_point": p.tolist(), "alignment": t, "bound": bound, "alpha": alpha}
+        return {"cap_point": P[keep[idx]].tolist(), "alignment": float(t[idx]),
+                "bound": float(bound[idx]), "alpha": float(alpha[keep[idx]])}
 
     return _tally(
         "normal-tilt",
-        np.array(margins),
+        margins,
         tol,
-        witness if witnesses else None,
-        skipped,
+        witness if keep.size else None,
+        len(band) - keep.size,
         notes=[f"delta={delta:.4g}", f"band={len(band)}"],
     )
 
 
-def _root_along(surface, start, direction, cap):
-    """First crossing of the surface along start + t*direction, t in [0, cap]."""
+def _root_along(surface, starts, directions, cap):
+    """First crossing of the surface along each row's start + t*direction,
+    t in [0, cap]: a 64-point grid brackets it and an 80-step bisection,
+    batched over the rows, narrows it. Rows that start inside and never
+    cross give nan; rows that start outside and never cross give 0.0."""
     ts = np.linspace(0.0, cap, 64)
-    phis = np.atleast_1d(surface.implicit(start[None, :] + ts[:, None] * direction[None, :]))
+    m, d = starts.shape
+    grid = starts[:, None, :] + ts[None, :, None] * directions[:, None, :]
+    phis = np.atleast_1d(surface.implicit(grid.reshape(-1, d))).reshape(m, ts.size)
     signs = np.sign(phis)
     signs[signs == 0] = 1
-    flips = np.nonzero(np.diff(signs) != 0)[0]
-    if flips.size == 0:
-        return math.nan if signs[0] > 0 else 0.0
-    lo, hi = ts[flips[0]], ts[flips[0] + 1]
-    flo = phis[flips[0]]
+    flips = np.diff(signs, axis=1) != 0
+    out = np.where(signs[:, 0] > 0, math.nan, 0.0)
+    rows = np.nonzero(flips.any(axis=1))[0]
+    if rows.size == 0:
+        return out
+    first = flips[rows].argmax(axis=1)
+    lo, hi = ts[first], ts[first + 1]
+    flo = phis[rows, first]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = float(surface.implicit(start + mid * direction))
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        fm = np.atleast_1d(surface.implicit(starts[rows] + mid[:, None] * directions[rows]))
+        same = (fm > 0) == (flo > 0)
+        lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
+    out[rows] = 0.5 * (lo + hi)
+    return out
 
 
 # ---------------------------------------------------------------------------

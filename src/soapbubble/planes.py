@@ -13,8 +13,6 @@ not `tol`, wherever that floor lies below it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +161,7 @@ def critical_position(
         # error, and the protrusion jumps with the level instead of crossing
         # zero cleanly, so the level resolution doubles as the threshold
         if tol is None:
-            nn, _ = surface.tree.query(surface.points, k=2)
-            spacing = float(np.median(nn[:, 1]))
-            tol = max(1.5 * spacing**2, 1e-6 * diam)
+            tol = max(1.5 * surface.spacing**2, 1e-6 * diam)
         contain_tol = tol
     else:
         if tol is None:
@@ -181,6 +177,18 @@ def critical_position(
     def inside(lam: float) -> bool:
         return reflected_cap_inside(surface, omega, lam, contain_tol, samples=pts).inside
 
+    def bisect(a: float, b: float) -> float:
+        # inside(b) holds and inside(a) fails; shrink to width tol
+        for _ in range(90):
+            if b - a <= tol:
+                break
+            mid = 0.5 * (a + b)
+            if inside(mid):
+                b = mid
+            else:
+                a = mid
+        return b
+
     if not inside(hi - 1e-3 * tol - 1e-9 * diam):
         raise EmbeddednessError(
             "reflected cap protrudes arbitrarily close to the extent; "
@@ -190,31 +198,12 @@ def critical_position(
         # symmetric about the lowest level already: critical level is lo
         m = lo
     else:
-        a, b = lo, hi  # inside(b)=True, inside(a)=False
-        for _ in range(90):
-            if b - a <= tol:
-                break
-            mid = 0.5 * (a + b)
-            if inside(mid):
-                b = mid
-            else:
-                a = mid
-        m = b
+        m = bisect(lo, hi)
         # verification sweep: the predicate must hold on the whole tail above m
         sweep = np.linspace(m, hi, 65)[1:]
         fails = [lam for lam in sweep if not inside(lam)]
         if fails:
-            a = max(fails)
-            b = hi
-            for _ in range(90):
-                if b - a <= tol:
-                    break
-                mid = 0.5 * (a + b)
-                if inside(mid):
-                    b = mid
-                else:
-                    a = mid
-            m = b
+            m = bisect(max(fails), hi)
 
     # contact analysis at the critical level
     check = reflected_cap_inside(surface, omega, m, contain_tol, samples=pts)
@@ -232,11 +221,7 @@ def critical_position(
     if p0 is not None and not degenerate:
         if float(p0 @ omega) - m <= 2.0 * spacing:
             case = BOUNDARY_ORTHOGONALITY
-            contact = surface.project(check.witness_reflected)
-            if isinstance(surface, PointCloud):
-                nu = surface.fit_sample(surface.nearest_index(contact)).inner_normal
-            else:
-                nu = unit(surface.implicit_grad(contact))
+            nu, _ = surface.curvature_at(surface.project(check.witness_reflected))
             alignment = abs(float(nu @ omega))
     elif degenerate:
         case = INTERIOR_TANGENCY  # whole cap touches; case label is moot
@@ -260,19 +245,9 @@ def axis_critical_planes(
     sample_budget: int = 2000,
     seed: int = 0,
 ) -> list[CriticalPlane]:
-    """Critical planes for the canonical basis directions, optionally fanned
-    out over a thread pool sized by SOAPBUBBLE_THREADS."""
+    """Critical planes for the canonical basis directions."""
     d = surface.dim
-    axes = [np.eye(d)[i] for i in range(d)]
-    workers = int(os.environ.get("SOAPBUBBLE_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(critical_position, surface, w, tol, sample_budget, seed)
-                for w in axes
-            ]
-            return [f.result() for f in futures]
-    return [critical_position(surface, w, tol, sample_budget, seed) for w in axes]
+    return [critical_position(surface, w, tol, sample_budget, seed) for w in np.eye(d)]
 
 
 @dataclass

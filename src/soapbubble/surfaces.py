@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -503,7 +504,7 @@ class HarmonicRadial(Surface):
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         P = np.atleast_2d(pts)
-        out = _project_newton(self, P, seeds=self._projection_seeds(P))
+        out = _project_newton(self, P, self._projection_seeds(P))
         return out[0] if single else out
 
     def _projection_seeds(self, P: np.ndarray) -> np.ndarray:
@@ -592,18 +593,19 @@ def _harmonic_basis_expr(sp, us, l: int, m: int, dim: int):
 
 
 def _project_newton(
-    surface: Surface,
+    surface: HarmonicRadial,
     P: np.ndarray,
-    seeds: np.ndarray | None = None,
+    seeds: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 80,
 ) -> np.ndarray:
     """Damped Newton on the nearest-point stationarity system, seeded from
-    supplied on-surface guesses (or a radial cast), with multistart fallback."""
+    supplied on-surface guesses, with a multistart fallback from jittered
+    radial casts."""
     P = np.asarray(P, dtype=float)
     m, d = P.shape
 
-    def seed_for(Q, jitter=None):
+    def seed_for(Q, jitter):
         u = Q.copy()
         nrm = np.linalg.norm(u, axis=1, keepdims=True)
         tiny = nrm[:, 0] < 1e-12
@@ -611,13 +613,9 @@ def _project_newton(
             u[tiny] = 0.0
             u[tiny, 0] = 1.0
             nrm = np.linalg.norm(u, axis=1, keepdims=True)
-        u = u / nrm
-        if jitter is not None:
-            u = u + jitter
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-        if isinstance(surface, HarmonicRadial):
-            return u * surface.radial(u)[:, None]
-        return surface.project(u * surface.bounding_radius())  # pragma: no cover
+        u = u / nrm + jitter
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return u * surface.radial(u)[:, None]
 
     def run(x0, targets):
         k = targets.shape[0]
@@ -670,7 +668,7 @@ def _project_newton(
         )
         return x, ok
 
-    x, ok = run(seeds if seeds is not None else seed_for(P), P)
+    x, ok = run(seeds, P)
     if not ok.all():
         rng = np.random.default_rng(7)
         for _ in range(4):
@@ -693,10 +691,11 @@ def _project_newton(
 class PointCloud(Surface):
     """Surface known through samples with inward normals.
 
-    Curvatures come from a local quadric fit over k nearest neighbors;
-    signed distance is the distance to the nearest sample, signed by its
-    normal. A consistency pass rejects clouds with mixed inner/outer
-    orientation.
+    `curvature_at` and `curvatures_batch` answer with the nearest sample's
+    inner normal and the principal curvatures of a quadric fitted over its
+    k nearest neighbors (`fit_sample`, cached per sample). Signed distance
+    is the distance to the nearest sample, signed by its normal. A
+    consistency pass rejects clouds with mixed inner/outer orientation.
     """
 
     def __init__(self, points: np.ndarray, normals: np.ndarray, k: int = 20):
@@ -749,6 +748,24 @@ class PointCloud(Surface):
     def nearest_index(self, xi) -> int:
         _, idx = self.tree.query(np.asarray(xi, dtype=float))
         return int(idx)
+
+    @cached_property
+    def spacing(self) -> float:
+        """Median distance from a sample to its nearest neighbor."""
+        nn, _ = self.tree.query(self.points, k=2)
+        return float(np.median(nn[:, 1]))
+
+    def curvature_at(self, p):
+        s = self.fit_sample(self.nearest_index(p))
+        return s.inner_normal.copy(), s.principal_curvatures.copy()
+
+    def curvatures_batch(self, pts):
+        _, idx = self.tree.query(np.atleast_2d(np.asarray(pts, dtype=float)))
+        samples = [self.fit_sample(int(i)) for i in idx]
+        return (
+            np.stack([s.inner_normal for s in samples]),
+            np.stack([s.principal_curvatures for s in samples]),
+        )
 
     def sample_points(self, count, rng):
         count = min(count, self.points.shape[0])
@@ -877,17 +894,12 @@ def _voronoi_cell_area(neigh_xy: np.ndarray, box: float | None = None) -> float:
 
 def evaluate_sample(surface: Surface, seed: np.ndarray) -> SurfaceSample:
     """Project a seed point onto the surface and report normal + curvatures."""
-    seed = np.asarray(seed, dtype=float)
-    if isinstance(surface, PointCloud):
-        return surface.fit_sample(surface.nearest_index(seed))
-    p = surface.project(seed)
+    p = surface.project(np.asarray(seed, dtype=float))
     nu, kappas = surface.curvature_at(p)
     return SurfaceSample(p, nu, kappas, float(kappas.mean()))
 
 
 def evaluate_samples(surface: Surface, seeds: np.ndarray) -> list[SurfaceSample]:
-    if isinstance(surface, PointCloud):
-        return [evaluate_sample(surface, s) for s in np.atleast_2d(seeds)]
     P = surface.project(np.atleast_2d(np.asarray(seeds, dtype=float)))
     nus, kappas = surface.curvatures_batch(P)
     return [
@@ -956,17 +968,15 @@ def mean_curvature_oscillation(
         raise ValueError("sample_budget must be at least 100")
     pts = surface.probe_points(sample_budget, seed)
     if isinstance(surface, PointCloud):
-        hs = np.array([surface.fit_sample(surface.nearest_index(p)).mean_curvature for p in pts])
         refine = False
-    else:
-        _, kappas = surface.curvatures_batch(pts)
-        hs = kappas.mean(axis=1)
+    _, kappas = surface.curvatures_batch(pts)
+    hs = kappas.mean(axis=1)
     order = np.argsort(hs)
     min_h, max_h = float(hs[order[0]]), float(hs[order[-1]])
     argmin, argmax = pts[order[0]].copy(), pts[order[-1]].copy()
 
     refined = False
-    if refine and not isinstance(surface, PointCloud):
+    if refine:
         def hval(p):
             _, k = surface.curvature_at(p)
             return float(k.mean())
@@ -1006,14 +1016,8 @@ def estimate_touching_radius(
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
     pts = surface.probe_points(sample_budget, seed)
-    if isinstance(surface, PointCloud):
-        samples = [surface.fit_sample(surface.nearest_index(p)) for p in pts]
-        kmax = max(float(np.abs(s.principal_curvatures).max()) for s in samples)
-        normals = np.stack([s.inner_normal for s in samples])
-        pts = np.stack([s.point for s in samples])
-    else:
-        normals, kappas = surface.curvatures_batch(pts)
-        kmax = float(np.abs(kappas).max())
+    normals, kappas = surface.curvatures_batch(pts)
+    kmax = float(np.abs(kappas).max())
     curv_bound = 1.0 / kmax if kmax > 0 else math.inf
 
     m = min(pair_budget, pts.shape[0])

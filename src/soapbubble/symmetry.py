@@ -201,12 +201,7 @@ def radial_map_check(
     pts = surface.probe_points(sample_budget, seed)
     rel = pts - center
     rad = rel / np.linalg.norm(rel, axis=1, keepdims=True)
-    if isinstance(surface, PointCloud):
-        normals = np.stack(
-            [surface.fit_sample(surface.nearest_index(p)).inner_normal for p in pts]
-        )
-    else:
-        normals, _ = surface.curvatures_batch(pts)
+    normals, _ = surface.curvatures_batch(pts)
     dots = np.einsum("md,md->m", rad, normals)
     max_dot = float(dots.max())
     bound = -1.0 + (r_e - r_i) / rho
@@ -218,8 +213,7 @@ def radial_map_check(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     deadband = 0.0
     if isinstance(surface, PointCloud):
-        nn, _ = surface.tree.query(surface.points, k=2)
-        deadband = 0.75 * float(np.median(nn[:, 1]))
+        deadband = 0.75 * surface.spacing
     counts = count_ray_hits(
         surface, center, dirs, t_max=1.05 * r_e + 0.05 * rho, deadband=deadband
     )

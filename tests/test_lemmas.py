@@ -6,6 +6,7 @@ import pytest
 import soapbubble as sb
 from soapbubble.intrinsic import build_geodesic_graph
 from soapbubble.lemmas import (
+    _root_along,
     figure_projection_check,
     normal_from_gradient,
     projected_curvature_bounds,
@@ -192,6 +193,25 @@ class TestNormalTilt:
         v = verify_normal_tilt(unit_sphere, plane, sphere_graph8, delta=1e-12)
         assert v.trials == 0
         assert v.violations == 0
+
+
+class TestRootAlong:
+    def test_batch_rows_match_single_rows(self):
+        sphere = sb.Sphere([0.0, 0.0, 0.0], 1.0)
+        rng = np.random.default_rng(21)
+        u = rng.standard_normal((12, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        # outward rays of length 0.6: crossing from inside, inside and
+        # short of the surface, and starting outside
+        radii = np.array([0.5, 0.8, 0.95, 0.6, 0.2, 0.1, 0.3, 0.25, 1.5, 1.2, 2.0, 1.01])
+        starts, cap = radii[:, None] * u, 0.6
+        alpha = _root_along(sphere, starts, u, cap)
+        for i in range(12):
+            alone = _root_along(sphere, starts[i : i + 1], u[i : i + 1], cap)
+            np.testing.assert_array_equal(alpha[i : i + 1], alone)
+        np.testing.assert_allclose(alpha[:4], 1.0 - radii[:4], atol=1e-12)
+        assert np.isnan(alpha[4:8]).all()
+        np.testing.assert_array_equal(alpha[8:], 0.0)
 
 
 class TestAnnulusNormal:

@@ -362,6 +362,49 @@ class TestPointCloud:
             sb.PointCloud(u, -u, k=20)
 
 
+def _ellipsoid_cloud(count: int, seed: int) -> sb.PointCloud:
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((count, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = u * np.array([1.0, 1.2, 0.8])
+    g = -pts / np.array([1.0, 1.44, 0.64])
+    return sb.PointCloud(pts, g / np.linalg.norm(g, axis=1, keepdims=True), k=20)
+
+
+class TestPointCloudCurvatureInterface:
+    def test_batch_equals_nearest_sample_fits(self):
+        cloud = _ellipsoid_cloud(800, seed=12)
+        on = cloud.probe_points(150, seed=3)
+        off = on + 0.02 * np.random.default_rng(4).standard_normal(on.shape)
+        for pts in (on, off):
+            nus, kappas = cloud.curvatures_batch(pts)
+            for p, nu, k in zip(pts, nus, kappas):
+                s = cloud.fit_sample(cloud.nearest_index(p))
+                np.testing.assert_array_equal(nu, s.inner_normal)
+                np.testing.assert_array_equal(k, s.principal_curvatures)
+                nu1, k1 = cloud.curvature_at(p)
+                np.testing.assert_array_equal(nu1, nu)
+                np.testing.assert_array_equal(k1, k)
+
+    def test_spacing_is_median_neighbor_distance(self):
+        cloud = _ellipsoid_cloud(500, seed=13)
+        d = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=2)
+        np.fill_diagonal(d, np.inf)
+        assert cloud.spacing == pytest.approx(float(np.median(d.min(axis=1))), rel=1e-12)
+
+    @given(perm_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_row_permutation_invariance(self, perm_seed):
+        base = _ellipsoid_cloud(400, seed=14)
+        perm = np.random.default_rng(perm_seed).permutation(400)
+        shuffled = sb.PointCloud(base.points[perm], base.normals[perm], k=20)
+        queries = 1.05 * np.random.default_rng(15).standard_normal((40, 3))
+        nu_a, k_a = base.curvatures_batch(queries)
+        nu_b, k_b = shuffled.curvatures_batch(queries)
+        np.testing.assert_allclose(nu_b, nu_a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(k_b, k_a, rtol=0, atol=1e-12)
+
+
 class TestDeterminism:
     def test_probe_points_reproducible(self, ell_111):
         a = ell_111.probe_points(300, seed=42)

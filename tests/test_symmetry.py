@@ -203,12 +203,6 @@ class TestStabilityReport:
         np.testing.assert_allclose(moved.center, t, atol=1e-6)
         assert moved.r_e - moved.r_i == pytest.approx(base.r_e - base.r_i, abs=1e-6)
 
-    def test_thread_fanout_matches_serial(self, monkeypatch, ell_111):
-        serial, _ = symmetry_center(ell_111, sample_budget=1200)
-        monkeypatch.setenv("SOAPBUBBLE_THREADS", "3")
-        threaded, _ = symmetry_center(ell_111, sample_budget=1200)
-        np.testing.assert_array_equal(serial, threaded)
-
     def test_point_cloud_end_to_end(self):
         rng = np.random.default_rng(4)
         u = rng.standard_normal((2500, 3))
