@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from .constants import compute_constants
+from .geometry import row_dots
 from .surfaces import PointCloud, Surface, surface_area, touching_radius
 
 
@@ -332,16 +333,11 @@ def harnack_chain(chain: Chain, eps: float, rho: float, delta: float) -> Harnack
 
     # each step must stay inside the closed r_i/4 patch of its predecessor:
     # tangential offset in the predecessor frame is the binding quantity
-    excess = -np.inf
-    for j in range(len(way) - 1):
-        d = way[j + 1] - way[j]
-        if isinstance(surface, PointCloud):
-            tang = float(np.linalg.norm(d))
-        else:
-            g = surface.implicit_grad(way[j])
-            nu = g / np.linalg.norm(g)
-            tang = float(np.linalg.norm(d - (d @ nu) * nu))
-        excess = max(excess, tang - radii[j] / 4.0)
+    nus, _ = surface.curvatures_batch(way[:-1])
+    d = np.diff(way, axis=0)
+    t = d - row_dots(d, nus)[:, None] * nus
+    tang = np.sqrt(row_dots(t, t))
+    excess = float(np.max(tang - radii[: len(d)] / 4.0, initial=-np.inf))
     steps_ok = bool(excess <= 1e-7 * max(rho, 1.0))
     count_ok = bool(len(way) - 1 <= ledger.n0)
     return HarnackChain(

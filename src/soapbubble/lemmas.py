@@ -106,7 +106,7 @@ def verify_graph_bounds(
     |grad u| <= |x|/sqrt(rho^2-|x|^2), nu_p.nu_q >= sqrt(rho^2-|x|^2)/rho
     and |nu_p - nu_q| <= sqrt(2)|x|/rho."""
     rng = np.random.default_rng(seed)
-    true_rho = touching_radius(surface, seed=seed)
+    true_rho = touching_radius(surface)
     if rho is None:
         rho = true_rho
     pts = surface.probe_points(trials, seed)
@@ -557,7 +557,7 @@ def _root_along(surface, starts, directions, cap):
     ts = np.linspace(0.0, cap, 64)
     m, d = starts.shape
     grid = starts[:, None, :] + ts[None, :, None] * directions[:, None, :]
-    phis = np.atleast_1d(surface.implicit(grid.reshape(-1, d))).reshape(m, ts.size)
+    phis = surface.implicit(grid.reshape(-1, d)).reshape(m, ts.size)
     signs = np.sign(phis)
     signs[signs == 0] = 1
     flips = np.diff(signs, axis=1) != 0
@@ -570,7 +570,7 @@ def _root_along(surface, starts, directions, cap):
     flo = phis[rows, first]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = np.atleast_1d(surface.implicit(starts[rows] + mid[:, None] * directions[rows]))
+        fm = surface.implicit(starts[rows] + mid[:, None] * directions[rows])
         same = (fm > 0) == (flo > 0)
         lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
     out[rows] = 0.5 * (lo + hi)

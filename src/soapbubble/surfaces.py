@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import tangent_frame, tangent_frames, unit
+from .geometry import tangent_frame, tangent_frames
 
 
 class SurfaceError(Exception):
@@ -83,6 +83,25 @@ class OscReport:
         }
 
 
+def rows_kernel(kernel):
+    """Let a surface kernel written for (m, d) rows also take one (d,) point.
+
+    The point runs as a one-row batch and gets that row back (a float where
+    the row is a scalar), so a one-point call and the matching row of a
+    batched call agree bit for bit.
+    """
+
+    @wraps(kernel)
+    def method(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 1:
+            return kernel(self, pts)
+        row = kernel(self, pts[None])[0]
+        return float(row) if row.ndim == 0 else row
+
+    return method
+
+
 class Surface:
     """Abstract closed embedded hypersurface in R^(n+1).
 
@@ -90,6 +109,10 @@ class Surface:
     inside, zero on the surface and negative outside, together with its
     first two derivatives, plus nearest-point projection and on-surface
     sampling. Everything is read-only after construction.
+
+    The point kernels (`implicit`, `implicit_grad`, `implicit_hess`,
+    `project`, `signed_distance`) are written for (m, d) rows and wrapped in
+    `rows_kernel`, so each also takes a single (d,) point and returns its row.
     """
 
     dim: int  # ambient dimension n+1
@@ -98,7 +121,7 @@ class Surface:
     def n(self) -> int:
         return self.dim - 1
 
-    # --- level function interface (batched: accepts (m, d) or (d,)) ---
+    # --- level function interface ---
 
     def implicit(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -115,14 +138,10 @@ class Surface:
         """Nearest point(s) on the surface."""
         raise NotImplementedError
 
-    def signed_distance(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        near = self.project(P)
-        d = np.linalg.norm(P - near, axis=1)
-        sd = np.where(self.implicit(P) >= 0.0, d, -d)
-        return float(sd[0]) if single else sd
+    @rows_kernel
+    def signed_distance(self, P: np.ndarray) -> np.ndarray:
+        d = np.linalg.norm(P - self.project(P), axis=1)
+        return np.where(self.implicit(P) >= 0.0, d, -d)
 
     # --- sampling ---
 
@@ -159,18 +178,14 @@ class Surface:
     # --- pointwise differential geometry from the level function ---
 
     def curvature_at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(inner normal, ascending principal curvatures) at a surface point."""
-        g = self.implicit_grad(p)
-        gn = float(np.linalg.norm(g))
-        nu = g / gn
-        frame = tangent_frame(nu)
-        hess = self.implicit_hess(p)
-        shape_op = -(frame @ hess @ frame.T) / gn
-        kappas = np.sort(np.linalg.eigvalsh(shape_op))
-        return nu, kappas
+        """(inner normal, ascending principal curvatures) at one surface
+        point: the one-row case of `curvatures_batch`."""
+        nus, kappas = self.curvatures_batch(np.asarray(p, dtype=float)[None])
+        return nus[0], kappas[0]
 
     def curvatures_batch(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched curvature_at: (m,d) points -> normals (m,d), kappas (m,n)."""
+        """(m, d) surface points -> inner normals (m, d), ascending principal
+        curvatures (m, n)."""
         P = np.atleast_2d(np.asarray(pts, dtype=float))
         g = self.implicit_grad(P)
         gn = np.linalg.norm(g, axis=1)
@@ -195,36 +210,25 @@ class Sphere(Surface):
         self.dim = self.center.shape[0]
 
     # R - |xi - c| is the exact signed distance
-    def implicit(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        v = self.radius - np.linalg.norm(P - self.center, axis=1)
-        return float(v[0]) if single else v
+    @rows_kernel
+    def implicit(self, P):
+        return self.radius - np.linalg.norm(P - self.center, axis=1)
 
-    def implicit_grad(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
+    @rows_kernel
+    def implicit_grad(self, P):
         u = P - self.center
-        g = -u / np.linalg.norm(u, axis=1, keepdims=True)
-        return g[0] if single else g
+        return -u / np.linalg.norm(u, axis=1, keepdims=True)
 
-    def implicit_hess(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
+    @rows_kernel
+    def implicit_hess(self, P):
         u = P - self.center
         r = np.linalg.norm(u, axis=1)
         uhat = u / r[:, None]
         eye = np.eye(self.dim)
-        h = -(eye[None] - uhat[:, :, None] * uhat[:, None, :]) / r[:, None, None]
-        return h[0] if single else h
+        return -(eye[None] - uhat[:, :, None] * uhat[:, None, :]) / r[:, None, None]
 
-    def project(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
+    @rows_kernel
+    def project(self, P):
         u = P - self.center
         r = np.linalg.norm(u, axis=1, keepdims=True)
         bad = r[:, 0] < 1e-300
@@ -233,8 +237,7 @@ class Sphere(Surface):
             u[bad] = 0.0
             u[bad, 0] = 1.0
             r = np.linalg.norm(u, axis=1, keepdims=True)
-        q = self.center + self.radius * u / r
-        return q[0] if single else q
+        return self.center + self.radius * u / r
 
     def signed_distance(self, pts):
         return self.implicit(pts)
@@ -257,11 +260,6 @@ class Sphere(Surface):
     def bounding_radius(self):
         return self.radius
 
-    def curvature_at(self, p):
-        nu = unit(self.center - np.asarray(p, dtype=float))
-        k = np.full(self.n, 1.0 / self.radius)
-        return nu, k
-
     def curvatures_batch(self, pts):
         P = np.atleast_2d(np.asarray(pts, dtype=float))
         nus = self.center - P
@@ -280,33 +278,21 @@ class Ellipsoid(Surface):
         self.dim = self.semi_axes.shape[0]
         self._a2 = self.semi_axes**2
 
-    def implicit(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        v = 1.0 - np.sum(P**2 / self._a2, axis=1)
-        return float(v[0]) if single else v
+    @rows_kernel
+    def implicit(self, P):
+        return 1.0 - np.sum(P**2 / self._a2, axis=1)
 
-    def implicit_grad(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        g = -2.0 * P / self._a2
-        return g[0] if single else g
+    @rows_kernel
+    def implicit_grad(self, P):
+        return -2.0 * P / self._a2
 
-    def implicit_hess(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        h = np.broadcast_to(np.diag(-2.0 / self._a2), (P.shape[0], self.dim, self.dim)).copy()
-        return h[0] if single else h
+    @rows_kernel
+    def implicit_hess(self, P):
+        return np.broadcast_to(np.diag(-2.0 / self._a2), (P.shape[0], self.dim, self.dim)).copy()
 
-    def project(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        out = _ellipsoid_nearest(P, self.semi_axes)
-        return out[0] if single else out
+    @rows_kernel
+    def project(self, P):
+        return _ellipsoid_nearest(P, self.semi_axes)
 
     def sample_points(self, count, rng):
         u = rng.standard_normal((count, self.dim))
@@ -446,12 +432,13 @@ class HarmonicRadial(Surface):
         phi = r_expr - rho
 
         grad = [sp.diff(phi, x) for x in xs]
-        hess = [[sp.diff(g, x) for x in xs] for g in grad]
-        mods = ["numpy"]
-        self._phi_fn = sp.lambdify(xs, phi, mods)
-        self._grad_fns = [sp.lambdify(xs, g, mods) for g in grad]
-        self._hess_fns = [[sp.lambdify(xs, h, mods) for h in row] for row in hess]
-        self._r_fn = sp.lambdify(xs, r_expr, mods)
+        hess = [sp.diff(g, x) for g in grad for x in xs]
+        # one function per derivative order, sharing common subexpressions;
+        # each returns a list of columns
+        self._r_fn, self._phi_fn, self._grad_fn, self._hess_fn = (
+            sp.lambdify(xs, table, "numpy", cse=True)
+            for table in ([r_expr], [phi], grad, hess)
+        )
 
         self._r_min, self._r_max = self._radial_range()
         if self._r_min <= 1e-3:
@@ -464,48 +451,30 @@ class HarmonicRadial(Surface):
         r = self.radial(u)
         return float(r.min()), float(r.max())
 
-    def radial(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        cols = [dirs[:, i] for i in range(self.dim)]
-        return np.broadcast_to(np.asarray(self._r_fn(*cols), dtype=float), (dirs.shape[0],)).copy()
-
-    def implicit(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        cols = [P[:, i] for i in range(self.dim)]
-        v = np.broadcast_to(np.asarray(self._phi_fn(*cols), dtype=float), (P.shape[0],)).copy()
-        return float(v[0]) if single else v
-
-    def implicit_grad(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        cols = [P[:, i] for i in range(self.dim)]
-        g = np.stack(
-            [np.broadcast_to(np.asarray(f(*cols), dtype=float), (P.shape[0],)) for f in self._grad_fns],
-            axis=1,
-        )
-        return g[0] if single else g
-
-    def implicit_hess(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        cols = [P[:, i] for i in range(self.dim)]
+    @staticmethod
+    def _table(fn, P: np.ndarray) -> np.ndarray:
+        """A lambdified table evaluated on the rows of P, as (m, entries)."""
         m = P.shape[0]
-        h = np.empty((m, self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                h[:, i, j] = np.broadcast_to(np.asarray(self._hess_fns[i][j](*cols), dtype=float), (m,))
-        return h[0] if single else h
+        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in fn(*P.T)], axis=1)
 
-    def project(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        out = _project_newton(self, P, self._projection_seeds(P))
-        return out[0] if single else out
+    def radial(self, dirs: np.ndarray) -> np.ndarray:
+        return self._table(self._r_fn, np.atleast_2d(np.asarray(dirs, dtype=float)))[:, 0]
+
+    @rows_kernel
+    def implicit(self, P):
+        return self._table(self._phi_fn, P)[:, 0]
+
+    @rows_kernel
+    def implicit_grad(self, P):
+        return self._table(self._grad_fn, P)
+
+    @rows_kernel
+    def implicit_hess(self, P):
+        return self._table(self._hess_fn, P).reshape(-1, self.dim, self.dim)
+
+    @rows_kernel
+    def project(self, P):
+        return _project_newton(self, P, self._projection_seeds(P))
 
     def _projection_seeds(self, P: np.ndarray) -> np.ndarray:
         # seed from the nearest point of a cached dense sampling so Newton
@@ -628,7 +597,7 @@ def _project_newton(
         for _ in range(max_iter):
             g = surface.implicit_grad(x)
             h = surface.implicit_hess(x)
-            phi = np.atleast_1d(surface.implicit(x))
+            phi = surface.implicit(x)
             F1 = x - targets - lam[:, None] * g
             res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
             active = res > tol
@@ -651,7 +620,7 @@ def _project_newton(
                 xn = xa + t[:, None] * step[:, :d]
                 ln = la + t * step[:, d]
                 gn = surface.implicit_grad(xn)
-                phin = np.atleast_1d(surface.implicit(xn))
+                phin = surface.implicit(xn)
                 Fn = np.concatenate(
                     [xn - targets[active] - ln[:, None] * gn, phin[:, None]], axis=1
                 )
@@ -662,7 +631,7 @@ def _project_newton(
             x[active] = xa + t[:, None] * step[:, :d]
             lam[active] = la + t * step[:, d]
         g = surface.implicit_grad(x)
-        phi = np.atleast_1d(surface.implicit(x))
+        phi = surface.implicit(x)
         ok = (np.abs(x - targets - lam[:, None] * g).max(axis=1) <= 1e-8) & (
             np.abs(phi) <= 1e-10
         )
@@ -728,22 +697,16 @@ class PointCloud(Surface):
     def implicit(self, pts):
         return self.signed_distance(pts)
 
-    def signed_distance(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
+    @rows_kernel
+    def signed_distance(self, P):
         dist, idx = self.tree.query(P)
         side = np.einsum("md,md->m", P - self.points[idx], self.normals[idx])
-        sd = np.where(side >= 0.0, dist, -dist)
-        return float(sd[0]) if single else sd
+        return np.where(side >= 0.0, dist, -dist)
 
-    def project(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
+    @rows_kernel
+    def project(self, P):
         _, idx = self.tree.query(P)
-        out = self.points[idx]
-        return out[0] if single else out
+        return self.points[idx]
 
     def nearest_index(self, xi) -> int:
         _, idx = self.tree.query(np.asarray(xi, dtype=float))
@@ -755,16 +718,12 @@ class PointCloud(Surface):
         nn, _ = self.tree.query(self.points, k=2)
         return float(np.median(nn[:, 1]))
 
-    def curvature_at(self, p):
-        s = self.fit_sample(self.nearest_index(p))
-        return s.inner_normal.copy(), s.principal_curvatures.copy()
-
     def curvatures_batch(self, pts):
         _, idx = self.tree.query(np.atleast_2d(np.asarray(pts, dtype=float)))
         samples = [self.fit_sample(int(i)) for i in idx]
         return (
-            np.stack([s.inner_normal for s in samples]),
-            np.stack([s.principal_curvatures for s in samples]),
+            np.array([s.inner_normal for s in samples]).reshape(-1, self.dim),
+            np.array([s.principal_curvatures for s in samples]).reshape(-1, self.n),
         )
 
     def sample_points(self, count, rng):
@@ -1035,16 +994,17 @@ def estimate_touching_radius(
     rho = min(curv_bound, pair_bound)
     if not (rho > 0):
         raise SurfaceError("touching radius estimate is not positive")
-    surface._rho_cache = rho
     return rho
 
 
 def touching_radius(surface: Surface, sample_budget: int = 2000, seed: int = 0) -> float:
-    """Cached estimate_touching_radius."""
-    rho = getattr(surface, "_rho_cache", None)
-    if rho is None:
-        rho = estimate_touching_radius(surface, sample_budget, seed)
-    return rho
+    """estimate_touching_radius, cached per (sample_budget, seed) like
+    `Surface.probe_points`."""
+    key = (int(sample_budget), int(seed))
+    cache = surface.__dict__.setdefault("_rho_cache", {})
+    if key not in cache:
+        cache[key] = estimate_touching_radius(surface, sample_budget, seed)
+    return cache[key]
 
 
 @dataclass
@@ -1137,12 +1097,12 @@ def _graph_heights_batch(
     hb = expand * hb + 1e-12 * rho
     feet = bases + offsets
     lo, hi = -hb, hb
-    phi_lo = np.atleast_1d(surface.implicit(feet + lo[:, None] * normals))
-    phi_hi = np.atleast_1d(surface.implicit(feet + hi[:, None] * normals))
+    phi_lo = surface.implicit(feet + lo[:, None] * normals)
+    phi_hi = surface.implicit(feet + hi[:, None] * normals)
     ok = np.sign(phi_lo) != np.sign(phi_hi)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        phi_mid = np.atleast_1d(surface.implicit(feet + mid[:, None] * normals))
+        phi_mid = surface.implicit(feet + mid[:, None] * normals)
         same = np.sign(phi_mid) == np.sign(phi_lo)
         lo = np.where(same, mid, lo)
         phi_lo = np.where(same, phi_mid, phi_lo)

@@ -224,6 +224,33 @@ class TestHarnackChain:
         with pytest.raises(ValueError):
             harnack_chain(ch, -1e-12, 1.0, led.delta)
 
+    def test_point_cloud_steps_in_nearest_sample_tangent_plane(self):
+        # on a cloud each step offset is measured in the tangent plane of the
+        # sample nearest its start, so it is shorter than the chord
+        rng = np.random.default_rng(21)
+        u = rng.standard_normal((1500, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        cloud = sb.PointCloud(u, -u, k=20)
+        g = build_geodesic_graph(cloud, 1500, k=8, seed=0)
+        led = compute_constants(2, 1.0, 4 * math.pi)
+        i, j = poles(g)
+        assert g.labels[i] == g.labels[j]
+        ch = piecewise_geodesic_chain(g, i, j, led.delta)
+        hc = harnack_chain(ch, led.eps0 / 2, 1.0, led.delta)
+        assert hc.steps_ok and hc.count_ok
+        way = hc.waypoints
+        steps = np.diff(way, axis=0)
+        tang, chord = [], []
+        for w, d in zip(way[:-1], steps):
+            nu = cloud.fit_sample(cloud.nearest_index(w)).inner_normal
+            tang.append(np.linalg.norm(d - (d @ nu) * nu))
+            chord.append(np.linalg.norm(d))
+        quarter = hc.radii[: len(steps)] / 4.0
+        assert hc.worst_step_excess == pytest.approx(np.max(tang - quarter), rel=1e-12, abs=1e-15)
+        assert hc.worst_step_excess < np.max(chord - quarter)
+        trivial = harnack_chain(piecewise_geodesic_chain(g, i, i, led.delta), 0.0, 1.0, led.delta)
+        assert trivial.steps_ok and trivial.worst_step_excess == -np.inf
+
     def test_count_never_exceeds_n0(self, sphere_graph_coarse):
         g = sphere_graph_coarse
         led = compute_constants(2, 1.0, 4 * math.pi)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -231,6 +232,18 @@ class TestTouchingRadius:
         assert np.all(np.abs(kappas) <= 1.0 / rho + 1e-6)
 
 
+    def test_cache_is_keyed_by_budget_and_seed(self):
+        # the cached estimate must not depend on which (budget, seed) was
+        # asked for first
+        ell = sb.Ellipsoid([1.0, 1.0, 2.0])
+        at_seed3 = sb.touching_radius(ell, seed=3)
+        at_seed0 = sb.touching_radius(ell, seed=0)
+        assert at_seed3 != at_seed0
+        assert at_seed0 == sb.estimate_touching_radius(sb.Ellipsoid([1.0, 1.0, 2.0]), seed=0)
+        assert at_seed3 == sb.estimate_touching_radius(sb.Ellipsoid([1.0, 1.0, 2.0]), seed=3)
+        assert sb.touching_radius(ell, seed=3) == at_seed3
+
+
 class TestArea:
     def test_unit_sphere(self, unit_sphere):
         assert sb.surface_area(unit_sphere) == pytest.approx(4 * math.pi, rel=1e-3)
@@ -403,6 +416,41 @@ class TestPointCloudCurvatureInterface:
         nu_b, k_b = shuffled.curvatures_batch(queries)
         np.testing.assert_allclose(nu_b, nu_a, rtol=0, atol=1e-12)
         np.testing.assert_allclose(k_b, k_a, rtol=0, atol=1e-12)
+
+
+@functools.cache
+def _parity_surface(name: str) -> sb.Surface:
+    return {
+        "sphere": lambda: sb.Sphere([0.3, -0.2, 0.5], 1.2),
+        "ellipsoid": lambda: sb.Ellipsoid([1.0, 1.0, 1.1]),
+        "harmonic": lambda: sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)]),
+        "cloud": lambda: _ellipsoid_cloud(800, seed=12),
+    }[name]()
+
+
+class TestOnePointParity:
+    @pytest.mark.parametrize("name", ["sphere", "ellipsoid", "harmonic", "cloud"])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_one_point_equals_its_row(self, name, seed, m):
+        # a single (d,) point gives exactly the matching row of the batch
+        surface = _parity_surface(name)
+        rng = np.random.default_rng(seed)
+        centre = getattr(surface, "center", np.zeros(surface.dim))
+        P = centre + rng.uniform(0.8, 1.25, (m, 1)) * (surface.sample_points(m, rng) - centre)
+        kernels = ["implicit", "project", "signed_distance"]
+        if name != "cloud":
+            kernels += ["implicit_grad", "implicit_hess"]
+        for kernel in kernels:
+            rows = getattr(surface, kernel)(P)
+            for p, row in zip(P, rows):
+                np.testing.assert_array_equal(getattr(surface, kernel)(p), row)
+        Q = surface.project(P)
+        nus, kappas = surface.curvatures_batch(Q)
+        for q, nu, k in zip(Q, nus, kappas):
+            nu1, k1 = surface.curvature_at(q)
+            np.testing.assert_array_equal(nu1, nu)
+            np.testing.assert_array_equal(k1, k)
 
 
 class TestDeterminism:
