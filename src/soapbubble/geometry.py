@@ -30,7 +30,15 @@ def tangent_frame(normal: np.ndarray) -> np.ndarray:
 
     Returns an (d-1, d) array of row vectors where d = len(normal).
     Built from a Householder reflection, so the result is deterministic.
+    Rows of normals (m, d) give (m, d-1, d) frames, each rounded exactly as
+    the one-normal call (`tangent_frames` rounds differently).
     """
+    w = np.asarray(normal, dtype=float)
+    if w.ndim == 2:
+        norms = _dot_norms(w)
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            raise ValueError("cannot normalize zero or non-finite vector")
+        return _householder_frames(w / norms[:, None], _dot_norms)
     w = unit(normal)
     d = w.shape[0]
     sign = 1.0 if w[-1] >= 0.0 else -1.0
@@ -44,12 +52,23 @@ def tangent_frame(normal: np.ndarray) -> np.ndarray:
 
 def tangent_frames(normals: np.ndarray) -> np.ndarray:
     """Batched tangent_frame: (m, d) unit normals -> (m, d-1, d) row frames."""
-    w = np.asarray(normals, dtype=float)
-    m, d = w.shape
+    return _householder_frames(
+        np.asarray(normals, dtype=float), lambda v: np.linalg.norm(v, axis=1)
+    )
+
+
+def _dot_norms(v: np.ndarray) -> np.ndarray:
+    """Row norms rounded as the one-vector `np.linalg.norm` rounds them."""
+    return np.sqrt(row_dots(v, v))
+
+
+def _householder_frames(w: np.ndarray, row_norms) -> np.ndarray:
+    """Tangent frames of rows of unit normals; `row_norms` takes the norms."""
+    d = w.shape[1]
     sign = np.where(w[:, -1] >= 0.0, 1.0, -1.0)
     v = w.copy()
     v[:, -1] += sign
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= row_norms(v)[:, None]
     house = np.eye(d)[None, :, :] - 2.0 * v[:, :, None] * v[:, None, :]
     return np.swapaxes(house[:, :, : d - 1], 1, 2)
 

@@ -148,29 +148,25 @@ def count_ray_hits(
     """Number of surface crossings of each ray origin + t*d, t in (0, t_max],
     from sign changes of the level function on a dense t-grid.
 
+    The level values come from `surface.implicit_on_rays`: a grid of
+    `implicit` calls in general, and on a point cloud an exact walk to the
+    nearest sample along each ray with no kd-tree query per grid point.
+
     A positive deadband treats |level| below it as sign-preserving, which
     keeps the staircase noise of sampled surfaces from double-counting a
     single crossing."""
     origin = np.asarray(origin, dtype=float)
     ts = np.linspace(t_max / resolution, t_max, resolution)
+    cols = np.arange(resolution)
     counts = np.zeros(directions.shape[0], dtype=int)
     chunk = max(1, int(2e6) // resolution)
     for i0 in range(0, directions.shape[0], chunk):
-        D = directions[i0 : i0 + chunk]
-        pts = origin[None, None, :] + ts[None, :, None] * D[:, None, :]
-        phi = surface.implicit(pts.reshape(-1, surface.dim)).reshape(len(D), resolution)
+        phi = surface.implicit_on_rays(origin, directions[i0 : i0 + chunk], ts)
+        signs = np.where(phi >= 0.0, 1.0, -1.0)
         if deadband > 0.0:
-            signs = np.zeros_like(phi)
-            signs[phi > deadband] = 1.0
-            signs[phi < -deadband] = -1.0
-            # carry the previous definite sign through the band
-            for j in range(1, signs.shape[1]):
-                undecided = signs[:, j] == 0
-                signs[undecided, j] = signs[undecided, j - 1]
-            signs[signs == 0] = 1.0
-        else:
-            signs = np.sign(phi)
-            signs[signs == 0] = 1.0
+            # carry the last definite sign through the band (+1 before any)
+            src = np.maximum.accumulate(np.where(np.abs(phi) > deadband, cols, -1), axis=1)
+            signs = np.where(src >= 0, np.take_along_axis(signs, src, axis=1), 1.0)
         counts[i0 : i0 + chunk] = np.sum(np.diff(signs, axis=1) != 0, axis=1)
     return counts
 
@@ -211,11 +207,8 @@ def radial_map_check(
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_rays, surface.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    deadband = 0.0
-    if isinstance(surface, PointCloud):
-        deadband = 0.75 * surface.spacing
     counts = count_ray_hits(
-        surface, center, dirs, t_max=1.05 * r_e + 0.05 * rho, deadband=deadband
+        surface, center, dirs, t_max=1.05 * r_e + 0.05 * rho, deadband=surface.ray_deadband
     )
     rays_ok = bool(np.all(counts == 1))
     multi = dirs[counts != 1][:8]

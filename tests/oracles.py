@@ -137,3 +137,84 @@ def constants_highprec(n: int, rho: float, area: float, k1: float = 1.0):
         "log10_C1": float(log10_C1),
         "diam_bound": float(diam_bound),
     }
+
+
+# ---------------------------------------------------------------------------
+# per-point loops that the batched point-cloud code replaced, kept as its
+# reference
+
+
+def voronoi_cell_area(neigh_xy: np.ndarray, box: float | None = None) -> float:
+    """Area of the Voronoi cell of the origin among 2D neighbor offsets,
+    clipped to a bounding box (Sutherland-Hodgman on bisector half-planes)."""
+    r = np.linalg.norm(neigh_xy, axis=1)
+    if box is None:
+        box = 2.0 * float(np.median(r))
+    poly = [
+        np.array([-box, -box]),
+        np.array([box, -box]),
+        np.array([box, box]),
+        np.array([-box, box]),
+    ]
+    for q in neigh_xy:
+        nq = float(q @ q)
+        if nq < 1e-30:
+            continue
+        # half-plane x . q <= |q|^2 / 2
+        new_poly = []
+        for i, a in enumerate(poly):
+            b = poly[(i + 1) % len(poly)]
+            fa = float(a @ q) - 0.5 * nq
+            fb = float(b @ q) - 0.5 * nq
+            if fa <= 0:
+                new_poly.append(a)
+            if (fa < 0 < fb) or (fb < 0 < fa):
+                t = fa / (fa - fb)
+                new_poly.append(a + t * (b - a))
+        poly = new_poly
+        if len(poly) < 3:
+            return 0.0
+    arr = np.array(poly)
+    x, y = arr[:, 0], arr[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def cloud_area_loop(cloud) -> float:
+    """A point cloud's area (curve length in R^2) summed one sample at a time:
+    half the tangent gap to the nearest neighbors on either side in R^2, the
+    clipped Voronoi cell in the tangent plane in R^3."""
+    from soapbubble.geometry import tangent_frame
+
+    pts, normals = cloud.points, cloud.normals
+    kk = min(8 if cloud.dim == 2 else cloud.k + 1, pts.shape[0])
+    _, idx = cloud.tree.query(pts, k=kk)
+    total = 0.0
+    for i in range(pts.shape[0]):
+        frame = tangent_frame(normals[i])
+        if cloud.dim == 2:
+            t = (pts[idx[i, 1:]] - pts[i]) @ frame[0]
+            left, right = t[t < 0], t[t > 0]
+            if len(left) and len(right):
+                total += 0.5 * (right.min() - left.max())
+        else:
+            total += voronoi_cell_area((pts[idx[i, 1:]] - pts[i]) @ frame.T)
+    return total
+
+
+def ray_hits_loop(surface, origin, directions, t_max, resolution=2048, deadband=0.0):
+    """Ray crossings from `implicit` on the full t-grid, carrying the last
+    definite sign through the deadband one grid column at a time."""
+    ts = np.linspace(t_max / resolution, t_max, resolution)
+    pts = origin[None, None, :] + ts[None, :, None] * directions[:, None, :]
+    phi = surface.implicit(pts.reshape(-1, surface.dim)).reshape(len(directions), resolution)
+    if deadband > 0.0:
+        signs = np.zeros_like(phi)
+        signs[phi > deadband] = 1.0
+        signs[phi < -deadband] = -1.0
+        for j in range(1, resolution):
+            undecided = signs[:, j] == 0
+            signs[undecided, j] = signs[undecided, j - 1]
+    else:
+        signs = np.sign(phi)
+    signs[signs == 0] = 1.0
+    return np.sum(np.diff(signs, axis=1) != 0, axis=1)

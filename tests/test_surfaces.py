@@ -10,6 +10,7 @@ import soapbubble as sb
 from soapbubble.geometry import tangent_frame
 
 from .oracles import (
+    cloud_area_loop,
     dense_projection_distance,
     ellipsoid_area_brute,
     ellipsoid_dense_points,
@@ -18,6 +19,7 @@ from .oracles import (
     ellipse_perimeter_brute,
     touching_ball_gradient,
     touching_ball_height,
+    voronoi_cell_area,
 )
 
 # frozen oracle values (recomputed below where cheap)
@@ -346,7 +348,7 @@ class TestPointCloud:
         assert sb.signed_distance(sphere_cloud, [1.5, 0, 0]) == pytest.approx(-0.5, abs=0.01)
 
     def test_sphere_cloud_area_and_rho(self, sphere_cloud):
-        assert sb.surface_area(sphere_cloud) == pytest.approx(4 * math.pi, rel=0.02)
+        assert sb.surface_area(sphere_cloud) == pytest.approx(4 * math.pi, rel=0.01)
         assert sb.estimate_touching_radius(sphere_cloud, 400) == pytest.approx(1.0, rel=0.05)
 
     def test_mixed_orientation_rejected(self):
@@ -416,6 +418,118 @@ class TestPointCloudCurvatureInterface:
         nu_b, k_b = shuffled.curvatures_batch(queries)
         np.testing.assert_allclose(nu_b, nu_a, rtol=0, atol=1e-12)
         np.testing.assert_allclose(k_b, k_a, rtol=0, atol=1e-12)
+
+
+def _unit_cloud(count: int, seed: int) -> sb.PointCloud:
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((count, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return sb.PointCloud(u, -u, k=20)
+
+
+def _noisy_ellipsoid_cloud(count: int, seed: int) -> sb.PointCloud:
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((count, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = u * np.array([1.0, 1.2, 1.4]) + 0.01 * rng.standard_normal((count, 3))
+    g = -pts / np.array([1.0, 1.44, 1.96])
+    return sb.PointCloud(pts, g, k=20)
+
+
+def _ellipse_cloud(count: int, seed: int) -> sb.PointCloud:
+    th = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, count)
+    pts = np.stack([np.cos(th), 0.6 * np.sin(th)], axis=1)
+    return sb.PointCloud(pts, -pts / np.array([1.0, 0.36]), k=10)
+
+
+def _ray_grid_values(surface, origin, directions, ts):
+    pts = origin[None, None, :] + ts[None, :, None] * directions[:, None, :]
+    return surface.implicit(pts.reshape(-1, surface.dim)).reshape(len(directions), len(ts))
+
+
+def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
+    d = rng.standard_normal((count, dim))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+class TestPointCloudRays:
+    # the nearest-sample walk along each ray must reproduce the kd-tree
+    # signed distance at every grid point, bit for bit
+    @pytest.mark.parametrize(
+        "cloud, origin, t_max",
+        [
+            (lambda: _unit_cloud(1500, 0), np.zeros(3), 1.1),
+            (lambda: _noisy_ellipsoid_cloud(3000, 7), np.zeros(3), 1.6),
+            (lambda: _noisy_ellipsoid_cloud(3000, 7), np.array([0.3, -0.25, 0.4]), 2.5),
+            (lambda: _ellipse_cloud(800, 9), np.array([0.05, 0.02]), 1.2),
+        ],
+        ids=["sphere", "noisy-ellipsoid", "off-centre", "ellipse-2d"],
+    )
+    def test_equals_implicit_on_grid(self, cloud, origin, t_max):
+        cloud = cloud()
+        dirs = _unit_rows(np.random.default_rng(1), 200, cloud.dim)
+        ts = np.linspace(t_max / 2048, t_max, 2048)
+        np.testing.assert_array_equal(
+            cloud.implicit_on_rays(origin, dirs, ts), _ray_grid_values(cloud, origin, dirs, ts)
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.floats(0.0, 0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_implicit_from_inside(self, seed, depth):
+        cloud = _parity_surface("cloud")
+        rng = np.random.default_rng(seed)
+        origin = depth * cloud.points[rng.integers(cloud.points.shape[0])]
+        dirs = _unit_rows(rng, 8, 3)
+        ts = np.linspace(2.5 / 512, 2.5, 512)
+        np.testing.assert_array_equal(
+            cloud.implicit_on_rays(origin, dirs, ts), _ray_grid_values(cloud, origin, dirs, ts)
+        )
+
+    def test_deadband(self, unit_sphere, sphere_cloud):
+        assert unit_sphere.ray_deadband == 0.0
+        assert sphere_cloud.ray_deadband == 0.75 * sphere_cloud.spacing
+
+
+class TestPointCloudArea:
+    def test_cells_match_loop_oracle(self):
+        cloud = _noisy_ellipsoid_cloud(600, 3)
+        _, idx = cloud.tree.query(cloud.points, k=21)
+        frames = tangent_frame(cloud.normals)
+        xy = np.matmul(cloud.points[idx[:, 1:]] - cloud.points[:, None, :], np.swapaxes(frames, 1, 2))
+        cells = sb.surfaces._voronoi_cell_areas(xy)
+        expected = [voronoi_cell_area(x) for x in xy]
+        np.testing.assert_allclose(cells, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "basis, cell",
+        [
+            (np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0),
+            (np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]]), math.sqrt(3) / 2),
+        ],
+        ids=["square", "hexagonal"],
+    )
+    @pytest.mark.parametrize("s", [0.03, 1.0])
+    def test_lattice_cells(self, basis, cell, s):
+        ij = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4) if (i, j) != (0, 0)])
+        offs = s * ij @ basis
+        offs = offs[np.argsort(np.linalg.norm(offs, axis=1), kind="stable")[:20]]
+        area = sb.surfaces._voronoi_cell_areas(offs[None])[0]
+        assert area == pytest.approx(cell * s**2, rel=1e-12)
+
+    def test_cell_collapsed_to_the_sample(self):
+        # most neighbors coincide with the sample: the clip box shrinks to a point
+        offs = np.zeros((20, 2))
+        offs[:5] = np.random.default_rng(2).standard_normal((5, 2))
+        assert sb.surfaces._voronoi_cell_areas(offs[None])[0] == 0.0
+        assert voronoi_cell_area(offs) == 0.0
+
+    def test_surface_area_matches_loop(self):
+        cloud = _noisy_ellipsoid_cloud(1500, 5)
+        assert cloud.area_estimate()[0] == pytest.approx(cloud_area_loop(cloud), rel=1e-14)
+
+    def test_curve_length_bit_identical_to_loop(self):
+        cloud = _ellipse_cloud(600, 21)
+        assert cloud.area_estimate()[0] == cloud_area_loop(cloud)
 
 
 @functools.cache

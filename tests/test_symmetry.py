@@ -6,6 +6,7 @@ import pytest
 import soapbubble as sb
 from soapbubble.planes import critical_position
 from soapbubble.symmetry import (
+    count_ray_hits,
     critical_plane_distance,
     radial_bounds,
     radial_map_check,
@@ -14,6 +15,8 @@ from soapbubble.symmetry import (
     symmetry_center,
     symmetry_center_robust,
 )
+
+from .oracles import ray_hits_loop
 
 ELL111_OSC = 0.18677685950413236
 ELL111_RATIO = 0.1 / ELL111_OSC  # 0.535398...
@@ -144,6 +147,31 @@ class TestRadialMap:
         assert not rep.rays_ok
         assert len(rep.multi_hit_directions) > 0
         assert max(rep.hit_counts) >= 3
+
+    def test_point_cloud_dumbbell_multi_hit(self, dumbbell):
+        # seen from inside one lobe, rays that leave it can cross the other
+        pts = dumbbell.probe_points(4000, 0)
+        normals, _ = dumbbell.curvatures_batch(pts)
+        cloud = sb.PointCloud(pts, normals, k=20)
+        origin = np.array([0.0, 0.0, 1.0])
+        dirs = np.random.default_rng(0).standard_normal((300, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        counts = count_ray_hits(cloud, origin, dirs, 3.5, deadband=cloud.ray_deadband)
+        assert counts.max() >= 3
+        np.testing.assert_array_equal(
+            counts, ray_hits_loop(cloud, origin, dirs, 3.5, deadband=cloud.ray_deadband)
+        )
+
+    def test_deadband_from_a_surface_point(self, sphere_cloud):
+        # rays that start inside the deadband count as starting inside
+        origin = sphere_cloud.points[0]
+        dirs = np.random.default_rng(1).standard_normal((100, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        band = sphere_cloud.ray_deadband
+        counts = count_ray_hits(sphere_cloud, origin, dirs, 2.5, deadband=band)
+        np.testing.assert_array_equal(
+            counts, ray_hits_loop(sphere_cloud, origin, dirs, 2.5, deadband=band)
+        )
 
     def test_center_outside_rejected(self, unit_sphere):
         with pytest.raises(ValueError):
