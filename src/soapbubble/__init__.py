@@ -41,7 +41,6 @@ from .surfaces import (
     SurfaceSample,
     estimate_touching_radius,
     evaluate_sample,
-    evaluate_samples,
     local_graph,
     mean_curvature_oscillation,
     signed_distance,
@@ -86,7 +85,6 @@ __all__ = [
     "critical_position",
     "estimate_touching_radius",
     "evaluate_sample",
-    "evaluate_samples",
     "extent",
     "harnack_chain",
     "intrinsic_distance",

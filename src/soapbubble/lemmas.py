@@ -111,7 +111,7 @@ def verify_graph_bounds(
         rho = true_rho
     pts = surface.probe_points(trials, seed)
     normals, _ = surface.curvatures_batch(pts)
-    frames = np.stack([tangent_frame(nu) for nu in normals])
+    frames = tangent_frame(normals)
     dirs = rng.standard_normal((trials, surface.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # offsets stay within the evaluable patch; the claimed rho enters only
@@ -402,7 +402,7 @@ def verify_normal_change(
     r = 0.8 * rho
     pts = surface.probe_points(trials, seed)
     normals, _ = surface.curvatures_batch(pts)
-    frames_full = np.stack([tangent_frame(nu) for nu in normals])
+    frames_full = tangent_frame(normals)
 
     eps = rng.uniform(*eps_range, size=trials)
     # tilt ell away from nu by the chord angle matching |ell - nu| = eps

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import reflect, unit
-from .intrinsic import GeodesicGraph
-from .surfaces import Surface, SurfaceError, _refine_extremum
+from .intrinsic import GeodesicGraph, region_boundary
+from .surfaces import PointCloud, Surface, SurfaceError, _lagrange_newton
 
 INTERIOR_TANGENCY = "interior_tangency"
 BOUNDARY_ORTHOGONALITY = "boundary_orthogonality"
@@ -42,18 +42,21 @@ def reflect_point(xi: np.ndarray, omega: np.ndarray, lam: float) -> np.ndarray:
 def extent(
     surface: Surface, omega: np.ndarray, sample_budget: int = 2000, seed: int = 0
 ) -> float:
-    """Farthest reach of the surface in the direction omega, refined by
-    projected ascent from the best sample."""
+    """Farthest reach max p . omega of the surface in the direction omega.
+
+    The best probe sample seeds a Lagrange-Newton solve for the point where
+    omega is the outer normal (`_lagrange_newton` with alpha = 0,
+    beta = -omega); the sample's height stands if the solve does not
+    converge or lands lower. A point cloud answers with its best sample.
+    """
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
     heights = pts @ omega
-    best = pts[int(np.argmax(heights))]
-    from .surfaces import PointCloud
-
+    best = float(heights.max())
     if isinstance(surface, PointCloud):
-        return float(heights.max())
-    _, val = _refine_extremum(surface, best, lambda p: float(p @ omega), sign=+1.0)
-    return max(float(heights.max()), val)
+        return best
+    x, ok = _lagrange_newton(surface, 0.0, -omega[None], pts[[int(np.argmax(heights))]])
+    return max(best, float(x[0] @ omega)) if ok[0] else best
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,6 @@ def critical_position(
     threshold is `tol` itself, caller-supplied or by default
     max(1.5 * spacing**2, 1e-6 * diam).
     """
-    from .surfaces import PointCloud
-
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
     diam = surface.diameter_hint()
@@ -301,14 +302,12 @@ def critical_caps(surface: Surface, plane: CriticalPlane, graph: GeodesicGraph) 
 
     sigma_mask = np.zeros(graph.node_count, dtype=bool)
     sigma_mask[sigma] = True
-    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    boundary = [i for i in sigma if np.any(~sigma_mask[indices[indptr[i] : indptr[i + 1]]])]
     return CapRegion(
         direction=omega,
         level=m,
         sigma_nodes=sigma,
         sigma_hat_nodes=sigma_hat,
-        boundary_nodes=np.array(boundary, dtype=int),
+        boundary_nodes=region_boundary(graph, sigma_mask),
     )
 
 
@@ -323,8 +322,6 @@ def plane_crossing_fn(omega: np.ndarray, m: float, surface: Surface):
         t = ha / np.where(np.abs(ha - hb) > 1e-300, ha - hb, 1.0)
         t = np.clip(t, 0.0, 1.0)
         pts = pa + t[:, None] * (pb - pa)
-        from .surfaces import PointCloud
-
         if isinstance(surface, PointCloud):
             return pts
         return surface.project(pts)

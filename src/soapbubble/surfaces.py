@@ -17,6 +17,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import elliprg
 
 from .geometry import tangent_frame, tangent_frames
 
@@ -314,22 +315,19 @@ class Ellipsoid(Surface):
         return u * self.semi_axes
 
     def area_estimate(self):
-        cached = getattr(self, "_area_cache", None)
-        if cached is None:
-            coarse = _ellipsoid_area_quadrature(self.semi_axes, 128)
-            fine = _ellipsoid_area_quadrature(self.semi_axes, 256)
-            rel = abs(fine - coarse) / fine if fine else 0.0
-            cached = (fine, rel)
-            self._area_cache = cached
-        return cached
+        """Closed form through Carlson's symmetric integral R_G: the surface
+        area 4 pi abc R_G(a^-2, b^-2, c^-2) in R^3, the perimeter
+        8 R_G(0, a^2, b^2) in R^2."""
+        a = self.semi_axes
+        if self.dim == 2:
+            return 8.0 * float(elliprg(0.0, a[0] ** 2, a[1] ** 2)), 0.0
+        if self.dim == 3:
+            rg = float(elliprg(*(1.0 / self._a2)))
+            return 4.0 * math.pi * float(np.prod(a)) * rg, 0.0
+        raise NotImplementedError("ellipsoid area implemented for R^2 and R^3")
 
     def bounding_radius(self):
         return float(self.semi_axes.max())
-
-    def support(self, omega: np.ndarray) -> float:
-        """Support function h(omega) = max_{p in S} p . omega."""
-        omega = np.asarray(omega, dtype=float)
-        return float(np.sqrt(np.sum(self._a2 * omega**2)))
 
 
 def _ellipsoid_nearest(P: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -392,31 +390,6 @@ def _ellipsoid_nearest(P: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ellipsoid_area_quadrature(a: np.ndarray, res: int) -> float:
-    d = a.shape[0]
-    if d == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, 16 * res, endpoint=False)
-        dx = -a[0] * np.sin(th)
-        dy = a[1] * np.cos(th)
-        speed = np.hypot(dx, dy)
-        return float(speed.mean() * 2.0 * math.pi)
-    if d == 3:
-        # Gauss-Legendre in the polar angle, trapezoid in azimuth
-        xg, wg = np.polynomial.legendre.leggauss(res)
-        th = np.arccos(xg)  # nodes in cos(theta)
-        ph = np.linspace(0.0, 2.0 * math.pi, 2 * res, endpoint=False)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        st, ct = np.sin(TH), np.cos(TH)
-        cp, sp = np.cos(PH), np.sin(PH)
-        xu = np.stack([a[0] * ct * cp, a[1] * ct * sp, -a[2] * st], axis=-1)
-        xv = np.stack([-a[0] * st * sp, a[1] * st * cp, np.zeros_like(st)], axis=-1)
-        cross = np.cross(xu, xv)
-        # d(cos th) substitution: element = |xu x xv| dth dph = (.../sin th) dcos dph
-        integrand = np.linalg.norm(cross, axis=-1) / np.where(st > 1e-300, st, 1.0)
-        return float((integrand * wg[:, None]).sum() * (2.0 * math.pi / ph.size))
-    raise NotImplementedError("area quadrature implemented for R^2 and R^3")
-
-
 class HarmonicRadial(Surface):
     """Star-shaped surface r(u)*u with r given by a finite harmonic table.
 
@@ -476,6 +449,13 @@ class HarmonicRadial(Surface):
 
     @rows_kernel
     def implicit(self, P):
+        # r(x/|x|) - |x| is 0/0 at the origin; along every ray it tends to
+        # r(u) > 0 there, so the origin gets the smallest sampled radius
+        origin = ~P.any(axis=1)
+        if origin.any():
+            out = np.full(P.shape[0], self._r_min)
+            out[~origin] = self.implicit(P[~origin])
+            return out
         return self._table(self._phi_fn, P)[:, 0]
 
     @rows_kernel
@@ -575,16 +555,87 @@ def _harmonic_basis_expr(sp, us, l: int, m: int, dim: int):
     return (-1) ** ma * norm * dleg * azim
 
 
-def _project_newton(
-    surface: HarmonicRadial,
-    P: np.ndarray,
-    seeds: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-) -> np.ndarray:
-    """Damped Newton on the nearest-point stationarity system, seeded from
-    supplied on-surface guesses, with a multistart fallback from jittered
-    radial casts."""
+_NEWTON_TOL = 1e-12  # residual at which a row stops
+_NEWTON_MAX_ITER = 80
+
+
+def _lagrange_newton(
+    surface: Surface, alpha: float, beta: np.ndarray, x0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary points of f(x) = alpha |x|^2 / 2 + beta . x on the surface,
+    one per row of beta (m, d), from the on-surface seeds x0 (m, d).
+
+    Damped Newton on the Lagrange system alpha x + beta - lam grad phi = 0,
+    phi = 0, halving a row's step until its residual does not grow. The seed
+    decides which stationary point (minimum, maximum or saddle) a row
+    reaches. alpha = 1, beta = -P is the nearest-point system of P; alpha = 0,
+    beta = -omega finds where omega is normal, as at the support point.
+    Returns (points, converged mask).
+    """
+    k, d = x0.shape
+    x = x0.copy()
+    g = surface.implicit_grad(x)
+    lam = np.einsum("md,md->m", alpha * x + beta, g) / np.maximum(
+        np.einsum("md,md->m", g, g), 1e-300
+    )
+    for _ in range(_NEWTON_MAX_ITER):
+        g = surface.implicit_grad(x)
+        h = surface.implicit_hess(x)
+        phi = surface.implicit(x)
+        F1 = alpha * x + beta - lam[:, None] * g
+        res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
+        active = res > _NEWTON_TOL
+        if not active.any():
+            break
+        J = np.zeros((k, d + 1, d + 1))
+        J[:, :d, :d] = alpha * np.eye(d)[None] - lam[:, None, None] * h
+        J[:, :d, d] = -g
+        J[:, d, :d] = g
+        F = np.concatenate([F1, phi[:, None]], axis=1)
+        Ja, Fa = J[active], -F[active][:, :, None]
+        # |det J| over the product of J's row norms is about 1e-14 at a
+        # degenerate extremum, such as a ring of nearest points, and above
+        # 1e-3 elsewhere; below 1e-10 the minimum-norm step leaves the flat
+        # direction alone instead of sliding along it
+        hadamard = np.linalg.slogdet(Ja)[1] - np.log(np.linalg.norm(Ja, axis=2)).sum(axis=1)
+        flat = hadamard < math.log(1e-10)
+        step = np.empty(Fa.shape)
+        try:
+            step[~flat] = np.linalg.solve(Ja[~flat], Fa[~flat])
+            if flat.any():
+                step[flat] = np.linalg.pinv(Ja[flat], rcond=1e-10) @ Fa[flat]
+        except np.linalg.LinAlgError:
+            return x, np.zeros(k, dtype=bool) | ~active
+        step = step[:, :, 0]
+        # backtracking on the residual norm
+        t = np.ones(int(active.sum()))
+        xa, la, ba = x[active], lam[active], beta[active]
+        base = np.abs(F[active]).max(axis=1)
+        for _ in range(10):
+            xn = xa + t[:, None] * step[:, :d]
+            ln = la + t * step[:, d]
+            gn = surface.implicit_grad(xn)
+            phin = surface.implicit(xn)
+            Fn = np.concatenate([alpha * xn + ba - ln[:, None] * gn, phin[:, None]], axis=1)
+            worse = np.abs(Fn).max(axis=1) > base
+            if not worse.any():
+                break
+            t = np.where(worse, 0.5 * t, t)
+        x[active] = xa + t[:, None] * step[:, :d]
+        lam[active] = la + t * step[:, d]
+    g = surface.implicit_grad(x)
+    phi = surface.implicit(x)
+    ok = (np.abs(alpha * x + beta - lam[:, None] * g).max(axis=1) <= 1e-8) & (
+        np.abs(phi) <= 1e-10
+    )
+    return x, ok
+
+
+def _project_newton(surface: HarmonicRadial, P: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Nearest points: `_lagrange_newton` with alpha = 1, beta = -P from the
+    supplied on-surface seeds, then up to four multistart rounds from
+    jittered radial casts for the rows that did not converge. Raises
+    ProjectionError if any row is left."""
     P = np.asarray(P, dtype=float)
     m, d = P.shape
 
@@ -600,64 +651,13 @@ def _project_newton(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         return u * surface.radial(u)[:, None]
 
-    def run(x0, targets):
-        k = targets.shape[0]
-        x = x0.copy()
-        g = surface.implicit_grad(x)
-        lam = np.einsum("md,md->m", x - targets, g) / np.maximum(
-            np.einsum("md,md->m", g, g), 1e-300
-        )
-        active = np.ones(k, dtype=bool)
-        for _ in range(max_iter):
-            g = surface.implicit_grad(x)
-            h = surface.implicit_hess(x)
-            phi = surface.implicit(x)
-            F1 = x - targets - lam[:, None] * g
-            res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
-            active = res > tol
-            if not active.any():
-                break
-            J = np.zeros((k, d + 1, d + 1))
-            J[:, :d, :d] = np.eye(d)[None] - lam[:, None, None] * h
-            J[:, :d, d] = -g
-            J[:, d, :d] = g
-            F = np.concatenate([F1, phi[:, None]], axis=1)
-            try:
-                step = np.linalg.solve(J[active], -F[active][:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                return x, np.zeros(k, dtype=bool) | ~active
-            # backtracking on the residual norm
-            t = np.ones(int(active.sum()))
-            xa, la = x[active], lam[active]
-            base = np.abs(F[active]).max(axis=1)
-            for _ in range(10):
-                xn = xa + t[:, None] * step[:, :d]
-                ln = la + t * step[:, d]
-                gn = surface.implicit_grad(xn)
-                phin = surface.implicit(xn)
-                Fn = np.concatenate(
-                    [xn - targets[active] - ln[:, None] * gn, phin[:, None]], axis=1
-                )
-                worse = np.abs(Fn).max(axis=1) > base
-                if not worse.any():
-                    break
-                t = np.where(worse, 0.5 * t, t)
-            x[active] = xa + t[:, None] * step[:, :d]
-            lam[active] = la + t * step[:, d]
-        g = surface.implicit_grad(x)
-        phi = surface.implicit(x)
-        ok = (np.abs(x - targets - lam[:, None] * g).max(axis=1) <= 1e-8) & (
-            np.abs(phi) <= 1e-10
-        )
-        return x, ok
-
-    x, ok = run(seeds, P)
+    x, ok = _lagrange_newton(surface, 1.0, -P, seeds)
     if not ok.all():
         rng = np.random.default_rng(7)
         for _ in range(4):
             bad = ~ok
             jitter = 0.35 * rng.standard_normal((int(bad.sum()), d))
-            xb, okb = run(seed_for(P[bad], jitter), P[bad])
+            xb, okb = _lagrange_newton(surface, 1.0, -P[bad], seed_for(P[bad], jitter))
             x[bad] = np.where(okb[:, None], xb, x[bad])
             ok[bad] |= okb
             if ok.all():
@@ -940,15 +940,6 @@ def evaluate_sample(surface: Surface, seed: np.ndarray) -> SurfaceSample:
     return SurfaceSample(p, nu, kappas, float(kappas.mean()))
 
 
-def evaluate_samples(surface: Surface, seeds: np.ndarray) -> list[SurfaceSample]:
-    P = surface.project(np.atleast_2d(np.asarray(seeds, dtype=float)))
-    nus, kappas = surface.curvatures_batch(P)
-    return [
-        SurfaceSample(P[i], nus[i], kappas[i], float(kappas[i].mean()))
-        for i in range(P.shape[0])
-    ]
-
-
 def signed_distance(surface: Surface, xi: np.ndarray) -> float:
     v = surface.signed_distance(np.asarray(xi, dtype=float))
     return float(v)
@@ -958,29 +949,26 @@ def surface_area(surface: Surface) -> float:
     return surface.area_estimate()[0]
 
 
-def _refine_extremum(
-    surface: Surface,
-    x0: np.ndarray,
-    value_fn,
-    sign: float,
-    steps: int = 50,
-    fd_step: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Projected-gradient ascent (sign=+1) or descent (sign=-1) of a scalar
-    field on the surface, with backtracking. Returns (point, value)."""
+def _refine_extremum(surface: Surface, x0: np.ndarray, sign: float) -> tuple[np.ndarray, float]:
+    """Projected-gradient ascent (sign=+1) or descent (sign=-1) of the mean
+    curvature H on the surface, with backtracking. The tangential gradient
+    of H takes central differences over the projected points p +- h e_i of
+    the tangent frame. Returns (point, H)."""
     scale = surface.bounding_radius()
-    h = fd_step if fd_step is not None else 1e-5 * scale
+    h = 1e-5 * scale
+    n = surface.n
+
+    def mean_h(P):
+        return surface.curvatures_batch(P)[1].mean(axis=1)
+
     p = surface.project(np.asarray(x0, dtype=float))
-    val = value_fn(p)
+    val = float(mean_h(p[None])[0])
     step = 0.05 * scale
-    for _ in range(steps):
+    for _ in range(50):
         g = surface.implicit_grad(p)
         frame = tangent_frame(g / np.linalg.norm(g))
-        grad_t = np.zeros(frame.shape[0])
-        for i in range(frame.shape[0]):
-            fp = value_fn(surface.project(p + h * frame[i]))
-            fm = value_fn(surface.project(p - h * frame[i]))
-            grad_t[i] = (fp - fm) / (2.0 * h)
+        hs = mean_h(surface.project(p + h * np.concatenate([frame, -frame])))
+        grad_t = (hs[:n] - hs[n:]) / (2.0 * h)
         gnorm = float(np.linalg.norm(grad_t))
         if gnorm * step < 1e-15 * max(1.0, abs(val)):
             break
@@ -989,7 +977,7 @@ def _refine_extremum(
         t = step
         for _ in range(20):
             cand = surface.project(p + t * direction)
-            cval = value_fn(cand)
+            cval = float(mean_h(cand[None])[0])
             if sign * (cval - val) > 0:
                 p, val = cand, cval
                 improved = True
@@ -1002,35 +990,30 @@ def _refine_extremum(
 
 
 def mean_curvature_oscillation(
-    surface: Surface, sample_budget: int = 2000, seed: int = 0, refine: bool = True
+    surface: Surface, sample_budget: int = 2000, seed: int = 0
 ) -> OscReport:
-    """max H - min H over the surface, from samples plus local refinement."""
+    """max H - min H over the surface, from samples plus local refinement of
+    the five lowest and five highest samples. A point cloud is not refined:
+    its projection snaps to samples, so there is nothing between them."""
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
     pts = surface.probe_points(sample_budget, seed)
-    if isinstance(surface, PointCloud):
-        refine = False
     _, kappas = surface.curvatures_batch(pts)
     hs = kappas.mean(axis=1)
     order = np.argsort(hs)
     min_h, max_h = float(hs[order[0]]), float(hs[order[-1]])
     argmin, argmax = pts[order[0]].copy(), pts[order[-1]].copy()
 
-    refined = False
-    if refine:
-        def hval(p):
-            _, k = surface.curvature_at(p)
-            return float(k.mean())
-
+    refined = not isinstance(surface, PointCloud)
+    if refined:
         for i in order[:5]:
-            q, v = _refine_extremum(surface, pts[i], hval, sign=-1.0)
+            q, v = _refine_extremum(surface, pts[i], sign=-1.0)
             if v < min_h:
                 min_h, argmin = v, q
         for i in order[-5:]:
-            q, v = _refine_extremum(surface, pts[i], hval, sign=+1.0)
+            q, v = _refine_extremum(surface, pts[i], sign=+1.0)
             if v > max_h:
                 max_h, argmax = v, q
-        refined = True
 
     spacing = surface.diameter_hint() / math.sqrt(max(sample_budget, 1))
     return OscReport(

@@ -59,6 +59,19 @@ def ellipsoid_area_brute(a: float, b: float, c: float, res: int = 2500) -> float
     return float(el.sum() * (math.pi / res) * (2 * math.pi / (2 * res)))
 
 
+def ellipsoid_area_elliprg(semi_axes, dps: int = 30) -> float:
+    """Ellipsoid area 4 pi abc R_G(a^-2, b^-2, c^-2) in R^3, ellipse perimeter
+    8 R_G(0, a^2, b^2) in R^2, with Carlson's R_G from mpmath at `dps`
+    digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = [mp.mpf(float(v)) for v in semi_axes]
+        if len(a) == 2:
+            return float(8 * mp.elliprg(0, a[0] ** 2, a[1] ** 2))
+        return float(4 * mp.pi * a[0] * a[1] * a[2] * mp.elliprg(*(1 / v**2 for v in a)))
+
+
 def ellipse_perimeter_brute(a: float, b: float, res: int = 400000) -> float:
     th = (np.arange(res) + 0.5) * 2 * math.pi / res
     speed = np.hypot(-a * np.sin(th), b * np.cos(th))
@@ -218,3 +231,95 @@ def ray_hits_loop(surface, origin, directions, t_max, resolution=2048, deadband=
         signs = np.sign(phi)
     signs[signs == 0] = 1.0
     return np.sum(np.diff(signs, axis=1) != 0, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the Newton loop that projection ran on its own, kept as the reference for
+# the shared Lagrange-Newton solver
+
+
+def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Nearest points on a HarmonicRadial surface by the damped Newton loop
+    that projection ran before it shared one Lagrange-Newton solver with the
+    constrained extrema: x - P - lam grad phi = 0, phi = 0, halving steps
+    until the residual does not grow, with a multistart fallback from
+    jittered radial casts."""
+    P = np.asarray(P, dtype=float)
+    m, d = P.shape
+
+    def seed_for(Q, jitter):
+        u = Q.copy()
+        nrm = np.linalg.norm(u, axis=1, keepdims=True)
+        tiny = nrm[:, 0] < 1e-12
+        if tiny.any():
+            u[tiny] = 0.0
+            u[tiny, 0] = 1.0
+            nrm = np.linalg.norm(u, axis=1, keepdims=True)
+        u = u / nrm + jitter
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return u * surface.radial(u)[:, None]
+
+    def run(x0, targets):
+        k = targets.shape[0]
+        x = x0.copy()
+        g = surface.implicit_grad(x)
+        lam = np.einsum("md,md->m", x - targets, g) / np.maximum(
+            np.einsum("md,md->m", g, g), 1e-300
+        )
+        active = np.ones(k, dtype=bool)
+        for _ in range(80):
+            g = surface.implicit_grad(x)
+            h = surface.implicit_hess(x)
+            phi = surface.implicit(x)
+            F1 = x - targets - lam[:, None] * g
+            res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
+            active = res > 1e-12
+            if not active.any():
+                break
+            J = np.zeros((k, d + 1, d + 1))
+            J[:, :d, :d] = np.eye(d)[None] - lam[:, None, None] * h
+            J[:, :d, d] = -g
+            J[:, d, :d] = g
+            F = np.concatenate([F1, phi[:, None]], axis=1)
+            try:
+                step = np.linalg.solve(J[active], -F[active][:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                return x, np.zeros(k, dtype=bool) | ~active
+            t = np.ones(int(active.sum()))
+            xa, la = x[active], lam[active]
+            base = np.abs(F[active]).max(axis=1)
+            for _ in range(10):
+                xn = xa + t[:, None] * step[:, :d]
+                ln = la + t * step[:, d]
+                gn = surface.implicit_grad(xn)
+                phin = surface.implicit(xn)
+                Fn = np.concatenate(
+                    [xn - targets[active] - ln[:, None] * gn, phin[:, None]], axis=1
+                )
+                worse = np.abs(Fn).max(axis=1) > base
+                if not worse.any():
+                    break
+                t = np.where(worse, 0.5 * t, t)
+            x[active] = xa + t[:, None] * step[:, :d]
+            lam[active] = la + t * step[:, d]
+        g = surface.implicit_grad(x)
+        phi = surface.implicit(x)
+        ok = (np.abs(x - targets - lam[:, None] * g).max(axis=1) <= 1e-8) & (
+            np.abs(phi) <= 1e-10
+        )
+        return x, ok
+
+    x, ok = run(seeds, P)
+    if not ok.all():
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            bad = ~ok
+            jitter = 0.35 * rng.standard_normal((int(bad.sum()), d))
+            xb, okb = run(seed_for(P[bad], jitter), P[bad])
+            x[bad] = np.where(okb[:, None], xb, x[bad])
+            ok[bad] |= okb
+            if ok.all():
+                break
+    if not ok.all():
+        raise RuntimeError(f"projection failed for {int((~ok).sum())} of {m} points")
+    return x

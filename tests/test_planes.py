@@ -48,14 +48,15 @@ class TestExtent:
         s = sb.Sphere([0, 0, 3.0], 1.0)
         assert extent(s, [0, 0, 1]) == pytest.approx(4.0, abs=1e-9)
 
-    def test_ellipsoid_support_function(self, ell_111):
+    def test_ellipsoid_support_function(self, ell_111, ell_112):
         rng = np.random.default_rng(0)
-        for _ in range(6):
-            w = rng.standard_normal(3)
-            w /= np.linalg.norm(w)
-            assert extent(ell_111, w) == pytest.approx(
-                ellipsoid_support([1, 1, 1.1], w), abs=1e-7
-            )
+        for ell in (ell_111, ell_112):
+            for _ in range(6):
+                w = rng.standard_normal(3)
+                w /= np.linalg.norm(w)
+                assert extent(ell, w) == pytest.approx(
+                    ellipsoid_support(ell.semi_axes, w), abs=1e-7
+                )
 
 
 class TestReflect:

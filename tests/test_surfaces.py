@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from .oracles import (
     cloud_area_loop,
     dense_projection_distance,
     ellipsoid_area_brute,
+    ellipsoid_area_elliprg,
     ellipsoid_dense_points,
     ellipsoid_mean_curvature,
     ellipsoid_osc,
     ellipse_perimeter_brute,
+    project_newton_loop,
     touching_ball_gradient,
     touching_ball_height,
     voronoi_cell_area,
@@ -149,6 +152,34 @@ class TestSignedDistance:
         assert sb.signed_distance(s, xi) == pytest.approx(expect, abs=1e-12)
 
 
+class TestHarmonicRadial:
+    def test_level_function_at_origin(self):
+        surf = sb.HarmonicRadial([(2, 0, 0.15)], dim=3)
+        P = np.array([[0.3, -0.1, 0.2], [0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [1.2, 0.4, -0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_origin = surf.implicit(np.zeros(3))
+            rows = surf.implicit(P)
+        assert np.isfinite(at_origin) and at_origin > 0.0
+        assert rows[1] == at_origin
+        keep = [0, 2, 3]
+        np.testing.assert_array_equal(rows[keep], surf.implicit(P[keep]))
+        assert sb.signed_distance(surf, np.zeros(3)) > 0.0
+
+    def test_projection_matches_newton_loop(self, radial_bumpy):
+        # the shared Lagrange-Newton solver with alpha = 1, beta = -P rounds
+        # exactly as the projection's own Newton loop did
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal((2000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        scale = np.concatenate(
+            [rng.uniform(0.2, 0.95, 700), rng.uniform(0.98, 1.02, 600), rng.uniform(1.05, 2.5, 700)]
+        )
+        P = scale[:, None] * u * radial_bumpy.radial(u)[:, None]
+        expected = project_newton_loop(radial_bumpy, P, radial_bumpy._projection_seeds(P))
+        np.testing.assert_array_equal(radial_bumpy.project(P), expected)
+
+
 @st.composite
 def ellipsoid_and_points(draw):
     """An ellipsoid in R^2..R^4 and points inside, near and far from it, some
@@ -263,6 +294,14 @@ class TestArea:
 
     def test_radial_unit_is_sphere(self, radial_unit):
         assert sb.surface_area(radial_unit) == pytest.approx(4 * math.pi, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "axes", [(1, 1, 1.1), (1, 1, 2), (0.3, 1, 5), (1, 2, 3), (1, 1.1), (1, 0.6)]
+    )
+    def test_ellipsoid_closed_form(self, axes):
+        area, rel_err = sb.Ellipsoid(axes).area_estimate()
+        assert area == pytest.approx(ellipsoid_area_elliprg(axes), rel=1e-14)
+        assert rel_err == 0.0
 
 
 class TestLocalGraph:

@@ -81,6 +81,21 @@ class TestRadialBounds:
         assert np.all(r >= r_i - 1e-9)
         assert np.all(r <= r_e + 1e-9)
 
+    @pytest.mark.parametrize("surface_name", ["ell_112", "radial_bumpy"])
+    def test_extrema_are_stationary_off_centre(self, surface_name, request):
+        # at p_i and p_e the radial direction is normal to the surface, and on
+        # the ellipsoid r_i is the distance to the projected centre
+        surface = request.getfixturevalue(surface_name)
+        c = np.array([0.01, -0.02, 0.03])
+        r_i, r_e, p_i, p_e = radial_bounds(surface, c)
+        for p in (p_i, p_e):
+            u = (p - c) / np.linalg.norm(p - c)
+            g = surface.implicit_grad(p)
+            nu = g / np.linalg.norm(g)
+            assert np.linalg.norm(u - (u @ nu) * nu) <= 1e-9
+        if surface_name == "ell_112":
+            assert r_i == pytest.approx(np.linalg.norm(c - surface.project(c)), abs=1e-12)
+
 
 class TestPlaneDistance:
     def test_sphere_any_direction(self):
@@ -131,6 +146,12 @@ class TestRadialMap:
         rep = radial_map_check(unit_sphere, np.zeros(3), 1.0, 1.0, rho=1.0, n_rays=300)
         assert rep.ok
         assert rep.max_radial_dot == pytest.approx(-1.0, abs=1e-12)
+
+    def test_harmonic_centre_at_origin(self):
+        # the level function is finite and positive at the origin itself
+        surf = sb.HarmonicRadial([(2, 0, 0.15)], dim=3)
+        rep = radial_map_check(surf, np.zeros(3), 0.9, 1.1, n_rays=300, sample_budget=500)
+        assert rep.rays_ok
 
     def test_ellipsoid_bound(self, ell_111):
         rho = sb.touching_radius(ell_111)
