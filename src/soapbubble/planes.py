@@ -83,22 +83,31 @@ def reflected_cap_inside(
     p . omega > lam. worst_violation is the most negative signed distance,
     sign-flipped (positive numbers mean actual protrusion).
     """
-    omega = unit(omega)
     pts = samples if samples is not None else surface.probe_points(sample_budget, seed)
+    return _mirrored_cap(surface, omega, lam, tol, pts)[0]
+
+
+def _mirrored_cap(
+    surface: Surface, omega: np.ndarray, lam: float, tol: float, pts: np.ndarray
+) -> tuple[ContainmentCheck, np.ndarray]:
+    """`reflected_cap_inside` on the samples pts, together with the signed
+    distances of the mirrored cap it judged (empty for an empty cap)."""
+    omega = unit(omega)
     cap = pts[pts @ omega > lam]
     if cap.shape[0] == 0:
-        return ContainmentCheck(True, -math.inf, None, None, 0)
+        return ContainmentCheck(True, -math.inf, None, None, 0), np.empty(0)
     mirrored = reflect(cap, omega, lam)
     sd = surface.signed_distance(mirrored)
     worst_idx = int(np.argmin(sd))
     worst = -float(sd[worst_idx])
-    return ContainmentCheck(
+    check = ContainmentCheck(
         inside=bool(worst <= tol),
         worst_violation=worst,
         witness=cap[worst_idx].copy(),
         witness_reflected=mirrored[worst_idx].copy(),
         cap_count=int(cap.shape[0]),
     )
+    return check, sd
 
 
 @dataclass(frozen=True)
@@ -206,15 +215,9 @@ def critical_position(
         if fails:
             m = bisect(max(fails), hi)
 
-    # contact analysis at the critical level
-    check = reflected_cap_inside(surface, omega, m, contain_tol, samples=pts)
-    cap = pts[pts @ omega > m]
-    gap_band = 10.0 * tol + 1e-9 * diam
-    degenerate = False
-    if cap.shape[0]:
-        sd = surface.signed_distance(reflect(cap, omega, m))
-        near = np.abs(sd) <= gap_band
-        degenerate = bool(near.mean() > 0.25)
+    # contact analysis at the critical level, from one pass over the mirrored cap
+    check, sd = _mirrored_cap(surface, omega, m, contain_tol, pts)
+    degenerate = sd.size > 0 and bool(np.mean(np.abs(sd) <= 10.0 * tol + 1e-9 * diam) > 0.25)
     spacing = diam / math.sqrt(max(sample_budget, 1))
     p0 = check.witness
     case = INTERIOR_TANGENCY

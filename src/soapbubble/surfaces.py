@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -449,14 +449,23 @@ class HarmonicRadial(Surface):
 
     @rows_kernel
     def implicit(self, P):
-        # r(x/|x|) - |x| is 0/0 at the origin; along every ray it tends to
-        # r(u) > 0 there, so the origin gets the smallest sampled radius
-        origin = ~P.any(axis=1)
-        if origin.any():
-            out = np.full(P.shape[0], self._r_min)
-            out[~origin] = self.implicit(P[~origin])
-            return out
-        return self._table(self._phi_fn, P)[:, 0]
+        with np.errstate(all="ignore"):
+            out = self._table(self._phi_fn, P)[:, 0]
+            bad = ~np.isfinite(out)
+            if bad.any():
+                # r(x/|x|) - |x| is 0/0 at the origin; along every ray it
+                # tends to r(u) > 0 there, so the origin gets the smallest
+                # sampled radius. Near it |x|^2 underflows, so those rows
+                # form u after scaling by max |x_i|.
+                Q = P[bad]
+                off = Q.any(axis=1)
+                s = np.abs(Q[off]).max(axis=1, keepdims=True)
+                w = Q[off] / s
+                wn = np.linalg.norm(w, axis=1)
+                vals = np.full(Q.shape[0], self._r_min)
+                vals[off] = self.radial(w / wn[:, None]) - s[:, 0] * wn
+                out[bad] = vals
+        return out
 
     @rows_kernel
     def implicit_grad(self, P):
@@ -676,13 +685,15 @@ class PointCloud(Surface):
 
     `curvature_at` and `curvatures_batch` answer with the nearest sample's
     inner normal and the principal curvatures of a quadric fitted over its
-    k nearest neighbors (`fit_sample`, cached per sample). Signed distance
-    is the distance to the nearest sample, signed by its normal. Along rays
-    (`implicit_on_rays`) the nearest sample at every grid point comes from
-    one walk along the lower envelope of the samples' squared-distance
-    lines instead of a kd-tree query per point; the walk is exact, so the
-    values equal `implicit` at the same points bit for bit. A consistency
-    pass rejects clouds with mixed inner/outer orientation.
+    k nearest neighbors; the fits of all asked-for samples form one stacked
+    least-squares solve over the neighbor table that the constructor's one
+    self k-NN query stores. Signed distance is the distance to the nearest
+    sample, signed by its normal. Along rays (`implicit_on_rays`) the
+    nearest sample at every grid point comes from one walk along the lower
+    envelope of the samples' squared-distance lines instead of a kd-tree
+    query per point; the walk is exact, so the values equal `implicit` at
+    the same points bit for bit. A consistency pass rejects clouds with
+    mixed inner/outer orientation.
     """
 
     def __init__(self, points: np.ndarray, normals: np.ndarray, k: int = 20):
@@ -698,13 +709,16 @@ class PointCloud(Surface):
         if self.points.shape[0] < self.k + 1:
             raise SparseNeighborhoodError("cloud smaller than one quadric-fit neighborhood")
         self.tree = cKDTree(self.points)
+        # one self k-NN table (column 0 is the sample itself) serves the
+        # orientation check, the spacing, the area cells, the components and
+        # the quadric fits
+        width = min(self.points.shape[0], max(self.k + 1, 8))
+        dist, self._knn = self.tree.query(self.points, k=width)
+        self.spacing = float(np.median(dist[:, 1]))  # median nearest-neighbor distance
         self._check_orientation()
-        self._fit_cache: dict[int, SurfaceSample] = {}
 
     def _check_orientation(self):
-        kk = min(self.k + 1, self.points.shape[0])
-        _, idx = self.tree.query(self.points, k=kk)
-        dots = np.einsum("md,mkd->mk", self.normals, self.normals[idx[:, 1:]])
+        dots = np.einsum("md,mkd->mk", self.normals, self.normals[self._knn[:, 1 : self.k + 1]])
         consensus = (dots > 0).mean(axis=1)
         if consensus.min() < 0.55:
             raise OrientationError(
@@ -789,74 +803,44 @@ class PointCloud(Surface):
         _, idx = self.tree.query(P)
         return self.points[idx]
 
-    def nearest_index(self, xi) -> int:
-        _, idx = self.tree.query(np.asarray(xi, dtype=float))
-        return int(idx)
-
-    @cached_property
-    def spacing(self) -> float:
-        """Median distance from a sample to its nearest neighbor."""
-        nn, _ = self.tree.query(self.points, k=2)
-        return float(np.median(nn[:, 1]))
-
     def curvatures_batch(self, pts):
+        """The nearest samples' inner normals and ascending principal
+        curvatures, each from a quadric height graph h = c + b.x + x.Qx/2
+        over the tangent plane, fitted by least squares to the sample's k
+        nearest neighbors; all fits form one stacked solve."""
         _, idx = self.tree.query(np.atleast_2d(np.asarray(pts, dtype=float)))
-        samples = [self.fit_sample(int(i)) for i in idx]
-        return (
-            np.array([s.inner_normal for s in samples]).reshape(-1, self.dim),
-            np.array([s.principal_curvatures for s in samples]).reshape(-1, self.n),
-        )
+        n = self.n
+        I, J = np.triu_indices(n)
+        terms = 1 + n + I.size
+        if self.k < terms:
+            raise SparseNeighborhoodError(f"only {self.k} neighbors for {terms} quadric terms")
+        nu = self.normals[idx]
+        offs = self.points[self._knn[idx, 1 : self.k + 1]] - self.points[idx, None, :]
+        x = np.matmul(offs, np.swapaxes(tangent_frame(nu), 1, 2))  # (m, k, n)
+        h = np.matmul(offs, nu[:, :, None])[..., 0]
+        # design rows: [1, x_i, x_i*x_j upper triangle]
+        A = np.concatenate([np.ones_like(h)[..., None], x, x[..., I] * x[..., J]], axis=2)
+        coef = np.matmul(np.linalg.pinv(A), h[..., None])[..., 0]
+        b = coef[:, 1 : 1 + n]
+        Q = np.zeros((len(idx), n, n))
+        Q[:, I, J] = Q[:, J, I] = coef[:, 1 + n :] * np.where(I == J, 2.0, 1.0)
+        # Weingarten map of a height graph along the inner normal
+        evals, evecs = np.linalg.eigh(np.eye(n) + b[:, :, None] * b[:, None, :])
+        G_isqrt = np.matmul(evecs * evals[:, None, :] ** -0.5, np.swapaxes(evecs, 1, 2))
+        W = G_isqrt @ (Q / np.sqrt(1.0 + (b * b).sum(axis=1))[:, None, None]) @ G_isqrt
+        return nu, np.sort(np.linalg.eigvalsh(W), axis=1)
 
     def sample_points(self, count, rng):
         count = min(count, self.points.shape[0])
         idx = rng.choice(self.points.shape[0], size=count, replace=False)
         return self.points[np.sort(idx)]
 
-    def fit_sample(self, index: int) -> SurfaceSample:
-        if index in self._fit_cache:
-            return self._fit_cache[index]
-        kk = min(self.k + 1, self.points.shape[0])
-        _, idx = self.tree.query(self.points[index], k=kk)
-        p = self.points[index]
-        nu = self.normals[index]
-        frame = tangent_frame(nu)
-        offs = self.points[idx[1:]] - p
-        x = offs @ frame.T  # (k, n)
-        h = offs @ nu
-        n = self.dim - 1
-        # design matrix: [1, x_i, x_i*x_j upper triangle]
-        cols = [np.ones(len(h))]
-        cols += [x[:, i] for i in range(n)]
-        quad_index = [(i, j) for i in range(n) for j in range(i, n)]
-        cols += [x[:, i] * x[:, j] for (i, j) in quad_index]
-        A = np.stack(cols, axis=1)
-        if A.shape[0] < A.shape[1]:
-            raise SparseNeighborhoodError(f"only {A.shape[0]} neighbors for {A.shape[1]} quadric terms")
-        coef, *_ = np.linalg.lstsq(A, h, rcond=None)
-        b = coef[1 : 1 + n]
-        Q = np.zeros((n, n))
-        for c, (i, j) in zip(coef[1 + n :], quad_index):
-            if i == j:
-                Q[i, i] = 2.0 * c
-            else:
-                Q[i, j] = Q[j, i] = c
-        # Weingarten map of a height graph along the inner normal
-        G = np.eye(n) + np.outer(b, b)
-        evals, evecs = np.linalg.eigh(G)
-        G_isqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
-        W = G_isqrt @ (Q / math.sqrt(1.0 + float(b @ b))) @ G_isqrt
-        kappas = np.sort(np.linalg.eigvalsh(W))
-        sample = SurfaceSample(p.copy(), nu.copy(), kappas, float(kappas.mean()))
-        self._fit_cache[index] = sample
-        return sample
-
     def area_estimate(self):
         cached = getattr(self, "_area_cache", None)
         if cached is not None:
             return cached
-        kk = min(8 if self.dim == 2 else self.k + 1, self.points.shape[0])
-        _, idx = self.tree.query(self.points, k=kk)
-        offs = self.points[idx[:, 1:]] - self.points[:, None, :]
+        idx = self._knn[:, 1 : 8 if self.dim == 2 else self.k + 1]
+        offs = self.points[idx] - self.points[:, None, :]
         frames = tangent_frame(self.normals)
         if self.dim == 2:
             # half the gap between the nearest neighbors on either side
@@ -876,10 +860,8 @@ class PointCloud(Surface):
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components
 
-        kk = min(self.k + 1, self.points.shape[0])
-        _, idx = self.tree.query(self.points, k=kk)
-        rows = np.repeat(np.arange(self.points.shape[0]), kk - 1)
-        cols = idx[:, 1:].ravel()
+        rows = np.repeat(np.arange(self.points.shape[0]), self.k)
+        cols = self._knn[:, 1 : self.k + 1].ravel()
         data = np.ones(rows.size)
         adj = coo_matrix((data, (rows, cols)), shape=(self.points.shape[0],) * 2)
         _, labels = connected_components(adj, directed=False)

@@ -149,7 +149,6 @@ def count_ray_hits(
     directions: np.ndarray,
     t_max: float,
     resolution: int = 2048,
-    deadband: float = 0.0,
 ) -> np.ndarray:
     """Number of surface crossings of each ray origin + t*d, t in (0, t_max],
     from sign changes of the level function on a dense t-grid.
@@ -158,10 +157,11 @@ def count_ray_hits(
     `implicit` calls in general, and on a point cloud an exact walk to the
     nearest sample along each ray with no kd-tree query per grid point.
 
-    A positive deadband treats |level| below it as sign-preserving, which
-    keeps the staircase noise of sampled surfaces from double-counting a
-    single crossing."""
+    A positive `surface.ray_deadband` treats |level| below it as
+    sign-preserving, which keeps the staircase noise of sampled surfaces
+    from double-counting a single crossing."""
     origin = np.asarray(origin, dtype=float)
+    deadband = surface.ray_deadband
     ts = np.linspace(t_max / resolution, t_max, resolution)
     cols = np.arange(resolution)
     counts = np.zeros(directions.shape[0], dtype=int)
@@ -213,9 +213,7 @@ def radial_map_check(
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_rays, surface.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    counts = count_ray_hits(
-        surface, center, dirs, t_max=1.05 * r_e + 0.05 * rho, deadband=surface.ray_deadband
-    )
+    counts = count_ray_hits(surface, center, dirs, t_max=1.05 * r_e + 0.05 * rho)
     rays_ok = bool(np.all(counts == 1))
     multi = dirs[counts != 1][:8]
     uniq, freq = np.unique(counts, return_counts=True)

@@ -214,6 +214,44 @@ def cloud_area_loop(cloud) -> float:
     return total
 
 
+def quadric_fit_loop(cloud, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A point cloud's (inner normals, ascending principal curvatures) at the
+    samples nearest to pts, one least-squares quadric fit at a time over the
+    sample's own k-NN query."""
+    from soapbubble.geometry import tangent_frame
+
+    n = cloud.dim - 1
+    quad_index = [(i, j) for i in range(n) for j in range(i, n)]
+    _, nearest = cloud.tree.query(np.atleast_2d(np.asarray(pts, dtype=float)))
+    normals, kappas = [], []
+    for index in nearest:
+        _, idx = cloud.tree.query(cloud.points[index], k=cloud.k + 1)
+        nu = cloud.normals[index]
+        frame = tangent_frame(nu)
+        offs = cloud.points[idx[1:]] - cloud.points[index]
+        x = offs @ frame.T  # (k, n)
+        h = offs @ nu
+        # design matrix: [1, x_i, x_i*x_j upper triangle]
+        cols = [np.ones(len(h))]
+        cols += [x[:, i] for i in range(n)]
+        cols += [x[:, i] * x[:, j] for (i, j) in quad_index]
+        coef, *_ = np.linalg.lstsq(np.stack(cols, axis=1), h, rcond=None)
+        b = coef[1 : 1 + n]
+        Q = np.zeros((n, n))
+        for c, (i, j) in zip(coef[1 + n :], quad_index):
+            if i == j:
+                Q[i, i] = 2.0 * c
+            else:
+                Q[i, j] = Q[j, i] = c
+        # Weingarten map of a height graph along the inner normal
+        evals, evecs = np.linalg.eigh(np.eye(n) + np.outer(b, b))
+        G_isqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
+        W = G_isqrt @ (Q / math.sqrt(1.0 + float(b @ b))) @ G_isqrt
+        normals.append(nu.copy())
+        kappas.append(np.sort(np.linalg.eigvalsh(W)))
+    return np.array(normals).reshape(-1, cloud.dim), np.array(kappas).reshape(-1, n)
+
+
 def ray_hits_loop(surface, origin, directions, t_max, resolution=2048, deadband=0.0):
     """Ray crossings from `implicit` on the full t-grid, carrying the last
     definite sign through the deadband one grid column at a time."""

@@ -242,7 +242,7 @@ class TestHarnackChain:
         steps = np.diff(way, axis=0)
         tang, chord = [], []
         for w, d in zip(way[:-1], steps):
-            nu = cloud.fit_sample(cloud.nearest_index(w)).inner_normal
+            nu = cloud.curvature_at(w)[0]
             tang.append(np.linalg.norm(d - (d @ nu) * nu))
             chord.append(np.linalg.norm(d))
         quarter = hc.radii[: len(steps)] / 4.0

@@ -177,7 +177,7 @@ class TestRadialMap:
         origin = np.array([0.0, 0.0, 1.0])
         dirs = np.random.default_rng(0).standard_normal((300, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        counts = count_ray_hits(cloud, origin, dirs, 3.5, deadband=cloud.ray_deadband)
+        counts = count_ray_hits(cloud, origin, dirs, 3.5)
         assert counts.max() >= 3
         np.testing.assert_array_equal(
             counts, ray_hits_loop(cloud, origin, dirs, 3.5, deadband=cloud.ray_deadband)
@@ -189,7 +189,7 @@ class TestRadialMap:
         dirs = np.random.default_rng(1).standard_normal((100, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         band = sphere_cloud.ray_deadband
-        counts = count_ray_hits(sphere_cloud, origin, dirs, 2.5, deadband=band)
+        counts = count_ray_hits(sphere_cloud, origin, dirs, 2.5)
         np.testing.assert_array_equal(
             counts, ray_hits_loop(sphere_cloud, origin, dirs, 2.5, deadband=band)
         )
