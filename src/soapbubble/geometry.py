@@ -21,8 +21,9 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reproduces per-point code bit for bit (a plain `a @ b` does not).
     """
     a = np.asarray(a, dtype=float)
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    b = np.asarray(b, dtype=float)
+    # matmul broadcasts one vector itself, with far less call overhead
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
 def tangent_frame(normal: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ order the edge length, which the callers carry explicitly.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,8 @@ from scipy.spatial import cKDTree
 from .constants import compute_constants
 from .geometry import row_dots
 from .surfaces import PointCloud, Surface, surface_area, touching_radius
+
+logger = logging.getLogger(__name__)
 
 
 class GraphConnectivityError(Exception):
@@ -254,9 +256,12 @@ def piecewise_geodesic_chain(graph: GeodesicGraph, p: int, q: int, delta: float)
     full = int(np.sum(arcs >= delta * (1.0 - 1e-12)))
     bound_ok = bool(full <= budget and total <= budget * (1.0 + 1e-9))
     if not bound_ok:
-        warnings.warn(
-            f"chain bound violated: {full} arcs / length {total:.4g} vs budget {budget:.4g}; "
-            "suspect under-sampling or a wrong area"
+        logger.warning(
+            "piecewise_geodesic_chain %d -> %d: chain bound violated: %d full arcs and "
+            "length %.6g against budget %.6g (delta %.6g, area %.6g); "
+            "suspect under-sampling or a wrong area",
+            p, q, full, total, budget, delta, area,
+            extra={"stage": "piecewise_geodesic_chain"},
         )
     return Chain(
         graph=graph, path_nodes=nodes, path_points=poly, waypoints=way,

@@ -92,11 +92,9 @@ def _mirrored_cap(
 ) -> tuple[ContainmentCheck, np.ndarray]:
     """`reflected_cap_inside` on the samples pts, together with the signed
     distances of the mirrored cap it judged (empty for an empty cap)."""
-    omega = unit(omega)
-    cap = pts[pts @ omega > lam]
+    cap, mirrored = _mirror_cap(omega, lam, pts)
     if cap.shape[0] == 0:
         return ContainmentCheck(True, -math.inf, None, None, 0), np.empty(0)
-    mirrored = reflect(cap, omega, lam)
     sd = surface.signed_distance(mirrored)
     worst_idx = int(np.argmin(sd))
     worst = -float(sd[worst_idx])
@@ -108,6 +106,23 @@ def _mirrored_cap(
         cap_count=int(cap.shape[0]),
     )
     return check, sd
+
+
+def _mirror_cap(omega: np.ndarray, lam: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples beyond the plane {x . omega = lam} and their mirror images."""
+    omega = unit(omega)
+    cap = pts[pts @ omega > lam]
+    return cap, reflect(cap, omega, lam)
+
+
+def _cap_contained(
+    surface: Surface, omega: np.ndarray, lam: float, tol: float, pts: np.ndarray
+) -> bool:
+    """`reflected_cap_inside(...).inside` without the signed distances: the
+    largest `protrusion` of the mirrored cap against tol. Only the mirrored
+    points the level function puts outside get projected."""
+    _, mirrored = _mirror_cap(omega, lam, pts)
+    return mirrored.shape[0] == 0 or bool(surface.protrusion(mirrored).max() <= tol)
 
 
 @dataclass(frozen=True)
@@ -162,6 +177,13 @@ def critical_position(
     nearest-sample distance is no better than 1.5 * spacing**2, so there the
     threshold is `tol` itself, caller-supplied or by default
     max(1.5 * spacing**2, 1e-6 * diam).
+
+    The bisection and the sweep need only the containment boolean, so they
+    ask the surface for the mirrored cap's `protrusion`, which projects only
+    the mirrored points its level function puts outside (those are the only
+    ones whose signed distance can be negative); the booleans equal
+    `reflected_cap_inside(...).inside` bit for bit. The contact analysis at
+    the final level keeps the full signed distances.
     """
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
@@ -185,7 +207,7 @@ def critical_position(
     lo = -extent(surface, -omega, sample_budget, seed)
 
     def inside(lam: float) -> bool:
-        return reflected_cap_inside(surface, omega, lam, contain_tol, samples=pts).inside
+        return _cap_contained(surface, omega, lam, contain_tol, pts)
 
     def bisect(a: float, b: float) -> float:
         # inside(b) holds and inside(a) fails; shrink to width tol

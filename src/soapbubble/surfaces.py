@@ -112,8 +112,9 @@ class Surface:
     sampling. Everything is read-only after construction.
 
     The point kernels (`implicit`, `implicit_grad`, `implicit_hess`,
-    `project`, `signed_distance`) are written for (m, d) rows and wrapped in
-    `rows_kernel`, so each also takes a single (d,) point and returns its row.
+    `project`, `signed_distance`, `protrusion`) are written for (m, d) rows
+    and wrapped in `rows_kernel`, so each also takes a single (d,) point and
+    returns its row.
     """
 
     dim: int  # ambient dimension n+1
@@ -157,6 +158,19 @@ class Surface:
     def signed_distance(self, P: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(P - self.project(P), axis=1)
         return np.where(self.implicit(P) >= 0.0, d, -d)
+
+    @rows_kernel
+    def protrusion(self, P: np.ndarray) -> np.ndarray:
+        """How far each point lies outside the enclosed domain, 0 inside:
+        -signed_distance where that is positive, bit for bit. The sign comes
+        from the level function, so only the rows it does not put inside
+        (NaN included) are projected."""
+        out = np.zeros(P.shape[0])
+        outside = ~(self.implicit(P) >= 0.0)
+        if outside.any():
+            Q = P[outside]
+            out[outside] = np.linalg.norm(Q - self.project(Q), axis=1)
+        return out
 
     # --- sampling ---
 
@@ -256,6 +270,10 @@ class Sphere(Surface):
 
     def signed_distance(self, pts):
         return self.implicit(pts)
+
+    def protrusion(self, pts):
+        # no projection: the level function is the exact signed distance
+        return np.maximum(-self.implicit(pts), 0.0)
 
     def sample_points(self, count, rng):
         u = rng.standard_normal((count, self.dim))
@@ -729,6 +747,10 @@ class PointCloud(Surface):
     def implicit(self, pts):
         return self.signed_distance(pts)
 
+    def protrusion(self, pts):
+        # one kd-tree pass: the level function is the signed distance
+        return np.maximum(-self.signed_distance(pts), 0.0)
+
     @rows_kernel
     def signed_distance(self, P):
         _, idx = self.tree.query(P)
@@ -840,15 +862,26 @@ class PointCloud(Surface):
         if cached is not None:
             return cached
         idx = self._knn[:, 1 : 8 if self.dim == 2 else self.k + 1]
-        offs = self.points[idx] - self.points[:, None, :]
         frames = tangent_frame(self.normals)
         if self.dim == 2:
-            # half the gap between the nearest neighbors on either side
-            t = np.matmul(offs, frames[:, 0, :, None])[..., 0]
-            left = np.where(t < 0, t, -np.inf).max(axis=1)
-            right = np.where(t > 0, t, np.inf).min(axis=1)
+            # half the gap between the nearest neighbors on either side; a
+            # sample whose 7 nearest lie on one side asks for 32
+            def sides(rows, nbrs):
+                offs = self.points[nbrs] - self.points[rows, None, :]
+                t = np.matmul(offs, frames[rows, 0, :, None])[..., 0]
+                return (
+                    np.where(t < 0, t, -np.inf).max(axis=1),
+                    np.where(t > 0, t, np.inf).min(axis=1),
+                )
+
+            left, right = sides(np.arange(self.points.shape[0]), idx)
+            lone = np.nonzero(~(np.isfinite(left) & np.isfinite(right)))[0]
+            if lone.size:
+                _, wide = self.tree.query(self.points[lone], k=min(self.points.shape[0], 32))
+                left[lone], right[lone] = sides(lone, wide[:, 1:])
             cells = np.where(np.isfinite(left) & np.isfinite(right), 0.5 * (right - left), 0.0)
         else:
+            offs = self.points[idx] - self.points[:, None, :]
             cells = _voronoi_cell_areas(np.matmul(offs, np.swapaxes(frames, 1, 2)))
         # a running sum in sample order
         cached = (float(np.cumsum(cells)[-1]), 0.05)

@@ -4,7 +4,12 @@ of the traced curves.
 The tracer is a predictor-corrector continuation on the two constraints
 (on the surface, on the plane): predict along the cross product of the two
 constraint gradients, correct by Newton on the 2x3 system, with the step
-adapted to the local turning angle. Curvature along a trace comes from the
+adapted to the local turning angle. The corrector `_correct` works on rows:
+each Newton step solves the 2x2 Gram system of the two gradients in closed
+form for every row still moving, and a row stops once both residuals are
+below `ftol`, so a row lands where it would alone. The seed and each march
+step correct one row; the arclength resample of a closed trace corrects all
+its points in one call. Curvature along a trace comes from the
 circumscribed circle of consecutive point triples, which is exact on
 circles regardless of step size.
 """
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import unit
+from .geometry import row_dots, unit
 
 
 class TracingError(Exception):
@@ -34,22 +39,47 @@ class Trace:
     step: float
 
 
-def _correct(phi, grad, omega, level, p, iters=30, ftol=1e-13):
+def _correct(phi, grad, omega, level, P, iters=30, ftol=1e-13):
+    """Newton-correct each row of P (m, 3) onto {phi = 0, x . omega = level}.
+
+    A step moves a row by J^T lam with J = [grad phi; omega], where lam
+    solves the Gram system [[g.g, g.omega], [g.omega, omega.omega]] lam = -f
+    by Cramer's rule. A row stops once max(|phi|, |x . omega - level|) <
+    ftol, so its result does not depend on the other rows.
+    """
+    P = np.array(P, dtype=float)
+    live = np.arange(P.shape[0])
+    ww = float(omega @ omega)
     for _ in range(iters):
-        f = np.array([float(phi(p)), float(p @ omega - level)])
-        if np.max(np.abs(f)) < ftol:
+        X = P[live]
+        f0 = np.asarray(phi(X), dtype=float)
+        f1 = row_dots(X, omega) - level
+        moving = ~(np.maximum(np.abs(f0), np.abs(f1)) < ftol)
+        if not moving.any():
             break
-        g = np.asarray(grad(p), dtype=float)
-        J = np.stack([g, omega])  # 2x3
-        JJt = J @ J.T
-        try:
-            lam = np.linalg.solve(JJt, -f)
-        except np.linalg.LinAlgError:
+        live, X, f0, f1 = live[moving], X[moving], f0[moving], f1[moving]
+        g = np.asarray(grad(X), dtype=float)
+        gg, gw = row_dots(g, g), row_dots(g, omega)
+        det = gg * ww - gw * gw
+        if np.any(det <= 0.0):
             raise TangentialSliceError(
-                f"constraint gradients are parallel near {p}; slice is tangential"
+                f"constraint gradients are parallel near {X[np.argmax(det <= 0.0)]}; "
+                "slice is tangential"
             )
-        p = p + J.T @ lam
-    return p
+        lam_g = (gw * f1 - ww * f0) / det
+        lam_w = (gw * f0 - gg * f1) / det
+        P[live] = X + lam_g[:, None] * g + lam_w[:, None] * omega
+    return P
+
+
+def _cross(a, b):
+    """Cross product along the last axis, rounded as numpy's cross rounds it; for
+    2-vectors, its one out-of-plane component."""
+    if a.shape[-1] == 2:
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def trace_plane_section(
@@ -64,13 +94,13 @@ def trace_plane_section(
     """Trace the closed intersection curve of {phi = 0} with the hyperplane
     {x . omega = level}, starting near seed_point."""
     omega = unit(np.asarray(omega, dtype=float))
-    p0 = _correct(phi, grad, omega, level, np.asarray(seed_point, dtype=float))
+    p0 = _correct(phi, grad, omega, level, np.asarray(seed_point, dtype=float)[None])[0]
     if abs(float(phi(p0))) > 1e-9 or abs(float(p0 @ omega - level)) > 1e-9:
         raise TracingError("could not land the seed on the section")
 
     def tangent(p):
         g = np.asarray(grad(p), dtype=float)
-        t = np.cross(g, omega)
+        t = _cross(g, omega)
         n = np.linalg.norm(t)
         if n < 1e-12 * max(np.linalg.norm(g), 1.0):
             raise TangentialSliceError(f"tangential slice at {p}")
@@ -82,7 +112,7 @@ def trace_plane_section(
     travelled = 0.0
     for _ in range(max_steps):
         p = pts[-1]
-        cand = _correct(phi, grad, omega, level, p + h * t_prev)
+        cand = _correct(phi, grad, omega, level, (p + h * t_prev)[None])[0]
         t_new = tangent(cand)
         turn = math.acos(float(np.clip(t_prev @ t_new, -1.0, 1.0)))
         if turn > 0.35 and h > step / 64.0:
@@ -112,7 +142,7 @@ def _resample_closed(pts, phi, grad, omega, level, step):
     idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
     frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
     rough = closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx])
-    return np.array([_correct(phi, grad, omega, level, p) for p in rough])
+    return _correct(phi, grad, omega, level, rough)
 
 
 def curve_curvatures(points: np.ndarray, closed: bool = True) -> np.ndarray:
@@ -124,7 +154,7 @@ def curve_curvatures(points: np.ndarray, closed: bool = True) -> np.ndarray:
     ab = P - a
     bc = c - P
     ac = c - a
-    cross = np.cross(ab, bc)
+    cross = _cross(ab, bc)
     cross_norm = np.linalg.norm(cross, axis=-1) if cross.ndim > 1 else np.abs(cross)
     denom = (
         np.linalg.norm(ab, axis=-1) * np.linalg.norm(bc, axis=-1) * np.linalg.norm(ac, axis=-1)

@@ -194,8 +194,9 @@ def voronoi_cell_area(neigh_xy: np.ndarray, box: float | None = None) -> float:
 
 def cloud_area_loop(cloud) -> float:
     """A point cloud's area (curve length in R^2) summed one sample at a time:
-    half the tangent gap to the nearest neighbors on either side in R^2, the
-    clipped Voronoi cell in the tangent plane in R^3."""
+    half the tangent gap to the nearest neighbors on either side in R^2 (from
+    32 neighbors where the 7 nearest lie on one side), the clipped Voronoi
+    cell in the tangent plane in R^3."""
     from soapbubble.geometry import tangent_frame
 
     pts, normals = cloud.points, cloud.normals
@@ -207,6 +208,10 @@ def cloud_area_loop(cloud) -> float:
         if cloud.dim == 2:
             t = (pts[idx[i, 1:]] - pts[i]) @ frame[0]
             left, right = t[t < 0], t[t > 0]
+            if not (len(left) and len(right)):
+                _, wide = cloud.tree.query(pts[i], k=min(pts.shape[0], 32))
+                t = (pts[wide[1:]] - pts[i]) @ frame[0]
+                left, right = t[t < 0], t[t > 0]
             if len(left) and len(right):
                 total += 0.5 * (right.min() - left.max())
         else:

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 import soapbubble as sb
+import soapbubble.intrinsic as intrinsic
 from soapbubble.constants import compute_constants
 from soapbubble.intrinsic import (
     GraphConnectivityError,
@@ -191,6 +193,22 @@ class TestChains:
             # waypoints stay on the surface
             assert np.max(np.abs(g.surface.signed_distance(ch.waypoints))) < 1e-9
             np.testing.assert_allclose(ch.arc_lengths.sum(), ch.total_length, atol=1e-9)
+
+
+    def test_bound_violation_logged(self, sphere_graph, monkeypatch, caplog):
+        # an area far too small shrinks the length budget below any chain
+        monkeypatch.setattr(intrinsic, "surface_area", lambda surface: 1e-2)
+        i, j = poles(sphere_graph)
+        with caplog.at_level(logging.WARNING, logger="soapbubble.intrinsic"):
+            ch = piecewise_geodesic_chain(sphere_graph, i, j, 0.5)
+        assert not ch.bound_ok
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.stage == "piecewise_geodesic_chain"
+        message = record.getMessage()
+        assert "chain bound violated" in message
+        assert f"{ch.full_arcs} full arcs" in message
+        assert f"budget {ch.length_budget:.6g}" in message
 
 
 class TestHarnackChain:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soapbubble as sb
+from soapbubble.geometry import row_dots
 from soapbubble.intrinsic import build_geodesic_graph
 from soapbubble.lemmas import (
     _root_along,
@@ -21,6 +24,7 @@ from soapbubble.lemmas import (
 from soapbubble.planes import critical_position
 from soapbubble.tracing import (
     TangentialSliceError,
+    _correct,
     curve_curvatures,
     fit_circle,
     trace_plane_section,
@@ -107,6 +111,37 @@ class TestSliceCurvature:
             )
             k = curve_curvatures(tr.points)
             assert k.max() - k.min() < 1e-6
+
+
+class TestBatchedCorrector:
+    @pytest.mark.parametrize("name", ["unit_sphere", "ell_111", "radial_bumpy"])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 16))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_equal_one_row_calls(self, request, name, seed, m):
+        # each row lands on the section exactly where it would alone
+        surface = request.getfixturevalue(name)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(3)
+        w /= np.linalg.norm(w)
+        pts = surface.probe_points(500, 0)
+        h = pts @ w
+        level = rng.uniform(*np.quantile(h, [0.2, 0.8]))
+        near = pts[np.argsort(np.abs(h - level))[:m]]
+        rough = near + (level - near @ w)[:, None] * w + 0.02 * rng.standard_normal((m, 3))
+        phi, grad = surface.implicit, surface.implicit_grad
+        landed = _correct(phi, grad, w, level, rough)
+        for i in range(m):
+            alone = _correct(phi, grad, w, level, rough[i : i + 1])
+            np.testing.assert_array_equal(alone[0], landed[i])
+        assert np.abs(phi(landed)).max() < 1e-13
+        assert np.abs(row_dots(landed, w) - level).max() < 1e-13
+
+    def test_parallel_gradients_rejected(self, unit_sphere):
+        # at the pole the surface gradient is parallel to the plane normal
+        rough = np.array([[0.6, 0.0, 0.1], [0.0, 0.0, 1.5]])
+        w = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(TangentialSliceError):
+            _correct(unit_sphere.implicit, unit_sphere.implicit_grad, w, 1.0, rough)
 
 
 class TestProjectedCurvature:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import soapbubble as sb
@@ -11,6 +11,8 @@ from soapbubble.planes import (
     BOUNDARY_ORTHOGONALITY,
     INTERIOR_TANGENCY,
     CapExtractionError,
+    _cap_contained,
+    _mirror_cap,
     critical_caps,
     critical_position,
     extent,
@@ -113,6 +115,66 @@ class TestContainment:
         ]
         first_true = states.index(True)
         assert all(states[first_true:])
+
+
+class TestContainmentScreen:
+    # the critical search asks only for the mirrored cap's protrusion, which
+    # projects just the points the level function puts outside; it must
+    # answer exactly as the full signed-distance pass does
+    @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "offset_sphere", "sphere_cloud"])
+    @given(
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        frac=st.floats(0.0, 1.0),
+        coarse=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equals_reflected_cap_inside(self, request, name, direction, frac, coarse):
+        surface = request.getfixturevalue(name)
+        w = np.array(direction)
+        assume(np.linalg.norm(w) > 0.1)
+        pts = surface.probe_points(500, 0)
+        lo, hi = -extent(surface, -w, 500, 0), extent(surface, w, 500, 0)
+        lam = lo + frac * (hi - lo)
+        tol = 1e-3 if coarse else 1e-11 * surface.diameter_hint()
+        check = reflected_cap_inside(surface, w, lam, tol, samples=pts)
+        assert _cap_contained(surface, w, lam, tol, pts) == check.inside
+        _, mirrored = _mirror_cap(w, lam, pts)
+        if mirrored.shape[0]:
+            assert surface.protrusion(mirrored).max() == max(check.worst_violation, 0.0)
+
+    @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "offset_sphere", "sphere_cloud"])
+    def test_protrusion_near_the_surface(self, request, name):
+        # points within rounding of the surface, on both sides
+        surface = request.getfixturevalue(name)
+        on = surface.project(surface.probe_points(200, 3))
+        centre = on.mean(axis=0)
+        scale = np.array([-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+        P = (centre + (1.0 + scale[:, None, None]) * (on - centre)).reshape(-1, surface.dim)
+        expected = np.maximum(-surface.signed_distance(P), 0.0)
+        np.testing.assert_array_equal(surface.protrusion(P), expected)
+
+    def test_projects_only_rows_the_level_function_puts_outside(self):
+        class NanAtFirstRow(sb.Ellipsoid):
+            def implicit(self, P):
+                f = np.array(super().implicit(P), dtype=float)
+                f[0] = np.nan
+                return f
+
+        surface = NanAtFirstRow([1.0, 1.0, 1.1])
+        projected = []
+        project = surface.project
+        surface.project = lambda P: projected.append(np.array(P)) or project(P)
+        w = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
+        pts = surface.probe_points(2000, 0)
+        _, mirrored = _mirror_cap(w, -0.05, pts)
+        outside = ~(surface.implicit(mirrored) >= 0.0)
+        assert outside[0] and 1 < outside.sum() < mirrored.shape[0]
+        assert not _cap_contained(surface, w, -0.05, 1e-9, pts)
+        assert len(projected) == 1
+        np.testing.assert_array_equal(projected[0], mirrored[outside])
+        # the full pass projects every row
+        reflected_cap_inside(surface, w, -0.05, 1e-9, samples=pts)
+        np.testing.assert_array_equal(projected[1], mirrored)
 
 
 class TestCriticalPosition:

@@ -590,6 +590,13 @@ class TestPointCloudArea:
         cloud = _ellipse_cloud(600, 21)
         assert cloud.area_estimate()[0] == cloud_area_loop(cloud)
 
+    @pytest.mark.parametrize("count, seed", [(600, 21), (800, 9)])
+    def test_curve_length_near_closed_form(self, count, seed):
+        # a sample whose 7 nearest neighbors all lie on one side of its
+        # tangent line still gets a cell, from a wider query
+        length, _ = _ellipse_cloud(count, seed).area_estimate()
+        assert length == pytest.approx(sb.Ellipsoid([1.0, 0.6]).area_estimate()[0], rel=5e-3)
+
 
 @functools.cache
 def _parity_surface(name: str) -> sb.Surface:
@@ -611,7 +618,7 @@ class TestOnePointParity:
         rng = np.random.default_rng(seed)
         centre = getattr(surface, "center", np.zeros(surface.dim))
         P = centre + rng.uniform(0.8, 1.25, (m, 1)) * (surface.sample_points(m, rng) - centre)
-        kernels = ["implicit", "project", "signed_distance"]
+        kernels = ["implicit", "project", "signed_distance", "protrusion"]
         if name != "cloud":
             kernels += ["implicit_grad", "implicit_hess"]
         for kernel in kernels:
