@@ -21,7 +21,6 @@ from .planes import (
     critical_caps,
     critical_position,
     extent,
-    reflect_point,
     reflected_cap_inside,
 )
 from .specio import SpecError, load_surface, surface_from_dict
@@ -43,8 +42,6 @@ from .surfaces import (
     evaluate_sample,
     local_graph,
     mean_curvature_oscillation,
-    signed_distance,
-    surface_area,
     touching_radius,
 )
 from .symmetry import (
@@ -94,12 +91,9 @@ __all__ = [
     "piecewise_geodesic_chain",
     "radial_bounds",
     "radial_map_check",
-    "reflect_point",
     "reflected_cap_inside",
     "reflection_defect",
-    "signed_distance",
     "stability_ratio",
-    "surface_area",
     "surface_from_dict",
     "symmetry_center",
     "touching_radius",

@@ -19,13 +19,13 @@ from scipy.spatial import cKDTree
 
 from .constants import compute_constants
 from .geometry import row_dots
-from .surfaces import PointCloud, Surface, surface_area, touching_radius
+from .surfaces import Surface, touching_radius
 
 logger = logging.getLogger(__name__)
 
 
 class GraphConnectivityError(Exception):
-    """Analytic surface produced a disconnected sample graph (raise k)."""
+    """Sample graph split into more components than the surface has (raise k)."""
 
 
 @dataclass
@@ -80,9 +80,10 @@ def build_geodesic_graph(
     adj = coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
     adj = adj.maximum(adj.T)
     n_comp, labels = connected_components(adj, directed=False)
-    if n_comp > 1 and not isinstance(surface, PointCloud):
+    if n_comp > surface.component_count:
         raise GraphConnectivityError(
-            f"sample graph split into {n_comp} components on an analytic surface; raise k"
+            f"sample graph split into {n_comp} components on a surface with "
+            f"{surface.component_count}; raise k"
         )
     mean_edge = float(dist[:, 1:].mean())
     return GeodesicGraph(
@@ -107,12 +108,11 @@ def region_boundary(graph: GeodesicGraph, region: np.ndarray) -> np.ndarray:
     """Region nodes with at least one neighbor outside the region (mask in,
     indices out)."""
     region = np.asarray(region, dtype=bool)
-    out = []
-    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    for i in np.nonzero(region)[0]:
-        if np.any(~region[indices[indptr[i] : indptr[i + 1]]]):
-            out.append(i)
-    return np.array(out, dtype=int)
+    A = graph.adjacency
+    rows = np.repeat(np.arange(graph.node_count), np.diff(A.indptr))
+    leaves = np.zeros(graph.node_count, dtype=bool)
+    leaves[rows[~region[A.indices]]] = True
+    return np.nonzero(region & leaves)[0]
 
 
 @dataclass
@@ -184,9 +184,10 @@ class Chain:
     """A shortest path resampled into arcs of prescribed length.
 
     Waypoints are points on the surface: path nodes when the mesh is fine
-    enough, otherwise chord interpolations projected back onto the surface
+    enough, otherwise chord interpolations put back by `Surface.settle`
     (k-NN graphs at practical budgets have edges longer than small arc
-    budgets, so node-only waypoints cannot respect them).
+    budgets, so node-only waypoints cannot respect them). A point cloud
+    keeps the interpolations where they are.
     """
 
     graph: GeodesicGraph
@@ -235,7 +236,7 @@ def _resample_polyline(points: np.ndarray, step: float) -> tuple[np.ndarray, np.
 def piecewise_geodesic_chain(graph: GeodesicGraph, p: int, q: int, delta: float) -> Chain:
     if delta <= 0:
         raise ValueError("delta must be positive")
-    area = surface_area(graph.surface)
+    area = graph.surface.area_estimate()[0]
     n = graph.surface.n
     ledger = compute_constants(n, max(touching_radius(graph.surface), delta), area, delta=delta)
     budget = ledger.big_l
@@ -251,8 +252,7 @@ def piecewise_geodesic_chain(graph: GeodesicGraph, p: int, q: int, delta: float)
     nodes = graph.shortest_path(p, q)
     poly = graph.points[nodes]
     way, arcs, total = _resample_polyline(poly, delta)
-    if not isinstance(graph.surface, PointCloud):
-        way = graph.surface.project(way)
+    way = graph.surface.settle(way)
     full = int(np.sum(arcs >= delta * (1.0 - 1e-12)))
     bound_ok = bool(full <= budget and total <= budget * (1.0 + 1e-9))
     if not bound_ok:
@@ -302,7 +302,7 @@ def harnack_chain(chain: Chain, eps: float, rho: float, delta: float) -> Harnack
     one stays inside the closed tangent patch of its predecessor.
     """
     surface = chain.graph.surface
-    area = surface_area(surface)
+    area = surface.area_estimate()[0]
     ledger = compute_constants(surface.n, rho, area, delta=delta)
     if eps < 0 or eps >= ledger.eps0:
         raise ValueError(f"eps must lie in [0, eps0) with eps0={ledger.eps0:.6g}")
@@ -333,8 +333,7 @@ def harnack_chain(chain: Chain, eps: float, rho: float, delta: float) -> Harnack
         way = chain.path_points[idx] + frac[:, None] * (chain.path_points[idx + 1] - chain.path_points[idx])
     else:
         way = chain.path_points[:1].repeat(len(positions), axis=0)
-    if not isinstance(surface, PointCloud):
-        way = surface.project(way)
+    way = surface.settle(way)
 
     # each step must stay inside the closed r_i/4 patch of its predecessor:
     # tangential offset in the predecessor frame is the binding quantity

@@ -20,6 +20,7 @@ from .intrinsic import GeodesicGraph, interface_distances
 from .planes import CriticalPlane, critical_caps, plane_crossing_fn
 from .surfaces import (
     Surface,
+    _bisect_along,
     _graph_heights_batch,
     touching_radius,
 )
@@ -333,18 +334,9 @@ def figure_projection_check(step: float = 0.02) -> dict:
         p = np.asarray(p, dtype=float)
         return p[..., 2] - p[..., 0] ** 2 - p[..., 1] ** 2
 
-    def grad_single(p):
-        return np.array([-2.0 * p[0], -2.0 * p[1], 1.0])
-
     def grad(p):
         p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return grad_single(p)
-        out = np.empty_like(p)
-        out[:, 0] = -2.0 * p[:, 0]
-        out[:, 1] = -2.0 * p[:, 1]
-        out[:, 2] = 1.0
-        return out
+        return np.stack([-2.0 * p[..., 0], -2.0 * p[..., 1], np.ones(p.shape[:-1])], axis=-1)
 
     omega1 = unit(np.array([0.0, -8.0, 1.0]))
     level = 2.0 / math.sqrt(65.0)
@@ -551,9 +543,10 @@ def verify_normal_tilt(
 
 def _root_along(surface, starts, directions, cap):
     """First crossing of the surface along each row's start + t*direction,
-    t in [0, cap]: a 64-point grid brackets it and an 80-step bisection,
-    batched over the rows, narrows it. Rows that start inside and never
-    cross give nan; rows that start outside and never cross give 0.0."""
+    t in [0, cap]: a 64-point grid brackets it and 80 steps of
+    `_bisect_along`, batched over the rows, narrow it. Rows that start
+    inside and never cross give nan; rows that start outside and never cross
+    give 0.0."""
     ts = np.linspace(0.0, cap, 64)
     m, d = starts.shape
     grid = starts[:, None, :] + ts[None, :, None] * directions[:, None, :]
@@ -566,14 +559,9 @@ def _root_along(surface, starts, directions, cap):
     if rows.size == 0:
         return out
     first = flips[rows].argmax(axis=1)
-    lo, hi = ts[first], ts[first + 1]
-    flo = phis[rows, first]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = surface.implicit(starts[rows] + mid[:, None] * directions[rows])
-        same = (fm > 0) == (flo > 0)
-        lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
-    out[rows] = 0.5 * (lo + hi)
+    out[rows] = _bisect_along(
+        surface, starts[rows], directions[rows], ts[first], ts[first + 1], phis[rows, first], 80
+    )
     return out
 
 

@@ -4,10 +4,9 @@ where the reflected cap first touches the surface from inside.
 
 All containment testing happens on a fixed probe sample of the surface, so
 the worst violation always carries a discretization caveat. The level
-resolution `tol` defaults to a small multiple of the surface diameter
-(analytic surfaces) or of the squared sample spacing (point clouds); the
-containment threshold is the error floor of the surface's distance model,
-not `tol`, wherever that floor lies below it.
+resolution `tol` and the containment threshold come from the surface's
+`critical_tolerances`: the threshold is the error floor of its distance
+model, not `tol`, wherever that floor lies below it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .geometry import reflect, unit
 from .intrinsic import GeodesicGraph, region_boundary
-from .surfaces import PointCloud, Surface, SurfaceError, _lagrange_newton
+from .surfaces import Surface, SurfaceError
 
 INTERIOR_TANGENCY = "interior_tangency"
 BOUNDARY_ORTHOGONALITY = "boundary_orthogonality"
@@ -34,28 +33,21 @@ class CapExtractionError(SurfaceError):
     """Tangency point is not adjacent to any cap node at this resolution."""
 
 
-def reflect_point(xi: np.ndarray, omega: np.ndarray, lam: float) -> np.ndarray:
-    """Mirror image of xi about the hyperplane {x . omega = lam}."""
-    return reflect(xi, unit(omega), lam)
-
-
 def extent(
     surface: Surface, omega: np.ndarray, sample_budget: int = 2000, seed: int = 0
 ) -> float:
     """Farthest reach max p . omega of the surface in the direction omega.
 
-    The best probe sample seeds a Lagrange-Newton solve for the point where
-    omega is the outer normal (`_lagrange_newton` with alpha = 0,
-    beta = -omega); the sample's height stands if the solve does not
-    converge or lands lower. A point cloud answers with its best sample.
+    The best probe sample seeds the surface's `stationary` solve for the
+    point where omega is the outer normal (alpha = 0, beta = -omega); the
+    sample's height stands if the solve does not converge or lands lower,
+    as always on a point cloud, whose seeds stand.
     """
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
     heights = pts @ omega
     best = float(heights.max())
-    if isinstance(surface, PointCloud):
-        return best
-    x, ok = _lagrange_newton(surface, 0.0, -omega[None], pts[[int(np.argmax(heights))]])
+    x, ok = surface.stationary(0.0, -omega[None], pts[[int(np.argmax(heights))]])
     return max(best, float(x[0] @ omega)) if ok[0] else best
 
 
@@ -171,12 +163,11 @@ def critical_position(
 
     `tol` is the resolution of the level: the bisection stops once its
     bracket is that narrow. Containment is judged against a separate
-    threshold set by the surface's distance model. Analytic surfaces
-    (closed-form or Newton projection) use min(tol, 1e-11 * diam),
-    so the level converges to zero protrusion. A point cloud's
-    nearest-sample distance is no better than 1.5 * spacing**2, so there the
-    threshold is `tol` itself, caller-supplied or by default
-    max(1.5 * spacing**2, 1e-6 * diam).
+    threshold set by the surface's distance model; `critical_tolerances`
+    gives both. Analytic surfaces (closed-form or Newton projection) use
+    min(tol, 1e-11 * diam), so the level converges to zero protrusion. A
+    point cloud's nearest-sample distance is no better than
+    1.5 * spacing**2, so there the threshold is `tol` itself.
 
     The bisection and the sweep need only the containment boolean, so they
     ask the surface for the mirrored cap's `protrusion`, which projects only
@@ -188,20 +179,7 @@ def critical_position(
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
     diam = surface.diameter_hint()
-    if isinstance(surface, PointCloud):
-        # containment noise sits at the scale of the nearest-sample distance
-        # error, and the protrusion jumps with the level instead of crossing
-        # zero cleanly, so the level resolution doubles as the threshold
-        if tol is None:
-            tol = max(1.5 * surface.spacing**2, 1e-6 * diam)
-        contain_tol = tol
-    else:
-        if tol is None:
-            tol = 5e-10 * diam
-        # analytic distances are accurate far below any level resolution; a
-        # threshold of tol would make the bisection converge where the
-        # protrusion equals tol, biasing the level low by tol / slope
-        contain_tol = min(tol, 1e-11 * diam)
+    tol, contain_tol = surface.critical_tolerances(tol)
 
     hi = extent(surface, omega, sample_budget, seed)
     lo = -extent(surface, -omega, sample_budget, seed)
@@ -338,7 +316,8 @@ def critical_caps(surface: Surface, plane: CriticalPlane, graph: GeodesicGraph) 
 
 def plane_crossing_fn(omega: np.ndarray, m: float, surface: Surface):
     """Edge-crossing locator for interface_distances: intersects each
-    straddling chord with the critical plane and projects onto the surface."""
+    straddling chord with the critical plane and settles the crossing on the
+    surface."""
     omega = unit(omega)
 
     def fn(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -346,9 +325,6 @@ def plane_crossing_fn(omega: np.ndarray, m: float, surface: Surface):
         hb = pb @ omega - m
         t = ha / np.where(np.abs(ha - hb) > 1e-300, ha - hb, 1.0)
         t = np.clip(t, 0.0, 1.0)
-        pts = pa + t[:, None] * (pb - pa)
-        if isinstance(surface, PointCloud):
-            return pts
-        return surface.project(pts)
+        return surface.settle(pa + t[:, None] * (pb - pa))
 
     return fn

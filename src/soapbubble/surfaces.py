@@ -103,6 +103,10 @@ def rows_kernel(kernel):
     return method
 
 
+_NEWTON_TOL = 1e-12  # residual at which a row stops
+_NEWTON_MAX_ITER = 80
+
+
 class Surface:
     """Abstract closed embedded hypersurface in R^(n+1).
 
@@ -172,6 +176,82 @@ class Surface:
             out[outside] = np.linalg.norm(Q - self.project(Q), axis=1)
         return out
 
+    def settle(self, P: np.ndarray) -> np.ndarray:
+        """Points off the surface, such as chord interpolations, put back on
+        it: their projections."""
+        return self.project(P)
+
+    def stationary(
+        self, alpha: float, beta: np.ndarray, x0: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stationary points of f(x) = alpha |x|^2 / 2 + beta . x on the surface,
+        one per row of beta (m, d), from the on-surface seeds x0 (m, d).
+
+        Damped Newton on the Lagrange system alpha x + beta - lam grad phi = 0,
+        phi = 0, halving a row's step until its residual does not grow. The seed
+        decides which stationary point (minimum, maximum or saddle) a row
+        reaches. alpha = 1, beta = -P is the nearest-point system of P; alpha = 0,
+        beta = -omega finds where omega is normal, as at the support point.
+        Returns (points, converged mask).
+        """
+        k, d = x0.shape
+        x = x0.copy()
+        g = self.implicit_grad(x)
+        lam = np.einsum("md,md->m", alpha * x + beta, g) / np.maximum(
+            np.einsum("md,md->m", g, g), 1e-300
+        )
+        for _ in range(_NEWTON_MAX_ITER):
+            g = self.implicit_grad(x)
+            h = self.implicit_hess(x)
+            phi = self.implicit(x)
+            F1 = alpha * x + beta - lam[:, None] * g
+            res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
+            active = res > _NEWTON_TOL
+            if not active.any():
+                break
+            J = np.zeros((k, d + 1, d + 1))
+            J[:, :d, :d] = alpha * np.eye(d)[None] - lam[:, None, None] * h
+            J[:, :d, d] = -g
+            J[:, d, :d] = g
+            F = np.concatenate([F1, phi[:, None]], axis=1)
+            Ja, Fa = J[active], -F[active][:, :, None]
+            # |det J| over the product of J's row norms is about 1e-14 at a
+            # degenerate extremum, such as a ring of nearest points, and above
+            # 1e-3 elsewhere; below 1e-10 the minimum-norm step leaves the flat
+            # direction alone instead of sliding along it
+            hadamard = np.linalg.slogdet(Ja)[1] - np.log(np.linalg.norm(Ja, axis=2)).sum(axis=1)
+            flat = hadamard < math.log(1e-10)
+            step = np.empty(Fa.shape)
+            try:
+                step[~flat] = np.linalg.solve(Ja[~flat], Fa[~flat])
+                if flat.any():
+                    step[flat] = np.linalg.pinv(Ja[flat], rcond=1e-10) @ Fa[flat]
+            except np.linalg.LinAlgError:
+                return x, np.zeros(k, dtype=bool) | ~active
+            step = step[:, :, 0]
+            # backtracking on the residual norm
+            t = np.ones(int(active.sum()))
+            xa, la, ba = x[active], lam[active], beta[active]
+            base = np.abs(F[active]).max(axis=1)
+            for _ in range(10):
+                xn = xa + t[:, None] * step[:, :d]
+                ln = la + t * step[:, d]
+                gn = self.implicit_grad(xn)
+                phin = self.implicit(xn)
+                Fn = np.concatenate([alpha * xn + ba - ln[:, None] * gn, phin[:, None]], axis=1)
+                worse = np.abs(Fn).max(axis=1) > base
+                if not worse.any():
+                    break
+                t = np.where(worse, 0.5 * t, t)
+            x[active] = xa + t[:, None] * step[:, :d]
+            lam[active] = la + t * step[:, d]
+        g = self.implicit_grad(x)
+        phi = self.implicit(x)
+        ok = (np.abs(alpha * x + beta - lam[:, None] * g).max(axis=1) <= 1e-8) & (
+            np.abs(phi) <= 1e-10
+        )
+        return x, ok
+
     # --- sampling ---
 
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,6 +283,22 @@ class Surface:
 
     def diameter_hint(self) -> float:
         return 2.0 * self.bounding_radius()
+
+    def critical_tolerances(self, tol: float | None) -> tuple[float, float]:
+        """(level resolution, containment threshold) of the moving-planes
+        search for a caller's level resolution `tol`, by default 5e-10 * diam.
+        Analytic distances are accurate far below any level resolution; a
+        threshold of tol would make the bisection converge where the
+        protrusion equals tol, biasing the level low by tol / slope."""
+        diam = self.diameter_hint()
+        if tol is None:
+            tol = 5e-10 * diam
+        return tol, min(tol, 1e-11 * diam)
+
+    @property
+    def component_count(self) -> int:
+        """Connected components of the surface itself."""
+        return 1
 
     # --- pointwise differential geometry from the level function ---
 
@@ -582,84 +678,8 @@ def _harmonic_basis_expr(sp, us, l: int, m: int, dim: int):
     return (-1) ** ma * norm * dleg * azim
 
 
-_NEWTON_TOL = 1e-12  # residual at which a row stops
-_NEWTON_MAX_ITER = 80
-
-
-def _lagrange_newton(
-    surface: Surface, alpha: float, beta: np.ndarray, x0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary points of f(x) = alpha |x|^2 / 2 + beta . x on the surface,
-    one per row of beta (m, d), from the on-surface seeds x0 (m, d).
-
-    Damped Newton on the Lagrange system alpha x + beta - lam grad phi = 0,
-    phi = 0, halving a row's step until its residual does not grow. The seed
-    decides which stationary point (minimum, maximum or saddle) a row
-    reaches. alpha = 1, beta = -P is the nearest-point system of P; alpha = 0,
-    beta = -omega finds where omega is normal, as at the support point.
-    Returns (points, converged mask).
-    """
-    k, d = x0.shape
-    x = x0.copy()
-    g = surface.implicit_grad(x)
-    lam = np.einsum("md,md->m", alpha * x + beta, g) / np.maximum(
-        np.einsum("md,md->m", g, g), 1e-300
-    )
-    for _ in range(_NEWTON_MAX_ITER):
-        g = surface.implicit_grad(x)
-        h = surface.implicit_hess(x)
-        phi = surface.implicit(x)
-        F1 = alpha * x + beta - lam[:, None] * g
-        res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
-        active = res > _NEWTON_TOL
-        if not active.any():
-            break
-        J = np.zeros((k, d + 1, d + 1))
-        J[:, :d, :d] = alpha * np.eye(d)[None] - lam[:, None, None] * h
-        J[:, :d, d] = -g
-        J[:, d, :d] = g
-        F = np.concatenate([F1, phi[:, None]], axis=1)
-        Ja, Fa = J[active], -F[active][:, :, None]
-        # |det J| over the product of J's row norms is about 1e-14 at a
-        # degenerate extremum, such as a ring of nearest points, and above
-        # 1e-3 elsewhere; below 1e-10 the minimum-norm step leaves the flat
-        # direction alone instead of sliding along it
-        hadamard = np.linalg.slogdet(Ja)[1] - np.log(np.linalg.norm(Ja, axis=2)).sum(axis=1)
-        flat = hadamard < math.log(1e-10)
-        step = np.empty(Fa.shape)
-        try:
-            step[~flat] = np.linalg.solve(Ja[~flat], Fa[~flat])
-            if flat.any():
-                step[flat] = np.linalg.pinv(Ja[flat], rcond=1e-10) @ Fa[flat]
-        except np.linalg.LinAlgError:
-            return x, np.zeros(k, dtype=bool) | ~active
-        step = step[:, :, 0]
-        # backtracking on the residual norm
-        t = np.ones(int(active.sum()))
-        xa, la, ba = x[active], lam[active], beta[active]
-        base = np.abs(F[active]).max(axis=1)
-        for _ in range(10):
-            xn = xa + t[:, None] * step[:, :d]
-            ln = la + t * step[:, d]
-            gn = surface.implicit_grad(xn)
-            phin = surface.implicit(xn)
-            Fn = np.concatenate([alpha * xn + ba - ln[:, None] * gn, phin[:, None]], axis=1)
-            worse = np.abs(Fn).max(axis=1) > base
-            if not worse.any():
-                break
-            t = np.where(worse, 0.5 * t, t)
-        x[active] = xa + t[:, None] * step[:, :d]
-        lam[active] = la + t * step[:, d]
-    g = surface.implicit_grad(x)
-    phi = surface.implicit(x)
-    ok = (np.abs(alpha * x + beta - lam[:, None] * g).max(axis=1) <= 1e-8) & (
-        np.abs(phi) <= 1e-10
-    )
-    return x, ok
-
-
 def _project_newton(surface: HarmonicRadial, P: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Nearest points: `_lagrange_newton` with alpha = 1, beta = -P from the
+    """Nearest points: `Surface.stationary` with alpha = 1, beta = -P from the
     supplied on-surface seeds, then up to four multistart rounds from
     jittered radial casts for the rows that did not converge. Raises
     ProjectionError if any row is left."""
@@ -678,13 +698,13 @@ def _project_newton(surface: HarmonicRadial, P: np.ndarray, seeds: np.ndarray) -
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         return u * surface.radial(u)[:, None]
 
-    x, ok = _lagrange_newton(surface, 1.0, -P, seeds)
+    x, ok = surface.stationary(1.0, -P, seeds)
     if not ok.all():
         rng = np.random.default_rng(7)
         for _ in range(4):
             bad = ~ok
             jitter = 0.35 * rng.standard_normal((int(bad.sum()), d))
-            xb, okb = _lagrange_newton(surface, 1.0, -P[bad], seed_for(P[bad], jitter))
+            xb, okb = surface.stationary(1.0, -P[bad], seed_for(P[bad], jitter))
             x[bad] = np.where(okb[:, None], xb, x[bad])
             ok[bad] |= okb
             if ok.all():
@@ -825,6 +845,25 @@ class PointCloud(Surface):
         _, idx = self.tree.query(P)
         return self.points[idx]
 
+    def settle(self, P):
+        # a point between samples stays put: projecting would snap it to the
+        # nearest sample, up to a spacing away
+        return P
+
+    def stationary(self, alpha, beta, x0):
+        # nothing lies between the samples, so every seed stands
+        return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
+
+    def critical_tolerances(self, tol):
+        """Containment noise sits at the scale of the nearest-sample distance
+        error, no better than 1.5 * spacing**2, and the protrusion jumps with
+        the level instead of crossing zero cleanly, so the level resolution
+        doubles as the threshold: `tol` itself, by default
+        max(1.5 * spacing**2, 1e-6 * diam)."""
+        if tol is None:
+            tol = max(1.5 * self.spacing**2, 1e-6 * self.diameter_hint())
+        return tol, tol
+
     def curvatures_batch(self, pts):
         """The nearest samples' inner normals and ascending principal
         curvatures, each from a quadric height graph h = c + b.x + x.Qx/2
@@ -900,6 +939,10 @@ class PointCloud(Surface):
         _, labels = connected_components(adj, directed=False)
         return labels
 
+    @property
+    def component_count(self) -> int:
+        return int(self.component_labels().max()) + 1
+
 
 def _voronoi_cell_areas(neigh_xy: np.ndarray) -> np.ndarray:
     """Area of the Voronoi cell of the origin among each row's 2D neighbor
@@ -953,15 +996,6 @@ def evaluate_sample(surface: Surface, seed: np.ndarray) -> SurfaceSample:
     p = surface.project(np.asarray(seed, dtype=float))
     nu, kappas = surface.curvature_at(p)
     return SurfaceSample(p, nu, kappas, float(kappas.mean()))
-
-
-def signed_distance(surface: Surface, xi: np.ndarray) -> float:
-    v = surface.signed_distance(np.asarray(xi, dtype=float))
-    return float(v)
-
-
-def surface_area(surface: Surface) -> float:
-    return surface.area_estimate()[0]
 
 
 def _refine_extremum(surface: Surface, x0: np.ndarray, sign: float) -> tuple[np.ndarray, float]:
@@ -1176,16 +1210,20 @@ def _graph_heights_batch(
     hb = np.where(cap > 0.0, rho - np.sqrt(np.maximum(cap, 0.0)), rho)
     hb = expand * hb + 1e-12 * rho
     feet = bases + offsets
-    lo, hi = -hb, hb
-    phi_lo = surface.implicit(feet + lo[:, None] * normals)
-    phi_hi = surface.implicit(feet + hi[:, None] * normals)
-    ok = np.sign(phi_lo) != np.sign(phi_hi)
-    for _ in range(iters):
+    phi_lo = surface.implicit(feet - hb[:, None] * normals)
+    phi_hi = surface.implicit(feet + hb[:, None] * normals)
+    t = _bisect_along(surface, feet, normals, -hb, hb, phi_lo, iters)
+    return np.where(np.sign(phi_lo) != np.sign(phi_hi), t, np.nan)
+
+
+def _bisect_along(surface, starts, directions, lo, hi, phi_lo, steps: int) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] of the rows' lines start + t*direction
+    after `steps` bisections of the sign (-1, 0 or +1) of `implicit`, batched
+    over the rows; phi_lo is `implicit` at t = lo."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        phi_mid = surface.implicit(feet + mid[:, None] * normals)
+        phi_mid = surface.implicit(starts + mid[:, None] * directions)
         same = np.sign(phi_mid) == np.sign(phi_lo)
-        lo = np.where(same, mid, lo)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         phi_lo = np.where(same, phi_mid, phi_lo)
-        hi = np.where(same, hi, mid)
-    t = 0.5 * (lo + hi)
-    return np.where(ok, t, np.nan)
+    return 0.5 * (lo + hi)

@@ -18,14 +18,7 @@ import numpy as np
 from .constants import ConstantsReport, compute_constants
 from .geometry import unit
 from .planes import CriticalPlane, axis_critical_planes, critical_position
-from .surfaces import (
-    OscReport,
-    PointCloud,
-    Surface,
-    _lagrange_newton,
-    mean_curvature_oscillation,
-    touching_radius,
-)
+from .surfaces import OscReport, Surface, mean_curvature_oscillation, touching_radius
 
 H_CONVENTION = "inner normal; sphere of radius R has H = +1/R"
 
@@ -73,24 +66,24 @@ def radial_bounds(
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """(r_i, r_e, argmin, argmax) of |p - center| over the surface.
 
-    The nearest and farthest probe samples seed one two-row Lagrange-Newton
-    solve for the stationary points of |p - center|^2 / 2 (alpha = 1,
-    beta = -center); a row keeps its sample if it does not converge or does
-    not improve on it. A point cloud answers with its samples.
+    The nearest and farthest probe samples seed one two-row `stationary`
+    solve of the surface for the stationary points of |p - center|^2 / 2
+    (alpha = 1, beta = -center); a row keeps its sample if it does not
+    converge or does not improve on it, as always on a point cloud, whose
+    seeds stand.
     """
     center = np.asarray(center, dtype=float)
     pts = surface.probe_points(sample_budget, seed)
     r = np.linalg.norm(pts - center, axis=1)
     p_i, p_e = pts[int(np.argmin(r))], pts[int(np.argmax(r))]
     r_i, r_e = float(r.min()), float(r.max())
-    if not isinstance(surface, PointCloud):
-        beta = np.broadcast_to(-center, (2, surface.dim))
-        x, ok = _lagrange_newton(surface, 1.0, beta, np.stack([p_i, p_e]))
-        v = np.linalg.norm(x - center, axis=1)
-        if ok[0] and v[0] < r_i:
-            r_i, p_i = float(v[0]), x[0]
-        if ok[1] and v[1] > r_e:
-            r_e, p_e = float(v[1]), x[1]
+    beta = np.broadcast_to(-center, (2, surface.dim))
+    x, ok = surface.stationary(1.0, beta, np.stack([p_i, p_e]))
+    v = np.linalg.norm(x - center, axis=1)
+    if ok[0] and v[0] < r_i:
+        r_i, p_i = float(v[0]), x[0]
+    if ok[1] and v[1] > r_e:
+        r_e, p_e = float(v[1]), x[1]
     return r_i, r_e, p_i, p_e
 
 

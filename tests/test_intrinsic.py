@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import soapbubble as sb
-import soapbubble.intrinsic as intrinsic
 from soapbubble.constants import compute_constants
 from soapbubble.intrinsic import (
     GraphConnectivityError,
@@ -14,6 +13,7 @@ from soapbubble.intrinsic import (
     harnack_chain,
     intrinsic_distance,
     piecewise_geodesic_chain,
+    region_boundary,
 )
 
 from .oracles import ellipsoid_meridian_halflength, spherical_cap_area_fraction
@@ -47,6 +47,22 @@ class TestGraphBuild:
         cloud = sb.PointCloud(np.vstack([u, u + [6, 0, 0]]), np.vstack([-u, -u]))
         g = build_geodesic_graph(cloud, 1500, k=8, seed=0)
         assert g.n_components == 2
+        assert cloud.component_count == 2
+
+    def test_cloud_graph_split_beyond_cloud_raises(self):
+        # a tuft of 8 samples off the pole of a 200-sample sphere: the
+        # cloud's own 20-neighbour table reaches the sphere from the tuft, a
+        # 6-neighbour graph over all samples does not
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((200, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        tuft = [0.0, 0.0, 1.6] + 0.01 * rng.standard_normal((8, 3))
+        normals = np.vstack([-u, np.tile([0.0, 0.0, -1.0], (8, 1))])
+        cloud = sb.PointCloud(np.vstack([u, tuft]), normals, k=20)
+        assert cloud.component_count == 1
+        with pytest.raises(GraphConnectivityError, match="2 components"):
+            build_geodesic_graph(cloud, 300, k=6, seed=0)
+        assert build_geodesic_graph(cloud, 300, k=12, seed=0).n_components == 1
 
     def test_preconditions(self, unit_sphere):
         with pytest.raises(ValueError):
@@ -141,6 +157,19 @@ class TestIntrinsicDistance:
 
 
 class TestCapInterior:
+    def test_region_boundary_matches_node_loop(self, sphere_graph_coarse):
+        g = sphere_graph_coarse
+        A = g.adjacency
+        for seed in range(3):
+            region = np.random.default_rng(seed).random(g.node_count) < 0.3 + 0.3 * seed
+            region[: 40 * seed] = True
+            loop = [
+                i for i in np.nonzero(region)[0]
+                if (~region[A.indices[A.indptr[i] : A.indptr[i + 1]]]).any()
+            ]
+            np.testing.assert_array_equal(region_boundary(g, region), np.array(loop, dtype=int))
+        assert region_boundary(g, np.ones(g.node_count, dtype=bool)).size == 0
+
     def test_whole_surface_no_boundary(self, sphere_graph):
         region = np.ones(sphere_graph.node_count, dtype=bool)
         ci = cap_interior(region, 1.0, sphere_graph)
@@ -197,7 +226,7 @@ class TestChains:
 
     def test_bound_violation_logged(self, sphere_graph, monkeypatch, caplog):
         # an area far too small shrinks the length budget below any chain
-        monkeypatch.setattr(intrinsic, "surface_area", lambda surface: 1e-2)
+        monkeypatch.setattr(sphere_graph.surface, "area_estimate", lambda: (1e-2, 0.0))
         i, j = poles(sphere_graph)
         with caplog.at_level(logging.WARNING, logger="soapbubble.intrinsic"):
             ch = piecewise_geodesic_chain(sphere_graph, i, j, 0.5)

@@ -248,6 +248,15 @@ class TestRootAlong:
         assert np.isnan(alpha[4:8]).all()
         np.testing.assert_array_equal(alpha[8:], 0.0)
 
+    def test_start_exactly_on_surface(self):
+        # implicit is exactly 0 at t = 0: the crossing is there, not at the
+        # next grid point cap / 63
+        sphere = sb.Sphere([0.0, 0.0, 0.0], 1.0)
+        starts = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        assert (sphere.implicit(starts) == 0.0).all()
+        alpha = _root_along(sphere, starts, starts, 0.1)
+        assert (alpha >= 0.0).all() and (alpha <= 1e-15).all()
+
 
 class TestAnnulusNormal:
     def test_sphere_equality(self, unit_sphere):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import soapbubble as sb
+from soapbubble.geometry import reflect, unit
 from soapbubble.intrinsic import build_geodesic_graph
 from soapbubble.planes import (
     BOUNDARY_ORTHOGONALITY,
@@ -16,7 +17,6 @@ from soapbubble.planes import (
     critical_caps,
     critical_position,
     extent,
-    reflect_point,
     reflected_cap_inside,
 )
 
@@ -64,12 +64,12 @@ class TestExtent:
 class TestReflect:
     def test_axis_example(self):
         np.testing.assert_allclose(
-            reflect_point(np.array([2.0, 0, 0]), np.array([1.0, 0, 0]), 0.0), [-2, 0, 0]
+            reflect(np.array([2.0, 0, 0]), unit(np.array([1.0, 0, 0])), 0.0), [-2, 0, 0]
         )
 
     def test_formula_example(self):
         np.testing.assert_allclose(
-            reflect_point(np.array([3.0, 1, 0]), np.array([1.0, 0, 0]), 1.0), [-1, 1, 0]
+            reflect(np.array([3.0, 1, 0]), unit(np.array([1.0, 0, 0])), 1.0), [-1, 1, 0]
         )
 
     @given(
@@ -82,10 +82,10 @@ class TestReflect:
         xi = np.array([x, y, z])
         w = np.array([wx, wy, wz])
         w /= np.linalg.norm(w)
-        twice = reflect_point(reflect_point(xi, w, lam), w, lam)
+        twice = reflect(reflect(xi, unit(w), lam), unit(w), lam)
         np.testing.assert_allclose(twice, xi, atol=1e-12)
         on_plane = xi - (xi @ w - lam) * w
-        np.testing.assert_allclose(reflect_point(on_plane, w, lam), on_plane, atol=1e-12)
+        np.testing.assert_allclose(reflect(on_plane, unit(w), lam), on_plane, atol=1e-12)
 
 
 class TestContainment:

@@ -42,7 +42,7 @@ class TestEvaluateSample:
 
     def test_ellipsoid_pole_matches_symbolic(self, ell_111):
         s = sb.evaluate_sample(ell_111, [0.0, 0.0, 1.3])
-        assert abs(sb.signed_distance(ell_111, s.point)) < 1e-9
+        assert abs(ell_111.signed_distance(s.point)) < 1e-9
         assert s.mean_curvature == pytest.approx(ELL111_H_POLE, abs=1e-9)
         assert ellipsoid_mean_curvature(1, 1, 1.1, 1e-7, 0.0) == pytest.approx(1.1, abs=1e-5)
 
@@ -117,18 +117,18 @@ class TestOscillation:
 
 class TestSignedDistance:
     def test_sphere_trivial_values(self, unit_sphere):
-        assert sb.signed_distance(unit_sphere, [0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
-        assert sb.signed_distance(unit_sphere, [3.0, 0.0, 0.0]) == pytest.approx(-2.0, abs=1e-14)
+        assert unit_sphere.signed_distance([0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
+        assert unit_sphere.signed_distance([3.0, 0.0, 0.0]) == pytest.approx(-2.0, abs=1e-14)
 
     def test_ellipsoid_above_pole(self, ell_111):
-        assert sb.signed_distance(ell_111, [0.0, 0.0, 1.2]) == pytest.approx(-0.1, abs=1e-10)
+        assert ell_111.signed_distance([0.0, 0.0, 1.2]) == pytest.approx(-0.1, abs=1e-10)
 
     def test_ellipsoid_matches_dense_projection_search(self, ell_111):
         dense = ellipsoid_dense_points([1, 1, 1.1], res=900)
         rng = np.random.default_rng(4)
         for xi in rng.uniform(-1.6, 1.6, size=(6, 3)):
             brute = dense_projection_distance(dense, xi)
-            assert abs(sb.signed_distance(ell_111, xi)) == pytest.approx(brute, abs=5e-3)
+            assert abs(ell_111.signed_distance(xi)) == pytest.approx(brute, abs=5e-3)
 
     @pytest.mark.parametrize("surface_name", ["unit_sphere", "ell_111", "radial_bumpy"])
     def test_one_lipschitz(self, surface_name, request):
@@ -150,7 +150,7 @@ class TestSignedDistance:
         s = sb.Sphere([cx, cy, 0.1], r)
         xi = np.array([px, py, -0.4])
         expect = r - np.linalg.norm(xi - s.center)
-        assert sb.signed_distance(s, xi) == pytest.approx(expect, abs=1e-12)
+        assert s.signed_distance(xi) == pytest.approx(expect, abs=1e-12)
 
 
 class TestHarmonicRadial:
@@ -165,7 +165,7 @@ class TestHarmonicRadial:
         assert rows[1] == at_origin
         keep = [0, 2, 3]
         np.testing.assert_array_equal(rows[keep], surf.implicit(P[keep]))
-        assert sb.signed_distance(surf, np.zeros(3)) > 0.0
+        assert surf.signed_distance(np.zeros(3)) > 0.0
         # on the x_0 axis so near the origin that |x|^2 underflows, the level
         # is r(e_0) - |x| = r(e_0) in floating point
         for dim, xs in ((3, [1e-300, 1e-160, 1e-120]), (2, [1e-160])):
@@ -290,21 +290,21 @@ class TestTouchingRadius:
 
 class TestArea:
     def test_unit_sphere(self, unit_sphere):
-        assert sb.surface_area(unit_sphere) == pytest.approx(4 * math.pi, rel=1e-3)
+        assert unit_sphere.area_estimate()[0] == pytest.approx(4 * math.pi, rel=1e-3)
 
     def test_circle_radius_two(self, circle2):
-        assert sb.surface_area(circle2) == pytest.approx(4 * math.pi, rel=1e-3)
+        assert circle2.area_estimate()[0] == pytest.approx(4 * math.pi, rel=1e-3)
 
     def test_ellipsoid_vs_brute_quadrature(self, ell_111):
         brute = ellipsoid_area_brute(1, 1, 1.1)
-        assert sb.surface_area(ell_111) == pytest.approx(brute, rel=5e-3)
+        assert ell_111.area_estimate()[0] == pytest.approx(brute, rel=5e-3)
 
     def test_ellipse_vs_brute(self):
         e = sb.Ellipsoid([1.0, 1.1])
-        assert sb.surface_area(e) == pytest.approx(ellipse_perimeter_brute(1.0, 1.1), rel=5e-3)
+        assert e.area_estimate()[0] == pytest.approx(ellipse_perimeter_brute(1.0, 1.1), rel=5e-3)
 
     def test_radial_unit_is_sphere(self, radial_unit):
-        assert sb.surface_area(radial_unit) == pytest.approx(4 * math.pi, rel=1e-6)
+        assert radial_unit.area_estimate()[0] == pytest.approx(4 * math.pi, rel=1e-6)
 
     @pytest.mark.parametrize(
         "axes", [(1, 1, 1.1), (1, 1, 2), (0.3, 1, 5), (1, 2, 3), (1, 1.1), (1, 0.6)]
@@ -331,7 +331,7 @@ class TestLocalGraph:
         patch = sb.local_graph(ell_111, s, 0.5)
         for x in (np.array([0.2, 0.1]), np.array([-0.3, 0.25])):
             q = patch.point(x)
-            assert abs(sb.signed_distance(ell_111, q)) < 1e-9
+            assert abs(ell_111.signed_distance(q)) < 1e-9
 
     def test_ellipsoid_pole_taylor(self, ell_111):
         s = sb.evaluate_sample(ell_111, [0.0, 0.0, 2.0])
@@ -394,11 +394,11 @@ class TestPointCloud:
         assert s.mean_curvature == pytest.approx(1.0, rel=0.02)
 
     def test_sphere_cloud_signed_distance(self, sphere_cloud):
-        assert sb.signed_distance(sphere_cloud, [0, 0, 0]) == pytest.approx(1.0, abs=0.01)
-        assert sb.signed_distance(sphere_cloud, [1.5, 0, 0]) == pytest.approx(-0.5, abs=0.01)
+        assert sphere_cloud.signed_distance([0, 0, 0]) == pytest.approx(1.0, abs=0.01)
+        assert sphere_cloud.signed_distance([1.5, 0, 0]) == pytest.approx(-0.5, abs=0.01)
 
     def test_sphere_cloud_area_and_rho(self, sphere_cloud):
-        assert sb.surface_area(sphere_cloud) == pytest.approx(4 * math.pi, rel=0.01)
+        assert sphere_cloud.area_estimate()[0] == pytest.approx(4 * math.pi, rel=0.01)
         assert sb.estimate_touching_radius(sphere_cloud, 400) == pytest.approx(1.0, rel=0.05)
 
     def test_mixed_orientation_rejected(self):
@@ -425,6 +425,37 @@ class TestPointCloud:
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         with pytest.raises(sb.SparseNeighborhoodError):
             sb.PointCloud(u, -u, k=20)
+
+
+class TestPointCloudCapabilities:
+    """The members through which the pipeline asks a surface what a point
+    cloud answers differently: nothing lies between its samples, and its
+    distance error sets its tolerances."""
+
+    def test_stationary_keeps_seeds(self, sphere_cloud):
+        rng = np.random.default_rng(5)
+        seeds = np.vstack([sphere_cloud.points[:4], rng.uniform(-1, 1, (3, 3))])
+        beta = rng.standard_normal(seeds.shape)
+        for alpha in (0.0, 1.0):
+            x, ok = sphere_cloud.stationary(alpha, beta, seeds)
+            np.testing.assert_array_equal(x, seeds)
+            assert x is not seeds
+            assert ok.dtype == bool and ok.shape == (7,) and not ok.any()
+
+    def test_settle_returns_input(self, sphere_cloud, ell_111):
+        P = np.random.default_rng(6).uniform(-1, 1, (9, 3))
+        assert sphere_cloud.settle(P) is P
+        np.testing.assert_array_equal(ell_111.settle(P), ell_111.project(P))
+
+    def test_critical_tolerances(self, sphere_cloud, ell_111):
+        diam = sphere_cloud.diameter_hint()
+        default = max(1.5 * sphere_cloud.spacing**2, 1e-6 * diam)
+        assert sphere_cloud.critical_tolerances(None) == (default, default)
+        assert sphere_cloud.critical_tolerances(3e-4) == (3e-4, 3e-4)
+        diam = ell_111.diameter_hint()
+        assert ell_111.critical_tolerances(None) == (5e-10 * diam, 1e-11 * diam)
+        assert ell_111.critical_tolerances(1e-6) == (1e-6, 1e-11 * diam)
+        assert ell_111.critical_tolerances(1e-13) == (1e-13, 1e-13)
 
 
 def _ellipsoid_cloud(count: int, seed: int) -> sb.PointCloud:
