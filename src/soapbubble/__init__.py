@@ -25,6 +25,7 @@ from .planes import (
 )
 from .specio import SpecError, load_surface, surface_from_dict
 from .surfaces import (
+    CapabilityError,
     Ellipsoid,
     GraphPatch,
     HarmonicRadial,
@@ -56,6 +57,7 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CapabilityError",
     "ConstantsReport",
     "CriticalPlane",
     "Ellipsoid",

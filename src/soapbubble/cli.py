@@ -23,7 +23,7 @@ from .constants import check_smallness, compute_constants
 from .intrinsic import build_geodesic_graph
 from .planes import critical_position
 from .specio import SpecError, dump_report, load_surface, write_report, write_sweep_csv
-from .surfaces import Ellipsoid, SurfaceError
+from .surfaces import CapabilityError, Ellipsoid, SurfaceError
 from .symmetry import stability_ratio
 from .tracing import TracingError
 
@@ -324,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except SpecError as exc:
+    except (SpecError, CapabilityError) as exc:
+        # a capability the surface type lacks is a wrong input, not a failure
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except (SurfaceError, TracingError, np.linalg.LinAlgError) as exc:

@@ -111,6 +111,7 @@ def verify_graph_bounds(
     if rho is None:
         rho = true_rho
     pts = surface.probe_points(trials, seed)
+    trials = pts.shape[0]  # a point cloud has no more samples than its own
     normals, _ = surface.curvatures_batch(pts)
     frames = tangent_frame(normals)
     dirs = rng.standard_normal((trials, surface.n))
@@ -393,6 +394,7 @@ def verify_normal_change(
     rho = touching_radius(surface)
     r = 0.8 * rho
     pts = surface.probe_points(trials, seed)
+    trials = pts.shape[0]  # a point cloud has no more samples than its own
     normals, _ = surface.curvatures_batch(pts)
     frames_full = tangent_frame(normals)
 

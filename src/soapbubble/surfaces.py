@@ -46,6 +46,11 @@ class SparseNeighborhoodError(SurfaceError):
     """Point-cloud neighborhood too sparse for a quadric fit."""
 
 
+class CapabilityError(SurfaceError, NotImplementedError):
+    """The surface type does not provide a member an operation needs, such
+    as the level-function gradient of a point cloud."""
+
+
 @dataclass(frozen=True)
 class SurfaceSample:
     """A surface point with inner normal and curvature data.
@@ -122,21 +127,26 @@ class Surface:
     """
 
     dim: int  # ambient dimension n+1
+    # whether points between the samples exist to refine extrema towards
+    refines_extrema = True
 
     @property
     def n(self) -> int:
         return self.dim - 1
 
+    def _lacks(self, member: str) -> CapabilityError:
+        return CapabilityError(f"{type(self).__name__} does not provide {member}")
+
     # --- level function interface ---
 
     def implicit(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise self._lacks("implicit")
 
     def implicit_grad(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise self._lacks("implicit_grad")
 
     def implicit_hess(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise self._lacks("implicit_hess")
 
     def implicit_on_rays(
         self, origin: np.ndarray, directions: np.ndarray, ts: np.ndarray
@@ -156,7 +166,7 @@ class Surface:
 
     def project(self, pts: np.ndarray) -> np.ndarray:
         """Nearest point(s) on the surface."""
-        raise NotImplementedError
+        raise self._lacks("project")
 
     @rows_kernel
     def signed_distance(self, P: np.ndarray) -> np.ndarray:
@@ -255,7 +265,7 @@ class Surface:
     # --- sampling ---
 
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        raise self._lacks("sample_points")
 
     def probe_points(self, budget: int, seed: int = 0) -> np.ndarray:
         """Deterministic cached sample set used by batch operations."""
@@ -273,7 +283,7 @@ class Surface:
 
     def area_estimate(self) -> tuple[float, float]:
         """(area, relative error estimate); cached."""
-        raise NotImplementedError
+        raise self._lacks("area_estimate")
 
     def bounding_radius(self) -> float:
         """Radius of a ball around the coordinate mean containing the surface."""
@@ -734,6 +744,9 @@ class PointCloud(Surface):
     mixed inner/outer orientation.
     """
 
+    # projection snaps to samples, so there is nothing between them
+    refines_extrema = False
+
     def __init__(self, points: np.ndarray, normals: np.ndarray, k: int = 20):
         self.points = np.asarray(points, dtype=float)
         normals = np.asarray(normals, dtype=float)
@@ -1042,8 +1055,8 @@ def mean_curvature_oscillation(
     surface: Surface, sample_budget: int = 2000, seed: int = 0
 ) -> OscReport:
     """max H - min H over the surface, from samples plus local refinement of
-    the five lowest and five highest samples. A point cloud is not refined:
-    its projection snaps to samples, so there is nothing between them."""
+    the five lowest and five highest samples, on surfaces that have points
+    between their samples (`Surface.refines_extrema`; not a point cloud)."""
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
     pts = surface.probe_points(sample_budget, seed)
@@ -1053,7 +1066,7 @@ def mean_curvature_oscillation(
     min_h, max_h = float(hs[order[0]]), float(hs[order[-1]])
     argmin, argmax = pts[order[0]].copy(), pts[order[-1]].copy()
 
-    refined = not isinstance(surface, PointCloud)
+    refined = surface.refines_extrema
     if refined:
         for i in order[:5]:
             q, v = _refine_extremum(surface, pts[i], sign=-1.0)
@@ -1077,14 +1090,48 @@ def mean_curvature_oscillation(
     )
 
 
+_PAIR_ROWS = 32  # rows per block of the touching-ball pair screen
+# Relative slack of the touching-ball pair screen. The screen sums |q-p|^2
+# and (q-p) . nu_p over coordinates in its own order and einsum in another
+# (numpy 2.4 sums three terms as (a0 + a2) + a1), from the same rounded
+# products. Either order of a sum of at most 3 terms lies within 2u of the
+# exact sum, relative to the terms' absolute sum (u = 2^-53), so the two
+# differ by at most 4u |q-p|^2 and, by Cauchy-Schwarz, 4u |q-p| |nu_p|. The
+# screen's own products, square root and difference add at most 4u more, so
+# 8u suffices; the slack doubles it.
+_PAIR_SLACK = 16.0 * np.finfo(float).eps / 2.0
+
+
+def _pair_ratio_min(P: np.ndarray, N: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """Least touching ratio |q-p|^2 / (2 |(q-p) . nu_p|) over the pairs
+    (P[p], P[q]) with normals N[p]; a pair whose (q-p) . nu_p is zero to
+    rounding bounds nothing."""
+    diff = P[q] - P[p]
+    d2 = np.einsum("kd,kd->k", diff, diff)
+    perp = np.abs(np.einsum("kd,kd->k", diff, N[p]))
+    valid = perp > 1e-12 * np.sqrt(np.maximum(d2, 1e-300))
+    ratio = np.where(valid, d2 / np.maximum(2.0 * perp, 1e-300), math.inf)
+    return float(ratio.min(initial=math.inf))
+
+
 def estimate_touching_radius(
     surface: Surface, sample_budget: int = 2000, seed: int = 0, pair_budget: int = 1500
 ) -> float:
     """Two-sided touching-ball radius estimate.
 
     Combines the pointwise curvature bound 1/max|kappa| with the pairwise
-    bound |q-p|^2 / (2 |(q-p) . nu_p|); the pairwise term catches global
-    bottlenecks (thin necks) that curvature alone misses.
+    bound |q-p|^2 / (2 |(q-p) . nu_p|) over every ordered pair of up to
+    `pair_budget` samples; the pairwise term catches global bottlenecks
+    (thin necks) that curvature alone misses.
+
+    The pair minimum equals a scan of every pair bit for bit, though most
+    pairs are only screened. A running bound starts at the curvature bound
+    and the ratios of each sample's 9 nearest neighbours. A screen over
+    coordinate columns drops each pair whose ratio cannot fall below the
+    bound, widened by `_PAIR_SLACK` for its own rounding, so it never drops
+    a pair that a full evaluation would put below. The survivors' ratios
+    are computed in full (`_pair_ratio_min`), by the same expressions as the
+    scan, and lower the bound.
     """
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
@@ -1096,19 +1143,41 @@ def estimate_touching_radius(
     m = min(pair_budget, pts.shape[0])
     sel = np.linspace(0, pts.shape[0] - 1, m).astype(int)
     P, N = pts[sel], normals[sel]
-    pair_bound = math.inf
-    chunk = 256
-    for i0 in range(0, m, chunk):
-        diff = P[None, :, :] - P[i0 : i0 + chunk, None, :]  # q - p
-        d2 = np.einsum("pqd,pqd->pq", diff, diff)
-        perp = np.abs(np.einsum("pqd,pd->pq", diff, N[i0 : i0 + chunk]))
-        valid = perp > 1e-12 * np.sqrt(np.maximum(d2, 1e-300))
-        ratio = np.where(valid, d2 / np.maximum(2.0 * perp, 1e-300), math.inf)
-        pair_bound = min(pair_bound, float(ratio.min()))
-    rho = min(curv_bound, pair_bound)
-    if not (rho > 0):
+    _, near = cKDTree(P).query(P, k=min(9, m))
+    near = near.reshape(m, -1)
+    best = min(
+        curv_bound, _pair_ratio_min(P, N, np.repeat(np.arange(m), near.shape[1]), near.ravel())
+    )
+
+    # one block holds the pairs of rows p in [i0, i0 + _PAIR_ROWS) with the
+    # columns q >= i0, in both orders: |q-p|^2 is the same both ways and
+    # (q-p) . nu_p, (p-q) . nu_q share the coordinate differences
+    X, V = P.T.copy(), N.T.copy()
+    tol = _PAIR_SLACK * float(np.linalg.norm(N, axis=1).max())
+    for i0 in range(0, m, _PAIR_ROWS):
+        rows = slice(i0, i0 + _PAIR_ROWS)
+        diff = X[0, i0:] - X[0, rows, None]  # q - p
+        d2 = diff * diff
+        along_p = diff * V[0, rows, None]
+        along_q = diff * V[0, i0:]
+        term = np.empty_like(d2)
+        for j in range(1, P.shape[1]):
+            np.subtract(X[j, i0:], X[j, rows, None], out=diff)
+            d2 += np.multiply(diff, diff, out=term)
+            along_p += np.multiply(diff, V[j, rows, None], out=term)
+            along_q += np.multiply(diff, V[j, i0:], out=term)
+        # keep a pair where perp >= |q-p|^2 (1 - s) / (2 best) - s |nu| |q-p|,
+        # every pair while best = inf
+        widen = np.multiply(np.sqrt(d2, out=diff), tol, out=diff)
+        bar = np.multiply(d2, (1.0 - _PAIR_SLACK) * (0.5 / best), out=d2)
+        bar -= widen
+        p1, q1 = np.nonzero(np.abs(along_p, out=along_p) >= bar)
+        p2, q2 = np.nonzero(np.abs(along_q, out=along_q) >= bar)
+        base, other = np.concatenate([p1, q2]) + i0, np.concatenate([q1, p2]) + i0
+        best = min(best, _pair_ratio_min(P, N, base, other))
+    if not (best > 0):
         raise SurfaceError("touching radius estimate is not positive")
-    return rho
+    return best
 
 
 def touching_radius(surface: Surface, sample_budget: int = 2000, seed: int = 0) -> float:

@@ -105,6 +105,35 @@ def touching_ball_gradient(rho: float, x_norm: float) -> float:
     return x_norm / math.sqrt(rho**2 - x_norm**2)
 
 
+def touching_radius_dense(
+    surface, sample_budget: int = 2000, seed: int = 0, pair_budget: int = 1500
+) -> float:
+    """The touching-radius estimate with the pairwise bound taken by a dense
+    scan of every ordered sample pair. It uses the library's probe samples
+    and curvatures, so its value is what `estimate_touching_radius` must
+    return bit for bit."""
+    if sample_budget < 100:
+        raise ValueError("sample_budget must be at least 100")
+    pts = surface.probe_points(sample_budget, seed)
+    normals, kappas = surface.curvatures_batch(pts)
+    kmax = float(np.abs(kappas).max())
+    curv_bound = 1.0 / kmax if kmax > 0 else math.inf
+
+    m = min(pair_budget, pts.shape[0])
+    sel = np.linspace(0, pts.shape[0] - 1, m).astype(int)
+    P, N = pts[sel], normals[sel]
+    pair_bound = math.inf
+    chunk = 256
+    for i0 in range(0, m, chunk):
+        diff = P[None, :, :] - P[i0 : i0 + chunk, None, :]  # q - p
+        d2 = np.einsum("pqd,pqd->pq", diff, diff)
+        perp = np.abs(np.einsum("pqd,pd->pq", diff, N[i0 : i0 + chunk]))
+        valid = perp > 1e-12 * np.sqrt(np.maximum(d2, 1e-300))
+        ratio = np.where(valid, d2 / np.maximum(2.0 * perp, 1e-300), math.inf)
+        pair_bound = min(pair_bound, float(ratio.min()))
+    return min(curv_bound, pair_bound)
+
+
 def dense_projection_distance(param_points: np.ndarray, xi: np.ndarray) -> float:
     """Brute-force distance from xi to a dense sampling of the surface."""
     return float(np.linalg.norm(param_points - np.asarray(xi, dtype=float), axis=1).min())

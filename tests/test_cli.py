@@ -28,6 +28,18 @@ def ell_spec(tmp_path):
     return p
 
 
+@pytest.fixture()
+def cloud_spec(tmp_path):
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((400, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rows = ["x,y,z,nx,ny,nz"] + [",".join(f"{v:.8f}" for v in (*p, *n)) for p, n in zip(u, -u)]
+    (tmp_path / "cloud.csv").write_text("\n".join(rows) + "\n")
+    spec = tmp_path / "cloud.json"
+    spec.write_text(json.dumps({"type": "point_cloud", "path": "cloud.csv"}))
+    return spec
+
+
 class TestSpecIO:
     def test_surface_types(self, tmp_path):
         assert surface_from_dict({"type": "sphere", "center": [0, 0, 0], "radius": 2.0}).radius == 2.0
@@ -183,6 +195,14 @@ class TestVerifyCmd:
         # grazing slice (sphere top sits at z = 1.5) cannot be traced transversally
         assert main(["verify", "slice-curvature", "--surface", str(sphere_spec),
                      "--direction", "0,0,1", "--level", "1.49"]) == 3
+
+
+    @pytest.mark.parametrize("check", ["normal-tilt", "graph-bounds"])
+    def test_cloud_without_gradient_exit_2(self, cloud_spec, check, capsys):
+        # a point cloud has no level-function gradient: an input error, no traceback
+        assert main(["verify", check, "--surface", str(cloud_spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "implicit_grad" in err
 
 
 class TestMovingPlaneCmd:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from .oracles import (
     quadric_fit_loop,
     touching_ball_gradient,
     touching_ball_height,
+    touching_radius_dense,
     voronoi_cell_area,
 )
 
@@ -257,6 +259,40 @@ class TestEllipsoidProjection:
             np.testing.assert_array_equal(ell.project(P[i]), Q[i])
 
 
+def _sphere_cloud_1500() -> sb.PointCloud:
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((1500, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return sb.PointCloud(u, -u, k=20)
+
+
+_RHO_SURFACES = {
+    "unit_sphere": lambda: sb.Sphere([0.0, 0.0, 0.0], 1.0),
+    "sphere_r3_off_centre": lambda: sb.Sphere([0.3, -0.2, 0.5], 3.0),
+    "ellipsoid_112": lambda: sb.Ellipsoid([1.0, 1.0, 2.0]),
+    "ellipsoid_111": lambda: sb.Ellipsoid([1.0, 1.0, 1.1]),
+    "harmonic": lambda: sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)]),
+    "dumbbell": lambda: sb.HarmonicRadial([(2, 0, 1.8)]),
+    "sphere_cloud": _sphere_cloud_1500,
+}
+
+
+def _fixed_samples(points, normals, kappa: float) -> sb.Surface:
+    """A surface known only through fixed probe samples, normals and one
+    principal curvature value, for the touching-radius scan."""
+
+    class Samples(sb.Surface):
+        dim = points.shape[1]
+
+        def probe_points(self, budget, seed=0):
+            return points
+
+        def curvatures_batch(self, pts):
+            return normals, np.full((pts.shape[0], self.n), kappa)
+
+    return Samples()
+
+
 class TestTouchingRadius:
     def test_sphere(self):
         for r in (0.5, 1.0, 2.5):
@@ -275,6 +311,76 @@ class TestTouchingRadius:
         _, kappas = ell_111.curvatures_batch(ell_111.probe_points(500, 0))
         assert np.all(np.abs(kappas) <= 1.0 / rho + 1e-6)
 
+
+    @pytest.mark.parametrize("name", sorted(_RHO_SURFACES))
+    @pytest.mark.parametrize("budget, seed", [(2000, 0), (2000, 1), (2000, 5), (500, 3)])
+    def test_equals_dense_scan(self, name, budget, seed):
+        # the screened scan returns the every-pair minimum bit for bit
+        surface = _RHO_SURFACES[name]()
+        rho = sb.estimate_touching_radius(surface, budget, seed)
+        assert rho == touching_radius_dense(surface, budget, seed)
+
+    @pytest.mark.parametrize(
+        "budget, pair_budget",
+        [(500, 200), (2000, 5000), (300, 5)],  # the last keeps fewer than 9
+    )
+    def test_equals_dense_scan_pair_budgets(self, ell_111, budget, pair_budget):
+        rho = sb.estimate_touching_radius(ell_111, budget, 0, pair_budget)
+        assert rho == touching_radius_dense(ell_111, budget, 0, pair_budget)
+
+    def test_equals_dense_scan_in_the_plane(self):
+        ell = sb.Ellipsoid([1.0, 0.6])
+        for budget, seed in ((2000, 0), (500, 3)):
+            rho = sb.estimate_touching_radius(ell, budget, seed)
+            assert rho == touching_radius_dense(ell, budget, seed)
+            assert rho == pytest.approx(0.36, rel=0.02)
+
+    def test_duplicated_sample_bounds_nothing(self):
+        # the repeated row makes a pair at distance 0, which no ratio uses
+        rng = np.random.default_rng(12)
+        u = rng.standard_normal((300, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u = np.vstack([u, u[7]])
+        cloud = sb.PointCloud(u, -u, k=20)
+        rho = sb.estimate_touching_radius(cloud, 400, 0)
+        assert rho == touching_radius_dense(cloud, 400, 0)
+        assert rho == pytest.approx(1.0, rel=0.2)
+
+    def test_bound_starts_unbounded(self):
+        # collinear samples with normals across the line bound nothing, so
+        # the running bound stays inf until a pair with the far sample
+        line = np.zeros((200, 3))
+        line[:, 0] = np.linspace(0.0, 2.0, 200)
+        normals = np.tile([0.0, 0.0, 1.0], (201, 1))
+        normals[-1] = [0.0, 1.0, 0.0]
+        flat = _fixed_samples(np.vstack([line, [[9.0, 0.0, 1.0]]]), normals, 0.0)
+        rho = sb.estimate_touching_radius(flat, 200)
+        assert rho == touching_radius_dense(flat, 200)
+        assert rho == pytest.approx(0.5 * (7.0**2 + 1.0))
+
+    def test_screen_slack_keeps_rounding_ties(self):
+        # q lies on the unit ball touching p, so the pair's ratio ties the
+        # curvature bound 1 up to rounding; in full it rounds below 1, while
+        # the screen's other summation order, without its slack, puts it above
+        p = np.array([-0.8835235704250701, 0.2958531929802981, 0.7219709837164454])
+        nu = np.array([0.8009913132319615, 0.5071082108400855, -0.31820461754271434])
+        q = np.array([0.19956767842647583, -0.02330030036399744, 0.891322744987247])
+        # ten near samples and normals that make every other pair bound nothing
+        across = np.cross(nu, q - p)
+        across /= np.linalg.norm(across)
+        near = p + np.outer(np.linspace(0.01, 0.1, 10), np.cross(nu, across))
+        normals = np.vstack([nu, np.tile(across, (11, 1))])
+        tie = _fixed_samples(np.vstack([p, near, q]), normals, 1.0)
+        assert sb.estimate_touching_radius(tie, 100) == touching_radius_dense(tie, 100)
+
+    def test_memory_peak(self):
+        tracemalloc.start()
+        try:
+            sb.estimate_touching_radius(sb.Ellipsoid([1.0, 1.0, 2.0]), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_cache_is_keyed_by_budget_and_seed(self):
         # the cached estimate must not depend on which (budget, seed) was
@@ -456,6 +562,16 @@ class TestPointCloudCapabilities:
         assert ell_111.critical_tolerances(None) == (5e-10 * diam, 1e-11 * diam)
         assert ell_111.critical_tolerances(1e-6) == (1e-6, 1e-11 * diam)
         assert ell_111.critical_tolerances(1e-13) == (1e-13, 1e-13)
+
+    def test_missing_member_names_type_and_member(self, sphere_cloud):
+        with pytest.raises(sb.CapabilityError, match="PointCloud does not provide implicit_grad"):
+            sphere_cloud.implicit_grad(sphere_cloud.points[:3])
+        assert issubclass(sb.CapabilityError, NotImplementedError)
+        assert issubclass(sb.CapabilityError, sb.SurfaceError)
+
+    def test_only_analytic_extrema_refined(self, sphere_cloud, ell_111):
+        assert sb.mean_curvature_oscillation(sphere_cloud, 400).refined is False
+        assert sb.mean_curvature_oscillation(ell_111, 400).refined is True
 
 
 def _ellipsoid_cloud(count: int, seed: int) -> sb.PointCloud:
