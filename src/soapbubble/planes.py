@@ -107,14 +107,30 @@ def _mirror_cap(omega: np.ndarray, lam: float, pts: np.ndarray) -> tuple[np.ndar
     return cap, reflect(cap, omega, lam)
 
 
+def _caps_contained(
+    surface: Surface, omega: np.ndarray, levels: np.ndarray, tol: float, pts: np.ndarray
+) -> np.ndarray:
+    """`reflected_cap_inside(...).inside` at each of the levels, without the
+    signed distances: the largest `protrusion` of each mirrored cap against
+    tol. The caps of all levels go through one stacked `protrusion` call,
+    which projects only the mirrored points the level function puts outside."""
+    mirrored = [_mirror_cap(omega, lam, pts)[1] for lam in levels]
+    sizes = np.array([c.shape[0] for c in mirrored])
+    ok = np.ones(sizes.size, dtype=bool)  # an empty cap is contained
+    full = sizes > 0
+    if full.any():
+        worst = np.maximum.reduceat(
+            surface.protrusion(np.concatenate(mirrored)), (np.cumsum(sizes) - sizes)[full]
+        )
+        ok[full] = worst <= tol
+    return ok
+
+
 def _cap_contained(
     surface: Surface, omega: np.ndarray, lam: float, tol: float, pts: np.ndarray
 ) -> bool:
-    """`reflected_cap_inside(...).inside` without the signed distances: the
-    largest `protrusion` of the mirrored cap against tol. Only the mirrored
-    points the level function puts outside get projected."""
-    _, mirrored = _mirror_cap(omega, lam, pts)
-    return mirrored.shape[0] == 0 or bool(surface.protrusion(mirrored).max() <= tol)
+    """`_caps_contained` at the single level lam."""
+    return bool(_caps_contained(surface, omega, np.array([lam]), tol, pts)[0])
 
 
 @dataclass(frozen=True)
@@ -173,8 +189,9 @@ def critical_position(
     ask the surface for the mirrored cap's `protrusion`, which projects only
     the mirrored points its level function puts outside (those are the only
     ones whose signed distance can be negative); the booleans equal
-    `reflected_cap_inside(...).inside` bit for bit. The contact analysis at
-    the final level keeps the full signed distances.
+    `reflected_cap_inside(...).inside` bit for bit. The sweep stacks the
+    mirrored caps of all its 64 levels into one `protrusion` call. The
+    contact analysis at the final level keeps the full signed distances.
     """
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
@@ -211,9 +228,9 @@ def critical_position(
         m = bisect(lo, hi)
         # verification sweep: the predicate must hold on the whole tail above m
         sweep = np.linspace(m, hi, 65)[1:]
-        fails = [lam for lam in sweep if not inside(lam)]
-        if fails:
-            m = bisect(max(fails), hi)
+        fails = sweep[~_caps_contained(surface, omega, sweep, contain_tol, pts)]
+        if fails.size:
+            m = bisect(float(fails.max()), hi)
 
     # contact analysis at the critical level, from one pass over the mirrored cap
     check, sd = _mirrored_cap(surface, omega, m, contain_tol, pts)

@@ -798,6 +798,8 @@ class PointCloud(Surface):
         return np.where(side >= 0.0, dist, -dist)
 
     def implicit_on_rays(self, origin, directions, ts):
+        # bounds the walk's (rays x samples) tables, not the grid: the caller
+        # sizes its blocks of rays by grid points
         chunk = max(1, int(2e6) // self.points.shape[0])
         idx = np.concatenate(
             [
@@ -1288,9 +1290,15 @@ def _graph_heights_batch(
 def _bisect_along(surface, starts, directions, lo, hi, phi_lo, steps: int) -> np.ndarray:
     """Midpoints of the brackets [lo, hi] of the rows' lines start + t*direction
     after `steps` bisections of the sign (-1, 0 or +1) of `implicit`, batched
-    over the rows; phi_lo is `implicit` at t = lo."""
+    over the rows; phi_lo is `implicit` at t = lo.
+
+    The loop ends early once every row's midpoint rounds to an end of its
+    bracket: no later step can move that midpoint, so the result is the
+    same bit for bit. A row with a NaN bound never stops it."""
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
         phi_mid = surface.implicit(starts + mid[:, None] * directions)
         same = np.sign(phi_mid) == np.sign(phi_lo)
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)

@@ -22,6 +22,14 @@ from .surfaces import OscReport, Surface, mean_curvature_oscillation, touching_r
 
 H_CONVENTION = "inner normal; sphere of radius R has H = +1/R"
 
+# Grid points per block of rays in `count_ray_hits`: 16 rays of the default
+# 2048-point grid. Each block's level table and its sign, deadband and diff
+# temporaries are what the radial-map check holds at once, so this caps its
+# memory (a few MB) whatever the number of rays. On 1500-point sphere clouds
+# at 100 rays it also ran as fast as any of 2**15 to 2**18 points, and about
+# 18% faster than one block holding all 100 rays.
+_RAY_BLOCK_POINTS = 2**15
+
 
 def symmetry_center(
     surface: Surface,
@@ -152,13 +160,18 @@ def count_ray_hits(
 
     A positive `surface.ray_deadband` treats |level| below it as
     sign-preserving, which keeps the staircase noise of sampled surfaces
-    from double-counting a single crossing."""
+    from double-counting a single crossing.
+
+    The rays go through in blocks of `_RAY_BLOCK_POINTS // resolution` (at
+    least one), so memory stays bounded however many rays are asked for.
+    A ray's level values do not depend on the block it shares, so the
+    counts equal those of one block holding every ray."""
     origin = np.asarray(origin, dtype=float)
     deadband = surface.ray_deadband
     ts = np.linspace(t_max / resolution, t_max, resolution)
     cols = np.arange(resolution)
     counts = np.zeros(directions.shape[0], dtype=int)
-    chunk = max(1, int(2e6) // resolution)
+    chunk = max(1, _RAY_BLOCK_POINTS // resolution)  # bounds rays x grid points
     for i0 in range(0, directions.shape[0], chunk):
         phi = surface.implicit_on_rays(origin, directions[i0 : i0 + chunk], ts)
         signs = np.where(phi >= 0.0, 1.0, -1.0)

@@ -305,6 +305,30 @@ def ray_hits_loop(surface, origin, directions, t_max, resolution=2048, deadband=
     return np.sum(np.diff(signs, axis=1) != 0, axis=1)
 
 
+def ray_hits_one_block(surface, origin, directions, t_max, resolution=2048):
+    """`count_ray_hits` with every ray in one block: all level values from
+    one `implicit_on_rays` call."""
+    ts = np.linspace(t_max / resolution, t_max, resolution)
+    phi = surface.implicit_on_rays(np.asarray(origin, dtype=float), directions, ts)
+    signs = np.where(phi >= 0.0, 1.0, -1.0)
+    if surface.ray_deadband > 0.0:
+        cols = np.arange(resolution)
+        src = np.maximum.accumulate(np.where(np.abs(phi) > surface.ray_deadband, cols, -1), axis=1)
+        signs = np.where(src >= 0, np.take_along_axis(signs, src, axis=1), 1.0)
+    return np.sum(np.diff(signs, axis=1) != 0, axis=1)
+
+
+def bisect_along_full(surface, starts, directions, lo, hi, phi_lo, steps):
+    """`_bisect_along` running every one of its `steps` bisections."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        phi_mid = surface.implicit(starts + mid[:, None] * directions)
+        same = np.sign(phi_mid) == np.sign(phi_lo)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        phi_lo = np.where(same, phi_mid, phi_lo)
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # the Newton loop that projection ran on its own, kept as the reference for
 # the shared Lagrange-Newton solver

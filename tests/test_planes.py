@@ -13,6 +13,7 @@ from soapbubble.planes import (
     INTERIOR_TANGENCY,
     CapExtractionError,
     _cap_contained,
+    _caps_contained,
     _mirror_cap,
     critical_caps,
     critical_position,
@@ -141,6 +142,20 @@ class TestContainmentScreen:
         _, mirrored = _mirror_cap(w, lam, pts)
         if mirrored.shape[0]:
             assert surface.protrusion(mirrored).max() == max(check.worst_violation, 0.0)
+
+    @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "offset_sphere", "sphere_cloud"])
+    def test_stacked_levels_equal_one_at_a_time(self, request, name):
+        # one protrusion call over many levels' caps, empty caps among them
+        surface = request.getfixturevalue(name)
+        w = unit(np.array([0.3, -0.5, 0.8]))
+        pts = surface.probe_points(500, 0)
+        lo, hi = -extent(surface, -w, 500, 0), extent(surface, w, 500, 0)
+        levels = lo + (hi - lo) * np.array([0.5, 1.2, 0.1, 0.9, 1.5, 0.45, 0.0, 0.7, 1.01])
+        tol = 1e-3 if name == "sphere_cloud" else 1e-11 * surface.diameter_hint()
+        ok = _caps_contained(surface, w, levels, tol, pts)
+        want = [reflected_cap_inside(surface, w, lam, tol, samples=pts).inside for lam in levels]
+        assert ok.tolist() == want
+        assert ok[[1, 4, 8]].all() and not ok[[2, 6]].any()
 
     @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "offset_sphere", "sphere_cloud"])
     def test_protrusion_near_the_surface(self, request, name):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import soapbubble as sb
 from soapbubble.geometry import tangent_frame
+from soapbubble.surfaces import _bisect_along
 
 from .oracles import (
+    bisect_along_full,
     cloud_area_loop,
     dense_projection_distance,
     ellipsoid_area_brute,
@@ -492,6 +494,62 @@ class TestLocalGraph:
         )
         with pytest.raises(sb.PatchBracketError):
             patch.height(np.array([2.2, 0.0]))
+
+
+class _CountingImplicit:
+    """A surface whose `implicit` calls are counted."""
+
+    def __init__(self, surface):
+        self.surface, self.calls = surface, 0
+
+    def implicit(self, pts):
+        self.calls += 1
+        return self.surface.implicit(pts)
+
+
+class TestBisectAlong:
+    # stopping once no bracket can shrink must return what all the steps return
+    def _both(self, surface, starts, directions, lo, hi):
+        phi_lo = surface.implicit(starts + lo[:, None] * directions)
+        counted = _CountingImplicit(surface)
+        got = _bisect_along(counted, starts, directions, lo, hi, phi_lo, 100)
+        want = bisect_along_full(surface, starts, directions, lo, hi, phi_lo, 100)
+        assert got.tobytes() == want.tobytes()
+        return got, counted.calls
+
+    def test_graph_heights_stop_early(self, ell_112):
+        rng = np.random.default_rng(3)
+        feet = ell_112.probe_points(400, 0)
+        normals, _ = ell_112.curvatures_batch(feet)
+        feet = feet + 0.2 * np.cross(normals, rng.standard_normal(feet.shape))
+        h = np.full(feet.shape[0], 0.5)
+        t, calls = self._both(ell_112, feet, normals, -h, h)
+        assert np.isfinite(t).all()
+        assert calls < 100
+
+    def test_root_at_zero(self, unit_sphere):
+        u = np.eye(3)
+        t, _ = self._both(unit_sphere, u, -u, np.full(3, -0.5), np.full(3, 0.5))
+        assert np.all(np.abs(t) < 1e-15)
+
+    def test_nan_row_runs_every_step(self, unit_sphere):
+        u = np.eye(3)
+        lo = np.array([-0.5, math.nan, -0.5])
+        t, calls = self._both(unit_sphere, 0.9 * u, -u, lo, np.full(3, 0.5))
+        assert math.isnan(t[1]) and np.isfinite(t[[0, 2]]).all()
+        assert calls == 100
+
+    def test_bracket_without_crossing(self, unit_sphere):
+        # the second row's bracket lies inside the sphere: it converges to an end
+        u = np.eye(3)[:2]
+        lo, hi = np.array([-0.5, 0.1]), np.array([0.5, 0.3])
+        t, _ = self._both(unit_sphere, np.array([[0.9, 0, 0], [0, 0.1, 0]]), u, lo, hi)
+        assert t[1] == pytest.approx(0.3)
+
+    def test_one_row(self, radial_bumpy):
+        x = radial_bumpy.probe_points(1, 2)
+        nu, _ = radial_bumpy.curvatures_batch(x)
+        self._both(radial_bumpy, x + 0.01 * nu, nu, np.array([-0.2]), np.array([0.2]))
 
 
 class TestPointCloud:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from soapbubble.symmetry import (
     symmetry_center_robust,
 )
 
-from .oracles import ray_hits_loop
+from .oracles import ray_hits_loop, ray_hits_one_block
 
 ELL111_OSC = 0.18677685950413236
 ELL111_RATIO = 0.1 / ELL111_OSC  # 0.535398...
@@ -197,6 +198,56 @@ class TestRadialMap:
     def test_center_outside_rejected(self, unit_sphere):
         with pytest.raises(ValueError):
             radial_map_check(unit_sphere, np.array([2.0, 0, 0]), 1.0, 1.0)
+
+
+def _circle_cloud(count: int, seed: int) -> sb.PointCloud:
+    th = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, count))
+    u = np.stack([np.cos(th), np.sin(th)], axis=1)
+    return sb.PointCloud(1.5 * u, -u, k=10)
+
+
+def _ray_dirs(count: int, dim: int, seed: int = 3) -> np.ndarray:
+    d = np.random.default_rng(seed).standard_normal((count, dim))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+class TestRayBlocks:
+    # rays go through count_ray_hits in blocks of a fixed number of grid
+    # points; the counts must equal those of one block holding every ray
+    @pytest.fixture(params=["sphere_cloud", "ell_111", "radial_bumpy", "circle_cloud"])
+    def ray_case(self, request):
+        if request.param == "circle_cloud":
+            return _circle_cloud(600, 5), np.array([0.1, -0.05]), 2.0
+        surface = request.getfixturevalue(request.param)
+        return surface, np.array([0.02, -0.03, 0.05]), 2.5
+
+    @pytest.mark.parametrize("n_rays", [1, 17, 1000])
+    def test_equals_one_block(self, ray_case, n_rays):
+        surface, origin, t_max = ray_case
+        dirs = _ray_dirs(n_rays, surface.dim)
+        counts = count_ray_hits(surface, origin, dirs, t_max)
+        np.testing.assert_array_equal(counts, ray_hits_one_block(surface, origin, dirs, t_max))
+        assert counts.min() >= 1
+
+    def test_resolution_above_budget(self, ray_case):
+        # a grid longer than the block budget still runs one ray at a time
+        surface, origin, t_max = ray_case
+        dirs = _ray_dirs(3, surface.dim)
+        res = 2**15 + 37
+        np.testing.assert_array_equal(
+            count_ray_hits(surface, origin, dirs, t_max, resolution=res),
+            ray_hits_one_block(surface, origin, dirs, t_max, resolution=res),
+        )
+
+    def test_memory_peak(self, sphere_cloud):
+        dirs = _ray_dirs(1000, 3)
+        tracemalloc.start()
+        try:
+            count_ray_hits(sphere_cloud, np.zeros(3), dirs, 2.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 @pytest.fixture(scope="module")
