@@ -31,24 +31,16 @@ def tangent_frame(normal: np.ndarray) -> np.ndarray:
 
     Returns an (d-1, d) array of row vectors where d = len(normal).
     Built from a Householder reflection, so the result is deterministic.
-    Rows of normals (m, d) give (m, d-1, d) frames, each rounded exactly as
-    the one-normal call (`tangent_frames` rounds differently).
+    Rows of normals (m, d) give (m, d-1, d) frames; one normal is the
+    one-row case (`tangent_frames` rounds differently).
     """
     w = np.asarray(normal, dtype=float)
-    if w.ndim == 2:
-        norms = _dot_norms(w)
-        if not np.all(np.isfinite(norms) & (norms > 0.0)):
-            raise ValueError("cannot normalize zero or non-finite vector")
-        return _householder_frames(w / norms[:, None], _dot_norms)
-    w = unit(normal)
-    d = w.shape[0]
-    sign = 1.0 if w[-1] >= 0.0 else -1.0
-    v = w.copy()
-    v[-1] += sign
-    v /= np.linalg.norm(v)
-    house = np.eye(d) - 2.0 * np.outer(v, v)
-    # column d-1 of `house` is -sign*w; the remaining columns span normal^perp
-    return house[:, : d - 1].T
+    if w.ndim == 1:
+        return tangent_frame(w[None])[0]
+    norms = _dot_norms(w)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise ValueError("cannot normalize zero or non-finite vector")
+    return _householder_frames(w / norms[:, None], _dot_norms)
 
 
 def tangent_frames(normals: np.ndarray) -> np.ndarray:

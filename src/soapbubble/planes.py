@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import reflect, unit
 from .intrinsic import GeodesicGraph, region_boundary
-from .surfaces import Surface, SurfaceError
+from .surfaces import Surface, SurfaceError, quadratic
 
 INTERIOR_TANGENCY = "interior_tangency"
 BOUNDARY_ORTHOGONALITY = "boundary_orthogonality"
@@ -47,7 +47,7 @@ def extent(
     pts = surface.probe_points(sample_budget, seed)
     heights = pts @ omega
     best = float(heights.max())
-    x, ok = surface.stationary(0.0, -omega[None], pts[[int(np.argmax(heights))]])
+    x, ok = surface.stationary(quadratic(0.0, -omega[None]), pts[[int(np.argmax(heights))]])
     return max(best, float(x[0] @ omega)) if ok[0] else best
 
 

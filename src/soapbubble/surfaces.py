@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -112,6 +113,27 @@ _NEWTON_TOL = 1e-12  # residual at which a row stops
 _NEWTON_MAX_ITER = 80
 
 
+@dataclass(frozen=True)
+class Objective:
+    """f for `Surface.stationary`: `derivs(x, rows)` gives its gradient (k, d)
+    and Hessian (k or 1, d, d) at points x (k, d) standing for rows `rows`.
+    `tol` is the gradient's accuracy: a row stops within it and has converged
+    within 1e4 * tol. `flat` is the Hessian's relative accuracy: a flatter
+    Newton matrix is taken as degenerate."""
+
+    derivs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    tol: float = _NEWTON_TOL
+    flat: float = 1e-10
+
+
+def quadratic(alpha: float, beta: np.ndarray) -> Objective:
+    """f(x) = alpha |x|^2 / 2 + beta . x, one row of beta (m, d) per row: the
+    nearest points to P for alpha = 1, beta = -P; where omega is normal, as
+    at the support point, for alpha = 0, beta = -omega."""
+    hess = alpha * np.eye(beta.shape[1])[None]
+    return Objective(lambda x, rows: (alpha * x + beta[rows], hess))
+
+
 class Surface:
     """Abstract closed embedded hypersurface in R^(n+1).
 
@@ -191,75 +213,80 @@ class Surface:
         it: their projections."""
         return self.project(P)
 
-    def stationary(
-        self, alpha: float, beta: np.ndarray, x0: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stationary points of f(x) = alpha |x|^2 / 2 + beta . x on the surface,
-        one per row of beta (m, d), from the on-surface seeds x0 (m, d).
-
-        Damped Newton on the Lagrange system alpha x + beta - lam grad phi = 0,
-        phi = 0, halving a row's step until its residual does not grow. The seed
+    def stationary(self, objective: Objective, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stationary points of `objective` f on the surface, one per row of
+        the on-surface seeds x0 (m, d): damped Newton on the Lagrange system
+        grad f - lam grad phi = 0, phi = 0 (Jacobian block hess f - lam hess
+        phi), halving a row's step until its residual does not grow. The seed
         decides which stationary point (minimum, maximum or saddle) a row
-        reaches. alpha = 1, beta = -P is the nearest-point system of P; alpha = 0,
-        beta = -omega finds where omega is normal, as at the support point.
-        Returns (points, converged mask).
-        """
+        reaches. A row stops once its gradient residual is within
+        `objective.tol` and |phi| within _NEWTON_TOL. Where the Jacobian is
+        flat to within `objective.flat` (a degenerate extremum, such as a
+        ring of nearest points) the minimum-norm step leaves the flat
+        direction alone instead of sliding along it. Returns (points,
+        converged mask)."""
         k, d = x0.shape
+        every = np.arange(k)
+
+        def residual(F1, phi):
+            # a gradient residual within the objective's accuracy is noise;
+            # NaN stays NaN and stops its row
+            f1 = np.abs(F1).max(axis=1)
+            return np.maximum(np.where(f1 <= objective.tol, 0.0, f1), np.abs(phi))
+
         x = x0.copy()
         g = self.implicit_grad(x)
-        lam = np.einsum("md,md->m", alpha * x + beta, g) / np.maximum(
+        lam = np.einsum("md,md->m", objective.derivs(x, every)[0], g) / np.maximum(
             np.einsum("md,md->m", g, g), 1e-300
         )
         for _ in range(_NEWTON_MAX_ITER):
             g = self.implicit_grad(x)
             h = self.implicit_hess(x)
             phi = self.implicit(x)
-            F1 = alpha * x + beta - lam[:, None] * g
-            res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
-            active = res > _NEWTON_TOL
+            grad, hess = objective.derivs(x, every)
+            F1 = grad - lam[:, None] * g
+            active = residual(F1, phi) > _NEWTON_TOL
             if not active.any():
                 break
             J = np.zeros((k, d + 1, d + 1))
-            J[:, :d, :d] = alpha * np.eye(d)[None] - lam[:, None, None] * h
+            J[:, :d, :d] = hess - lam[:, None, None] * h
             J[:, :d, d] = -g
             J[:, d, :d] = g
             F = np.concatenate([F1, phi[:, None]], axis=1)
             Ja, Fa = J[active], -F[active][:, :, None]
             # |det J| over the product of J's row norms is about 1e-14 at a
-            # degenerate extremum, such as a ring of nearest points, and above
-            # 1e-3 elsewhere; below 1e-10 the minimum-norm step leaves the flat
-            # direction alone instead of sliding along it
+            # degenerate extremum and above 1e-3 elsewhere, when f's Hessian
+            # is exact
             hadamard = np.linalg.slogdet(Ja)[1] - np.log(np.linalg.norm(Ja, axis=2)).sum(axis=1)
-            flat = hadamard < math.log(1e-10)
+            flat = hadamard < math.log(objective.flat)
             step = np.empty(Fa.shape)
             try:
                 step[~flat] = np.linalg.solve(Ja[~flat], Fa[~flat])
                 if flat.any():
-                    step[flat] = np.linalg.pinv(Ja[flat], rcond=1e-10) @ Fa[flat]
+                    step[flat] = np.linalg.pinv(Ja[flat], rcond=objective.flat) @ Fa[flat]
             except np.linalg.LinAlgError:
                 return x, np.zeros(k, dtype=bool) | ~active
             step = step[:, :, 0]
             # backtracking on the residual norm
-            t = np.ones(int(active.sum()))
-            xa, la, ba = x[active], lam[active], beta[active]
-            base = np.abs(F[active]).max(axis=1)
+            rows = np.flatnonzero(active)
+            t = np.ones(rows.size)
+            xa, la = x[rows], lam[rows]
+            base = residual(F1[rows], phi[rows])
             for _ in range(10):
                 xn = xa + t[:, None] * step[:, :d]
                 ln = la + t * step[:, d]
                 gn = self.implicit_grad(xn)
                 phin = self.implicit(xn)
-                Fn = np.concatenate([alpha * xn + ba - ln[:, None] * gn, phin[:, None]], axis=1)
-                worse = np.abs(Fn).max(axis=1) > base
+                worse = residual(objective.derivs(xn, rows)[0] - ln[:, None] * gn, phin) > base
                 if not worse.any():
                     break
                 t = np.where(worse, 0.5 * t, t)
-            x[active] = xa + t[:, None] * step[:, :d]
-            lam[active] = la + t * step[:, d]
+            x[rows] = xa + t[:, None] * step[:, :d]
+            lam[rows] = la + t * step[:, d]
         g = self.implicit_grad(x)
         phi = self.implicit(x)
-        ok = (np.abs(alpha * x + beta - lam[:, None] * g).max(axis=1) <= 1e-8) & (
-            np.abs(phi) <= 1e-10
-        )
+        resid = np.abs(objective.derivs(x, every)[0] - lam[:, None] * g).max(axis=1)
+        ok = (resid <= 1e4 * objective.tol) & (np.abs(phi) <= 1e-10)
         return x, ok
 
     # --- sampling ---
@@ -520,7 +547,8 @@ class HarmonicRadial(Surface):
     Entries are (l, m, coeff). In R^3 the basis is the real orthonormal
     spherical harmonics (Condon-Shortley phase); in R^2 plain Fourier terms:
     m >= 0 means cos(l*theta), m < 0 means sin(l*theta). The radial function
-    is r = base_radius + sum(coeff * basis) and must stay positive.
+    is r = base_radius + sum(coeff * basis) and must stay positive, above
+    1e-3 of its largest value whatever the scale.
     The level function, gradient and Hessian are generated symbolically at
     construction, so curvatures are exact.
     """
@@ -552,7 +580,7 @@ class HarmonicRadial(Surface):
         )
 
         self._r_min, self._r_max = self._radial_range()
-        if self._r_min <= 1e-3:
+        if self._r_min <= 1e-3 * self._r_max:
             raise ValueError(f"radial function reaches {self._r_min:.4g}; must stay positive")
 
     def _radial_range(self) -> tuple[float, float]:
@@ -708,13 +736,13 @@ def _project_newton(surface: HarmonicRadial, P: np.ndarray, seeds: np.ndarray) -
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         return u * surface.radial(u)[:, None]
 
-    x, ok = surface.stationary(1.0, -P, seeds)
+    x, ok = surface.stationary(quadratic(1.0, -P), seeds)
     if not ok.all():
         rng = np.random.default_rng(7)
         for _ in range(4):
             bad = ~ok
             jitter = 0.35 * rng.standard_normal((int(bad.sum()), d))
-            xb, okb = surface.stationary(1.0, -P[bad], seed_for(P[bad], jitter))
+            xb, okb = surface.stationary(quadratic(1.0, -P[bad]), seed_for(P[bad], jitter))
             x[bad] = np.where(okb[:, None], xb, x[bad])
             ok[bad] |= okb
             if ok.all():
@@ -865,7 +893,7 @@ class PointCloud(Surface):
         # nearest sample, up to a spacing away
         return P
 
-    def stationary(self, alpha, beta, x0):
+    def stationary(self, objective, x0):
         # nothing lies between the samples, so every seed stands
         return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
 
@@ -1013,52 +1041,63 @@ def evaluate_sample(surface: Surface, seed: np.ndarray) -> SurfaceSample:
     return SurfaceSample(p, nu, kappas, float(kappas.mean()))
 
 
-def _refine_extremum(surface: Surface, x0: np.ndarray, sign: float) -> tuple[np.ndarray, float]:
-    """Projected-gradient ascent (sign=+1) or descent (sign=-1) of the mean
-    curvature H on the surface, with backtracking. The tangential gradient
-    of H takes central differences over the projected points p +- h e_i of
-    the tangent frame. Returns (point, H)."""
-    scale = surface.bounding_radius()
-    h = 1e-5 * scale
-    n = surface.n
+def _refine_extremum(surface: Surface, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stationary points of the mean curvature H near the on-surface seeds
+    (m, d), all in one `Surface.stationary` solve: (points, H there,
+    converged mask).
 
-    def mean_h(P):
-        return surface.curvatures_batch(P)[1].mean(axis=1)
+    The objective is the level-set mean curvature that `curvatures_batch`
+    returns off the surface, a smooth extension of H, so no difference point
+    is projected. Its gradient and Hessian are central differences over
+    x + h (+-e_i +-e_j) for all i, j, with h = 5e-5 R, R the bounding radius:
+    along the axes (i = j) they span 2h = 1e-4 R.
+    """
+    d = surface.dim
+    R = surface.bounding_radius()
+    h = 5e-5 * R
+    E = h * np.eye(d)
+    stencil = np.concatenate([E[:, None] + E, E[:, None] - E, -E[:, None] - E]).reshape(-1, d)
 
-    p = surface.project(np.asarray(x0, dtype=float))
-    val = float(mean_h(p[None])[0])
-    step = 0.05 * scale
-    for _ in range(50):
-        g = surface.implicit_grad(p)
-        frame = tangent_frame(g / np.linalg.norm(g))
-        hs = mean_h(surface.project(p + h * np.concatenate([frame, -frame])))
-        grad_t = (hs[:n] - hs[n:]) / (2.0 * h)
-        gnorm = float(np.linalg.norm(grad_t))
-        if gnorm * step < 1e-15 * max(1.0, abs(val)):
-            break
-        direction = sign * (frame.T @ grad_t) / gnorm
-        improved = False
-        t = step
-        for _ in range(20):
-            cand = surface.project(p + t * direction)
-            cval = float(mean_h(cand[None])[0])
-            if sign * (cval - val) > 0:
-                p, val = cand, cval
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        step = min(2.0 * t, 0.05 * scale)
-    return p, val
+    def differences(x):
+        H = surface.curvatures_batch((x[:, None] + stencil).reshape(-1, d))[1].mean(axis=1)
+        pp, pm, mm = np.moveaxis(H.reshape(-1, 3, d, d), 1, 0)  # pm[:, i, i] = H(x)
+        hess = (pp - pm - np.swapaxes(pm, 1, 2) + mm) / (4.0 * h * h)
+        return pm[:, 0, 0], np.diagonal(pp - mm, axis1=1, axis2=2) / (4.0 * h), hess
+
+    # Row r extremises f = c_r H, with c_r such that f's Hessian at the seed,
+    # or the curvature scale max|H| / R^2 if that is larger, is the size of
+    # grad phi there: Newton's matrix is then balanced at any scale of the
+    # surface and however sharply H bends (a dumbbell's neck), as the
+    # flatness test needs. A power of two, c_r adds no rounding.
+    H0, _, hess0 = differences(seeds)
+    G = np.linalg.norm(surface.implicit_grad(seeds), axis=1)
+    bend = np.maximum(np.abs(hess0).max(axis=(1, 2)), np.abs(H0).max() / R**2)
+    c = 2.0 ** np.round(np.log2(G / bend))
+
+    def derivs(x, rows):
+        _, grad, hess = differences(x)
+        return c[rows, None] * grad, c[rows, None, None] * hess
+
+    # The gradient is accurate to about (2h/R)^2 = 1e-8 of its size G R; in
+    # the Hessian, rounding of H (about 1e-14) grows by (R/h)^2 to about
+    # 4e-6. tol leaves a factor 100 on the first, flat a factor 25 on the
+    # second.
+    x, ok = surface.stationary(Objective(derivs, tol=1e-6 * G.max() * R, flat=1e-4), seeds)
+    # the solve stops at |phi| <= 1e-12 and H moves with phi to first order:
+    # one Newton step on phi alone puts the points on the surface to rounding
+    g = surface.implicit_grad(x)
+    x = x - (surface.implicit(x) / np.einsum("md,md->m", g, g))[:, None] * g
+    return x, surface.curvatures_batch(x)[1].mean(axis=1), ok
 
 
 def mean_curvature_oscillation(
     surface: Surface, sample_budget: int = 2000, seed: int = 0
 ) -> OscReport:
-    """max H - min H over the surface, from samples plus local refinement of
-    the five lowest and five highest samples, on surfaces that have points
-    between their samples (`Surface.refines_extrema`; not a point cloud)."""
+    """max H - min H over the surface, from samples. On surfaces that have
+    points between their samples (`Surface.refines_extrema`; not a point
+    cloud) the five lowest and five highest seed one `Surface.stationary`
+    solve with H as the objective (`_refine_extremum`); a row replaces its
+    sample only if it converged and moved H outwards."""
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
     pts = surface.probe_points(sample_budget, seed)
@@ -1070,14 +1109,13 @@ def mean_curvature_oscillation(
 
     refined = surface.refines_extrema
     if refined:
-        for i in order[:5]:
-            q, v = _refine_extremum(surface, pts[i], sign=-1.0)
-            if v < min_h:
-                min_h, argmin = v, q
-        for i in order[-5:]:
-            q, v = _refine_extremum(surface, pts[i], sign=+1.0)
-            if v > max_h:
-                max_h, argmax = v, q
+        rows = np.concatenate([order[:5], order[:-6:-1]])
+        q, v, ok = _refine_extremum(surface, pts[rows])
+        # a row keeps its sample unless it converged and moved H outwards
+        better = ok & (np.repeat([-1.0, 1.0], 5) * (v - hs[rows]) > 0)
+        v, q = np.where(better, v, hs[rows]), np.where(better[:, None], q, pts[rows])
+        lo, hi = int(np.argmin(v[:5])), 5 + int(np.argmax(v[5:]))
+        min_h, argmin, max_h, argmax = float(v[lo]), q[lo], float(v[hi]), q[hi]
 
     spacing = surface.diameter_hint() / math.sqrt(max(sample_budget, 1))
     return OscReport(

@@ -18,7 +18,7 @@ import numpy as np
 from .constants import ConstantsReport, compute_constants
 from .geometry import unit
 from .planes import CriticalPlane, axis_critical_planes, critical_position
-from .surfaces import OscReport, Surface, mean_curvature_oscillation, touching_radius
+from .surfaces import OscReport, Surface, mean_curvature_oscillation, quadratic, touching_radius
 
 H_CONVENTION = "inner normal; sphere of radius R has H = +1/R"
 
@@ -86,7 +86,7 @@ def radial_bounds(
     p_i, p_e = pts[int(np.argmin(r))], pts[int(np.argmax(r))]
     r_i, r_e = float(r.min()), float(r.max())
     beta = np.broadcast_to(-center, (2, surface.dim))
-    x, ok = surface.stationary(1.0, beta, np.stack([p_i, p_e]))
+    x, ok = surface.stationary(quadratic(1.0, beta), np.stack([p_i, p_e]))
     v = np.linalg.norm(x - center, axis=1)
     if ok[0] and v[0] < r_i:
         r_i, p_i = float(v[0]), x[0]

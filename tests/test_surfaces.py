@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import soapbubble as sb
 from soapbubble.geometry import tangent_frame
-from soapbubble.surfaces import _bisect_along
+from soapbubble.surfaces import _bisect_along, quadratic
 
 from .oracles import (
     bisect_along_full,
@@ -110,6 +110,69 @@ class TestOscillation:
         assert rep.max_h == pytest.approx(1.1, rel=1e-6)
         assert rep.min_h == pytest.approx(ELL111_H_EQUATOR, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "axes", [(1.0, 1.0, 1.1), (1.0, 1.0, 2.0), (1.0, 1.5, 2.5), (1e-3, 1e-3, 1.1e-3)]
+    )
+    def test_refined_extrema_closed_form(self, axes):
+        # H at the end of axis i is the mean of a_i / a_j^2 over j != i; the
+        # spheroids' minima lie on a ring of extrema
+        a = np.array(axes)
+        ends = [np.mean([a[i] / a[j] ** 2 for j in range(3) if j != i]) for i in range(3)]
+        s = sb.Ellipsoid(axes)
+        rep = sb.mean_curvature_oscillation(s, 4000, 0)
+        # a few ulp: H is read on the surface to rounding, not 1e-12 off it
+        assert rep.min_h == pytest.approx(min(ends), rel=1e-14, abs=0.0)
+        assert rep.max_h == pytest.approx(max(ends), rel=1e-14, abs=0.0)
+        for p in (rep.argmin, rep.argmax):
+            assert abs(s.implicit(p)) <= 1e-10 * s.bounding_radius()
+        # every row, ring rows included, stops within the objective's accuracy
+        pts = s.probe_points(4000, 0)
+        order = np.argsort(s.curvatures_batch(pts)[1].mean(axis=1))
+        _, _, ok = sb.surfaces._refine_extremum(s, pts[np.r_[order[:5], order[-5:]]])
+        assert ok.all()
+
+    @pytest.mark.parametrize(
+        "coeffs, min_h, max_h",
+        [
+            ([(2, 0, 0.15), (3, 0, 0.05)], 0.8422096297769672, 1.2797335880834475),
+            (
+                [(2, 0, 0.1), (3, 1, 0.05), (4, -2, 0.03), (5, 3, 0.02)],
+                0.6060966277787876,
+                1.3261002943895708,
+            ),
+            # a dumbbell: H bends sharply around the ring of its neck
+            ([(2, 0, 1.8)], -6.8002205747938405, 1.2152784564741714),
+        ],
+    )
+    def test_refined_extrema_harmonic(self, coeffs, min_h, max_h):
+        # no worse than the projected finite-difference ascent reached
+        s = sb.HarmonicRadial(coeffs)
+        rep = sb.mean_curvature_oscillation(s, 4000, 0)
+        assert rep.min_h <= min_h + 1e-12 * abs(min_h)
+        assert rep.max_h >= max_h - 1e-12 * abs(max_h)
+        for p in (rep.argmin, rep.argmax):
+            assert abs(s.implicit(p)) <= 1e-10 * s.bounding_radius()
+
+    def test_row_keeps_sample_unless_converged_and_improved(self, ell_111, monkeypatch):
+        pts = ell_111.probe_points(500, 0)
+        hs = ell_111.curvatures_batch(pts)[1].mean(axis=1)
+
+        def fake(surface, seeds):
+            # rows 0 and 5 improve but did not converge; rows 1 and 6 converged
+            # but moved H inwards; row 2 converged and improved
+            v = surface.curvatures_batch(seeds)[1].mean(axis=1)
+            v = v + np.array([-1.0, 0.5, -0.25, 0.0, 0.0, 1.0, -0.5, 0.0, 0.0, 0.0])
+            ok = np.array([False, True, True, True, True, False, True, True, True, True])
+            return seeds + 1.0, v, ok
+
+        monkeypatch.setattr(sb.surfaces, "_refine_extremum", fake)
+        rep = sb.mean_curvature_oscillation(ell_111, 500, 0)
+        i = np.argsort(hs)[2]
+        assert rep.min_h == hs[i] - 0.25
+        np.testing.assert_array_equal(rep.argmin, pts[i] + 1.0)
+        assert rep.max_h == hs.max()
+        np.testing.assert_array_equal(rep.argmax, pts[np.argmax(hs)])
+
     def test_flat_radial_graph_is_sphere(self, radial_unit):
         rep = sb.mean_curvature_oscillation(radial_unit, 500)
         assert rep.osc <= 1e-9
@@ -180,6 +243,19 @@ class TestHarmonicRadial:
                 warnings.simplefilter("error")
                 rows = surf.implicit(P)
             np.testing.assert_array_equal(rows, surf.radial(np.eye(dim)[0])[0])
+
+    def test_positivity_guard_is_scale_free(self):
+        # a sphere of radius 1e-3 and a small bump on it are surfaces
+        u = np.random.default_rng(3).standard_normal((50, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        for coeffs, small in (([], []), ([(2, 0, 0.15)], [(2, 0, 1.5e-4)])):
+            tiny = sb.HarmonicRadial(small, base_radius=1e-3)
+            unit = sb.HarmonicRadial(coeffs)
+            np.testing.assert_allclose(tiny.radial(u), 1e-3 * unit.radial(u), rtol=1e-14)
+        rejected = (([(2, 0, -2.0)], 1.0), ([(2, 0, -1.6)], 1.0), ([(2, 0, -1.6e-3)], 1e-3))
+        for coeffs, base in rejected:
+            with pytest.raises(ValueError, match="must stay positive"):
+                sb.HarmonicRadial(coeffs, base_radius=base)
 
     def test_projection_matches_newton_loop(self, radial_bumpy):
         # the shared Lagrange-Newton solver with alpha = 1, beta = -P rounds
@@ -601,7 +677,7 @@ class TestPointCloudCapabilities:
         seeds = np.vstack([sphere_cloud.points[:4], rng.uniform(-1, 1, (3, 3))])
         beta = rng.standard_normal(seeds.shape)
         for alpha in (0.0, 1.0):
-            x, ok = sphere_cloud.stationary(alpha, beta, seeds)
+            x, ok = sphere_cloud.stationary(quadratic(alpha, beta), seeds)
             np.testing.assert_array_equal(x, seeds)
             assert x is not seeds
             assert ok.dtype == bool and ok.shape == (7,) and not ok.any()
@@ -836,6 +912,25 @@ class TestOnePointParity:
             nu1, k1 = surface.curvature_at(q)
             np.testing.assert_array_equal(nu1, nu)
             np.testing.assert_array_equal(k1, k)
+
+    @given(
+        d=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        last=st.sampled_from([None, 0.0, -0.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tangent_frame_one_normal_equals_its_row(self, d, seed, scale, last):
+        W = scale * np.random.default_rng(seed).standard_normal((5, d))
+        if last is not None:
+            W[:, -1] = last
+        for w, frame in zip(W, tangent_frame(W)):
+            one = tangent_frame(w)
+            np.testing.assert_array_equal(one, frame)
+            np.testing.assert_array_equal(np.signbit(one), np.signbit(frame))
+        for bad in (np.zeros(d), np.full(d, np.nan)):
+            with pytest.raises(ValueError):
+                tangent_frame(bad)
 
 
 class TestDeterminism:
