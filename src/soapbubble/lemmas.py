@@ -258,7 +258,7 @@ def slice_curvature_bounds(
                 "bounds": [float(lower[i]), float(upper[i])], "s": float(s[i])}
 
     return _tally("slice-curvature", margins, tol, witness,
-                  notes=[f"trace_points={len(P)}"])
+                  notes=[f"trace_points={len(P)}", f"march_steps={trace.march_steps}"])
 
 
 def _slice_seed(surface: Surface, omega: np.ndarray, level: float) -> np.ndarray:
@@ -286,10 +286,11 @@ def projected_curvature_bounds(
     omega1, omega2 = unit(omega1), unit(omega2)
     seed_pt = _slice_seed(surface, omega1, level)
     trace = trace_plane_section(surface.implicit, surface.implicit_grad, omega1, level, seed_pt, step)
-    return _projected_bound_from_trace(trace.points, surface, omega1, omega2, tol)
+    return _projected_bound_from_trace(trace, surface, omega1, omega2, tol)
 
 
-def _projected_bound_from_trace(P, surface, omega1, omega2, tol, nu_unit=None):
+def _projected_bound_from_trace(trace, surface, omega1, omega2, tol, nu_unit=None):
+    P = trace.points
     # tangents of the source curve; omega2 must stay non-tangent
     tang = np.roll(P, -1, axis=0) - np.roll(P, 1, axis=0)
     tang /= np.linalg.norm(tang, axis=1, keepdims=True)
@@ -320,7 +321,8 @@ def _projected_bound_from_trace(P, surface, omega1, omega2, tol, nu_unit=None):
         }
 
     return _tally("projected-curvature", margins, tol, witness,
-                  notes=[f"trace_points={len(P)}", f"omega1.omega2={w12:.6g}"])
+                  notes=[f"trace_points={len(P)}", f"march_steps={trace.march_steps}",
+                         f"omega1.omega2={w12:.6g}"])
 
 
 def figure_projection_check(step: float = 0.02) -> dict:
@@ -358,11 +360,12 @@ def figure_projection_check(step: float = 0.02) -> dict:
     nus = g / np.linalg.norm(g, axis=1, keepdims=True)
     nu_raw = nus - (nus @ omega1)[:, None] * omega1[None, :]
     nu_unit = nu_raw / np.linalg.norm(nu_raw, axis=1, keepdims=True)
-    verdict = _projected_bound_from_trace(P, None, omega1, omega2, FD_TOL, nu_unit=nu_unit)
+    verdict = _projected_bound_from_trace(trace, None, omega1, omega2, FD_TOL, nu_unit=nu_unit)
 
     expected_kappa = 1.0 / math.sqrt(18.0)
     return {
         "trace_points": len(P),
+        "march_steps": trace.march_steps,
         "kappa_projected_max_dev": float(np.abs(kap_proj - expected_kappa).max()),
         "expected_kappa": expected_kappa,
         "center": center.tolist(),

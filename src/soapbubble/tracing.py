@@ -1,17 +1,31 @@
 """Plane-section tracing of implicit surfaces in R^3 and discrete curvature
 of the traced curves.
 
-The tracer is a predictor-corrector continuation on the two constraints
-(on the surface, on the plane): predict along the cross product of the two
-constraint gradients, correct by Newton on the 2x3 system, with the step
-adapted to the local turning angle. The corrector `_correct` works on rows:
-each Newton step solves the 2x2 Gram system of the two gradients in closed
-form for every row still moving, and a row stops once both residuals are
-below `ftol`, so a row lands where it would alone. The seed and each march
-step correct one row; the arclength resample of a closed trace corrects all
-its points in one call. Curvature along a trace comes from the
-circumscribed circle of consecutive point triples, which is exact on
-circles regardless of step size.
+A section {phi = 0, x . omega = level} is traced in two stages.
+
+The march only finds the closed loop. It is a predictor-corrector
+continuation on the two constraints: predict along the cross product of the
+two constraint gradients, correct by Newton on the 2x3 system. Its step
+follows the curve's turning, not the output spacing: it halves while a step
+turns the tangent by more than 0.35 rad and doubles while it turns by less
+than 0.08 rad, between step/64 and `_MARCH_GROWTH` * step. The march closes
+once it comes back within 1.2 steps of the seed.
+
+The output comes from two arclength resamples at spacing `step`, each of
+which lands all its points on the section in one corrector call. The first
+resamples the coarse march polyline. Its points lie on the section, but
+the coarse chords are shorter than the arcs they cut, so they are not evenly
+spaced along the curve. The second resamples that fine loop, so its
+arclength targets come from a polyline as fine as the output.
+
+The corrector `_correct` works on rows: each Newton step solves the 2x2
+Gram system of the two gradients in closed form for every row still
+moving. A row stops once both residuals, measured as lengths, are at most
+`_LAND_RTOL` times its distance from the origin, so it lands where it would
+alone and the rule holds at every scale; a row that does not land raises
+`TracingError`. Curvature along a trace comes from the circumscribed circle
+of consecutive point triples, which is exact on circles regardless of step
+size.
 """
 
 from __future__ import annotations
@@ -22,6 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import row_dots, unit
+
+# The march step may grow to this multiple of the output spacing. The
+# turning-angle control keeps a step within 0.35 rad of turning anyway; the
+# cap keeps the closing chord, and the first resample's chords, short enough
+# for the corrector to land their points on the nearby arc.
+_MARCH_GROWTH = 8
+_MAX_STEPS = 200000  # accepted plus rejected march steps before giving up
+
+# A row lands once |phi| / |grad phi| and |x . omega - level| (both lengths)
+# are at most _LAND_RTOL * |x|. Evaluating either residual rounds at about
+# 1e-16 |x| (1.1e-13 on a section of HarmonicRadial([(2,0,.15),(3,0,.05)],
+# base_radius=1e3)), so a bound fixed in absolute units cannot be met on large
+# surfaces; 1e-14 leaves a factor of about 100 above that floor.
+_LAND_RTOL = 1e-14
 
 
 class TracingError(Exception):
@@ -37,29 +65,39 @@ class Trace:
     points: np.ndarray   # (m, 3), closed loop (no repeated endpoint)
     closed: bool
     step: float
+    march_steps: int     # accepted predictor steps of the march
 
 
-def _correct(phi, grad, omega, level, P, iters=30, ftol=1e-13):
+def _correct(phi, grad, omega, level, P, iters=30):
     """Newton-correct each row of P (m, 3) onto {phi = 0, x . omega = level}.
 
     A step moves a row by J^T lam with J = [grad phi; omega], where lam
     solves the Gram system [[g.g, g.omega], [g.omega, omega.omega]] lam = -f
-    by Cramer's rule. A row stops once max(|phi|, |x . omega - level|) <
-    ftol, so its result does not depend on the other rows.
+    by Cramer's rule. A row stops once both residuals, as lengths, are at
+    most _LAND_RTOL * |x|, so its result does not depend on the other rows.
+    A row still off the section after `iters` steps raises TracingError.
     """
     P = np.array(P, dtype=float)
     live = np.arange(P.shape[0])
     ww = float(omega @ omega)
-    for _ in range(iters):
+    for it in range(iters + 1):
         X = P[live]
         f0 = np.asarray(phi(X), dtype=float)
         f1 = row_dots(X, omega) - level
-        moving = ~(np.maximum(np.abs(f0), np.abs(f1)) < ftol)
-        if not moving.any():
-            break
-        live, X, f0, f1 = live[moving], X[moving], f0[moving], f1[moving]
         g = np.asarray(grad(X), dtype=float)
         gg, gw = row_dots(g, g), row_dots(g, omega)
+        bound2 = _LAND_RTOL**2 * row_dots(X, X)
+        moving = ~((f0 * f0 <= bound2 * gg) & (f1 * f1 <= bound2 * ww))
+        if not moving.any():
+            return P
+        live, X, f0, f1 = live[moving], X[moving], f0[moving], f1[moving]
+        g, gg, gw = g[moving], gg[moving], gw[moving]
+        if it == iters:
+            i = int(live[0])
+            raise TracingError(
+                f"row {i} at {P[i]} did not land on the section within {iters} Newton "
+                f"steps: |phi| = {abs(f0[0]):.3g}, |x.omega - level| = {abs(f1[0]):.3g}"
+            )
         det = gg * ww - gw * gw
         if np.any(det <= 0.0):
             raise TangentialSliceError(
@@ -69,7 +107,6 @@ def _correct(phi, grad, omega, level, P, iters=30, ftol=1e-13):
         lam_g = (gw * f1 - ww * f0) / det
         lam_w = (gw * f0 - gg * f1) / det
         P[live] = X + lam_g[:, None] * g + lam_w[:, None] * omega
-    return P
 
 
 def _cross(a, b):
@@ -89,14 +126,21 @@ def trace_plane_section(
     level: float,
     seed_point: np.ndarray,
     step: float = 0.02,
-    max_steps: int = 200000,
 ) -> Trace:
     """Trace the closed intersection curve of {phi = 0} with the hyperplane
-    {x . omega = level}, starting near seed_point."""
+    {x . omega = level}, starting near seed_point, as points evenly spaced
+    `step` apart in arclength."""
     omega = unit(np.asarray(omega, dtype=float))
-    p0 = _correct(phi, grad, omega, level, np.asarray(seed_point, dtype=float)[None])[0]
-    if abs(float(phi(p0))) > 1e-9 or abs(float(p0 @ omega - level)) > 1e-9:
-        raise TracingError("could not land the seed on the section")
+
+    def land(P):
+        return _correct(phi, grad, omega, level, P)
+
+    try:
+        p0 = land(np.asarray(seed_point, dtype=float)[None])[0]
+    except TangentialSliceError:
+        raise
+    except TracingError as exc:
+        raise TracingError(f"could not land the seed on the section: {exc}") from exc
 
     def tangent(p):
         g = np.asarray(grad(p), dtype=float)
@@ -109,10 +153,11 @@ def trace_plane_section(
     pts = [p0]
     t_prev = tangent(p0)
     h = step
+    h_max = _MARCH_GROWTH * step
     travelled = 0.0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         p = pts[-1]
-        cand = _correct(phi, grad, omega, level, (p + h * t_prev)[None])[0]
+        cand = land((p + h * t_prev)[None])[0]
         t_new = tangent(cand)
         turn = math.acos(float(np.clip(t_prev @ t_new, -1.0, 1.0)))
         if turn > 0.35 and h > step / 64.0:
@@ -121,18 +166,18 @@ def trace_plane_section(
         pts.append(cand)
         travelled += float(np.linalg.norm(cand - p))
         t_prev = t_new
-        if turn < 0.08 and h < step:
-            h = min(step, 2.0 * h)
+        if turn < 0.08 and h < h_max:
+            h = min(h_max, 2.0 * h)
         if len(pts) > 8 and np.linalg.norm(cand - p0) < 1.2 * h and travelled > 6.0 * step:
-            points = _resample_closed(np.array(pts), phi, grad, omega, level, step)
-            return Trace(points=points, closed=True, step=step)
+            fine = _resample_closed(np.array(pts), land, step)
+            points = _resample_closed(fine, land, step)
+            return Trace(points=points, closed=True, step=step, march_steps=len(pts) - 1)
     raise TracingError("section did not close within the step budget")
 
 
-def _resample_closed(pts, phi, grad, omega, level, step):
-    """Even out the arclength spacing of a closed trace (the closing seam is
-    irregular otherwise, which degrades discrete curvature there) and land
-    every resampled point back on the section."""
+def _resample_closed(pts, land, step):
+    """Points at even arclength `step` along the closed polyline `pts`,
+    starting at its first point, landed back on the section in one batch."""
     closed = np.vstack([pts, pts[:1]])
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -142,7 +187,7 @@ def _resample_closed(pts, phi, grad, omega, level, step):
     idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
     frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
     rough = closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx])
-    return _correct(phi, grad, omega, level, rough)
+    return land(rough)
 
 
 def curve_curvatures(points: np.ndarray, closed: bool = True) -> np.ndarray:

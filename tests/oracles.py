@@ -419,3 +419,78 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
     if not ok.all():
         raise RuntimeError(f"projection failed for {int((~ok).sum())} of {m} points")
     return x
+
+
+# ---------------------------------------------------------------------------
+# the plane-section march that produced one point per output point, kept as
+# the reference for the coarse march and its two resamples
+
+
+def _correct_fixed_tol(phi, grad, omega, level, P, iters=30, ftol=1e-13):
+    """Newton on {phi = 0, x . omega = level}, row by row, stopping a row once
+    both residuals are below the absolute `ftol` (or after `iters` steps)."""
+    P = np.array(P, dtype=float)
+    for i in range(P.shape[0]):
+        x = P[i]
+        for _ in range(iters):
+            f0 = float(phi(x[None])[0])
+            f1 = float(x @ omega) - level
+            if max(abs(f0), abs(f1)) < ftol:
+                break
+            g = np.asarray(grad(x[None]), dtype=float)[0]
+            gg, gw, ww = float(g @ g), float(g @ omega), float(omega @ omega)
+            det = gg * ww - gw * gw
+            if det <= 0.0:
+                raise RuntimeError(f"parallel constraint gradients at {x}")
+            x = x + ((gw * f1 - ww * f0) / det) * g + ((gw * f0 - gg * f1) / det) * omega
+        P[i] = x
+    return P
+
+
+def trace_plane_section_fine(phi, grad, omega, level, seed_point, step=0.02):
+    """Points of the closed section {phi = 0, x . omega = level} through the
+    seed's component: a predictor-corrector march whose step never exceeds
+    the output spacing `step` (halved while a step turns the tangent by more
+    than 0.35 rad, doubled back below 0.08 rad), closed once it returns
+    within 1.2 steps of the seed, then resampled once at even arclength
+    `step` and landed back on the section."""
+    omega = np.asarray(omega, dtype=float)
+    omega = omega / np.linalg.norm(omega)
+
+    def land(P):
+        return _correct_fixed_tol(phi, grad, omega, level, P)
+
+    def tangent(p):
+        t = np.cross(np.asarray(grad(p[None]), dtype=float)[0], omega)
+        return t / np.linalg.norm(t)
+
+    p0 = land(np.asarray(seed_point, dtype=float)[None])[0]
+    pts = [p0]
+    t_prev = tangent(p0)
+    h = step
+    travelled = 0.0
+    for _ in range(200000):
+        p = pts[-1]
+        cand = land((p + h * t_prev)[None])[0]
+        t_new = tangent(cand)
+        turn = math.acos(float(np.clip(t_prev @ t_new, -1.0, 1.0)))
+        if turn > 0.35 and h > step / 64.0:
+            h *= 0.5
+            continue
+        pts.append(cand)
+        travelled += float(np.linalg.norm(cand - p))
+        t_prev = t_new
+        if turn < 0.08 and h < step:
+            h = min(step, 2.0 * h)
+        if len(pts) > 8 and np.linalg.norm(cand - p0) < 1.2 * h and travelled > 6.0 * step:
+            break
+    else:
+        raise RuntimeError("section did not close within the step budget")
+    closed = np.vstack(pts + [p0])
+    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    count = max(8, int(round(cum[-1] / step)))
+    targets = np.linspace(0.0, cum[-1], count, endpoint=False)
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
+    frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
+    return land(closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx]))
