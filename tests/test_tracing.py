@@ -59,12 +59,14 @@ def _length(P):
 
 
 # the largest |kappa - kappa_fine| / max kappa_fine on the dumbbell's neck
-# sections, where kappa * step reaches 0.23 and 0.63 and the fine march's
-# chord-based arclength targets space its output unevenly (relative spread
-# 6e-4 and 1.8e-2, against 1.4e-4 and 2.9e-3 for the two resamples)
-NECK_KAPPA_DEV = {"neck0.015": 2.5e-4, "neck0.05": 1.5e-2}
-
-
+# sections, where kappa * step reaches 0.23 and 0.63: the two tracers place
+# their points along the tight neck a little differently
+NECK_KAPPA_DEV = {"neck0.015": 2.5e-4, "neck0.05": 1e-3}
+# relative length gap at kappa * step = 0.63 (1.4e-7 measured). Against a
+# trace at step/64, the coarse march's points are the more evenly spaced in
+# arclength (spread 1.2e-3 against 2.0e-3) and its polygon the nearer in
+# length (3.454e-4 short against 3.455e-4).
+NECK_LENGTH_RTOL = {"neck0.05": 2e-7}
 @pytest.mark.parametrize(
     "name",
     ["sphere0.0", "sphere0.3", "sphere-0.6", "battery0", "battery1", "battery2",
@@ -82,12 +84,51 @@ def test_coarse_march_matches_fine_march(request, name):
     np.testing.assert_allclose(P[0], fine[0], rtol=0, atol=1e-12)
     gap = np.linalg.norm(P[:, None, :] - fine[None, :, :], axis=2).min(axis=1)
     assert gap.max() < step
-    assert abs(_length(P) - _length(fine)) <= (1e-5 if name == "neck0.05" else 1e-7) * _length(fine)
+    assert abs(_length(P) - _length(fine)) <= NECK_LENGTH_RTOL.get(name, 1e-7) * _length(fine)
     k, k_fine = curve_curvatures(P), curve_curvatures(fine)
     dev = np.abs(k - k_fine).max() / k_fine.max()
     assert dev <= NECK_KAPPA_DEV.get(name, 1e-6)
     # the march steps at the curve's turning, not at the output spacing
     assert trace.march_steps < len(P) / 2
+
+
+def test_thin_section_traced_once_round():
+    # the section is 0.069 wide, narrower than the march's longest step (0.08)
+    # along its flat sides, so only the step running past the seed in the
+    # seed's direction may close the loop
+    surface = sb.Ellipsoid([1.0, 1.0, 0.04])
+    w, step = np.array([1.0, 0, 0]), 0.01
+    seed = _slice_seed(surface, w, 0.5)
+    phi, grad = surface.implicit, surface.implicit_grad
+    trace = trace_plane_section(phi, grad, w, 0.5, seed, step)
+    fine = trace_plane_section_fine(phi, grad, w, 0.5, seed, step)
+    P = trace.points
+    assert trace.closed
+    assert len(P) == len(fine)
+    # the ellipse's parameter angle runs once round, one way
+    a = math.sqrt(0.75)
+    angle = np.unwrap(np.arctan2(P[:, 2] / (0.04 * a), P[:, 1] / a))
+    assert np.all(np.diff(angle) > 0) or np.all(np.diff(angle) < 0)
+    assert abs(abs(angle[-1] - angle[0]) - 2 * math.pi) < 0.1
+    gap = np.linalg.norm(fine[:, None, :] - P[None, :, :], axis=2).min(axis=1)
+    assert gap.max() < 0.1 * step
+    # the ends turn by 7 rad per step, so the two tracers' polygons cut them
+    # a little differently (7e-6 measured)
+    assert abs(_length(P) - _length(fine)) <= 1e-5 * _length(fine)
+
+
+@pytest.mark.parametrize("seed", [(2.0, 0.0, 0.0), (1e-3, 2e-4, 0.0), (4e-4, -1e-3, 0.0)])
+def test_section_through_origin_lands(seed):
+    # |x| vanishes at the origin, where phi still rounds at 1e-16 of the
+    # sphere's size; the section's own size bounds the landing there
+    c = 1.0 / 3.0
+    surface = sb.Sphere([c, 0.0, 0.0], c)
+    w, step = np.array([0.0, 0, 1.0]), 0.01 * c
+    trace = trace_plane_section(surface.implicit, surface.implicit_grad, w, 0.0, np.array(seed), step)
+    P = trace.points
+    assert len(P) == round(2 * math.pi * c / step)
+    np.testing.assert_allclose(np.linalg.norm(P - surface.center, axis=1), c, rtol=0, atol=1e-15)
+    assert np.abs(P @ w).max() <= 1e-16
 
 
 def test_trace_is_scale_covariant(ell_112):
