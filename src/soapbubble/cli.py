@@ -57,21 +57,29 @@ VERIFY_ALIASES = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surface", help="surface description file (JSON)")
-    parser.add_argument("--samples", type=int, default=2000, help="probe sample budget")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="critical-level resolution (point clouds: also the containment threshold)",
-    )
-    parser.add_argument("--k1", type=float, default=None)
-    parser.add_argument("--k2", type=float, default=None)
-    parser.add_argument("--k3", type=float, default=None)
-    parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument("--csv", help="write CSV output here (sweeps)")
+_FLAGS = {
+    "--surface": {"help": "surface description file (JSON)"},
+    "--samples": {"type": int, "default": 2000, "help": "probe sample budget"},
+    "--seed": {"type": int, "default": 0, "help": "random seed"},
+    "--tol": {
+        "type": float,
+        "default": None,
+        "help": "critical-level resolution (point clouds: also the containment threshold)",
+    },
+    "--k1": {"type": float, "default": None},
+    "--k2": {"type": float, "default": None},
+    "--k3": {"type": float, "default": None},
+    "--out": {"help": "write the JSON report here"},
+    "--csv": {"help": "write CSV output here (sweeps)"},
+}
+_SAMPLING = ("--samples", "--seed", "--tol")
+_K = ("--k1", "--k2", "--k3")
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Give a subcommand the shared flags it reads, and only those."""
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full stability pipeline")
-    _add_common(p)
+    _add_flags(p, "--surface", *_SAMPLING, *_K, "--out")
 
     p = sub.add_parser("sweep-ellipsoid", help="prolate ellipsoid family sweep")
-    _add_common(p)
+    _add_flags(p, *_SAMPLING, *_K, "--csv")
     p.add_argument("--t-min", type=float, default=0.02)
     p.add_argument("--t-max", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=10)
@@ -94,15 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--area", type=float, required=True)
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--k2", type=float, default=None)
-    p.add_argument("--k3", type=float, default=None)
+    _add_flags(p, *_K)
     p.add_argument("--osc", type=float, default=None, help="also run the smallness check")
-    p.add_argument("--out", help="write the JSON report here")
+    _add_flags(p, "--out")
 
     p = sub.add_parser("verify", help="stress-test one inequality")
-    p.add_argument("check", help="check name or alias (see --list)")
-    _add_common(p)
+    p.add_argument("check", help="check name or alias (an unknown name lists them)")
+    _add_flags(p, "--surface", *_SAMPLING, "--out")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--delta", type=float, default=None, help="band width for normal-tilt")
     p.add_argument("--direction", default=None, help="comma-separated direction (slices/tilt)")
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("moving-plane", help="single-direction critical plane (debug)")
-    _add_common(p)
+    _add_flags(p, "--surface", *_SAMPLING, "--out")
     p.add_argument("--direction", required=True, help="comma-separated direction")
     return ap
 
@@ -129,13 +135,7 @@ def _parse_direction(text: str, dim: int) -> np.ndarray:
 
 
 def _k_args(args) -> dict:
-    supplied = any(getattr(args, k, None) is not None for k in ("k1", "k2", "k3"))
-    return {
-        "k1": args.k1 if args.k1 is not None else 1.0,
-        "k2": args.k2 if args.k2 is not None else 1.0,
-        "k3": args.k3 if args.k3 is not None else 1.0,
-        "k_supplied": supplied,
-    }
+    return {"k1": args.k1, "k2": args.k2, "k3": args.k3}
 
 
 def cmd_analyze(args) -> int:
@@ -202,8 +202,7 @@ def cmd_sweep_ellipsoid(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    kw = _k_args(args)
-    rep = compute_constants(args.n, args.rho, args.area, **kw)
+    rep = compute_constants(args.n, args.rho, args.area, **_k_args(args))
     sys.stdout.write(rep.table() + "\n")
     doc = rep.to_dict()
     if args.osc is not None:

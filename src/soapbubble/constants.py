@@ -3,8 +3,9 @@
 Evaluates every closed-form constant the analysis needs from
 (n, rho, area, K1, K2, K3) and checks theorem applicability
 (oscillation below the smallness threshold). The elliptic-theory
-constants K1, K2, K3 are user inputs; defaults of 1.0 are placeholders
-and are flagged as such in every report.
+constants K1, K2, K3 are user inputs; one left out (None) is the
+placeholder 1.0, and a report with all three left out is flagged as
+placeholder.
 
 Several downstream constants grow astronomically (the chain count N0 and
 the amplification factor C1 in particular); those are always computed in
@@ -141,12 +142,13 @@ def compute_constants(
     n: int,
     rho: float,
     area: float,
-    k1: float = 1.0,
-    k2: float = 1.0,
-    k3: float = 1.0,
-    k_supplied: bool = False,
+    k1: float | None = None,
+    k2: float | None = None,
+    k3: float | None = None,
     delta: float | None = None,
 ) -> ConstantsReport:
+    placeholder = k1 is None and k2 is None and k3 is None
+    k1, k2, k3 = (1.0 if k is None else k for k in (k1, k2, k3))
     if rho <= 0 or area <= 0 or k1 <= 0 or k2 <= 0 or k3 <= 0:
         raise ValueError("all ledger inputs must be positive")
     n = int(n)
@@ -190,7 +192,7 @@ def compute_constants(
         k1=float(k1),
         k2=float(k2),
         k3=float(k3),
-        k_placeholder=not k_supplied,
+        k_placeholder=placeholder,
         omega_n=omega_n,
         delta=float(delta),
         big_l=big_l,

@@ -32,38 +32,36 @@ def tangent_frame(normal: np.ndarray) -> np.ndarray:
     Returns an (d-1, d) array of row vectors where d = len(normal).
     Built from a Householder reflection, so the result is deterministic.
     Rows of normals (m, d) give (m, d-1, d) frames; one normal is the
-    one-row case (`tangent_frames` rounds differently).
+    one-row case.
     """
     w = np.asarray(normal, dtype=float)
     if w.ndim == 1:
         return tangent_frame(w[None])[0]
-    norms = _dot_norms(w)
+    # row norms rounded as the one-vector `np.linalg.norm` rounds them
+    norms = np.sqrt(row_dots(w, w))
     if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise ValueError("cannot normalize zero or non-finite vector")
-    return _householder_frames(w / norms[:, None], _dot_norms)
-
-
-def tangent_frames(normals: np.ndarray) -> np.ndarray:
-    """Batched tangent_frame: (m, d) unit normals -> (m, d-1, d) row frames."""
-    return _householder_frames(
-        np.asarray(normals, dtype=float), lambda v: np.linalg.norm(v, axis=1)
-    )
-
-
-def _dot_norms(v: np.ndarray) -> np.ndarray:
-    """Row norms rounded as the one-vector `np.linalg.norm` rounds them."""
-    return np.sqrt(row_dots(v, v))
-
-
-def _householder_frames(w: np.ndarray, row_norms) -> np.ndarray:
-    """Tangent frames of rows of unit normals; `row_norms` takes the norms."""
     d = w.shape[1]
-    sign = np.where(w[:, -1] >= 0.0, 1.0, -1.0)
-    v = w.copy()
-    v[:, -1] += sign
-    v /= row_norms(v)[:, None]
+    v = w / norms[:, None]
+    v[:, -1] += np.where(v[:, -1] >= 0.0, 1.0, -1.0)
+    v /= np.sqrt(row_dots(v, v))[:, None]
     house = np.eye(d)[None, :, :] - 2.0 * v[:, :, None] * v[:, None, :]
     return np.swapaxes(house[:, :, : d - 1], 1, 2)
+
+
+def resample_polyline(points: np.ndarray, targets_of) -> tuple[np.ndarray, np.ndarray]:
+    """Points at arclength positions along the polyline `points` (m, d),
+    and the positions: `targets_of(total)` picks them from the polyline's
+    length. Each point interpolates the segment that holds its position; a
+    polyline of length zero gives its first point at every position."""
+    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.asarray(targets_of(float(cum[-1])), dtype=float)
+    if cum[-1] == 0.0:
+        return np.repeat(points[:1], targets.size, axis=0), targets
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, seg.size - 1)
+    frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
+    return points[idx] + frac[:, None] * (points[idx + 1] - points[idx]), targets
 
 
 def reflect(xi: np.ndarray, omega: np.ndarray, level: float) -> np.ndarray:

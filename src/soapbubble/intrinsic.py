@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from .constants import compute_constants
-from .geometry import row_dots
+from .geometry import resample_polyline, row_dots
 from .surfaces import Surface, touching_radius
 
 logger = logging.getLogger(__name__)
@@ -42,9 +42,6 @@ class GeodesicGraph:
     @property
     def node_count(self) -> int:
         return self.points.shape[0]
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.adjacency.indices[self.adjacency.indptr[i] : self.adjacency.indptr[i + 1]]
 
     def distances_from(self, sources, targets=None) -> np.ndarray:
         d = dijkstra(self.adjacency, directed=False, indices=sources)
@@ -217,22 +214,6 @@ class Chain:
         }
 
 
-def _resample_polyline(points: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Points at arc positions 0, step, 2*step, ..., end along a polyline."""
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = float(cum[-1])
-    if total == 0.0:
-        return points[:1].copy(), np.zeros(0), 0.0
-    targets = np.arange(0.0, total, step)
-    targets = np.concatenate([targets, [total]])
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
-    frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
-    way = points[idx] + frac[:, None] * (points[idx + 1] - points[idx])
-    arcs = np.diff(targets)
-    return way, arcs, total
-
-
 def piecewise_geodesic_chain(graph: GeodesicGraph, p: int, q: int, delta: float) -> Chain:
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -251,8 +232,13 @@ def piecewise_geodesic_chain(graph: GeodesicGraph, p: int, q: int, delta: float)
 
     nodes = graph.shortest_path(p, q)
     poly = graph.points[nodes]
-    way, arcs, total = _resample_polyline(poly, delta)
+    # arc positions 0, delta, 2 delta, ..., end
+    way, targets = resample_polyline(
+        poly, lambda total: np.append(np.arange(0.0, total, delta), total)
+    )
     way = graph.surface.settle(way)
+    arcs = np.diff(targets)
+    total = float(targets[-1])
     full = int(np.sum(arcs >= delta * (1.0 - 1e-12)))
     bound_ok = bool(full <= budget and total <= budget * (1.0 + 1e-9))
     if not bound_ok:
@@ -307,33 +293,25 @@ def harnack_chain(chain: Chain, eps: float, rho: float, delta: float) -> Harnack
     if eps < 0 or eps >= ledger.eps0:
         raise ValueError(f"eps must lie in [0, eps0) with eps0={ledger.eps0:.6g}")
 
-    seg = np.linalg.norm(np.diff(chain.path_points, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = float(cum[-1])
     r0 = rho * np.sin(delta / (2.0 * rho))
 
-    # advance slightly under r_i/4 so that reprojecting interpolated
-    # waypoints cannot push the realized step past the patch radius
-    step_margin = 0.99
-    positions = [0.0]
-    radii = [r0]
-    s = 0.0
-    i = 0
-    while s < total and i <= ledger.n0 + 1:
-        s = min(s + step_margin * radii[-1] / 4.0, total)
-        positions.append(s)
-        i += 1
-        radii.append((1.0 - eps) ** i * r0)
-    # regenerate in one vectorized expression so the shrink law holds to the ulp
-    radii = (1.0 - eps) ** np.arange(len(radii)) * r0
+    def positions(total):
+        # advance slightly under r_i/4 so that reprojecting interpolated
+        # waypoints cannot push the realized step past the patch radius
+        step_margin = 0.99
+        out = [0.0]
+        s = 0.0
+        i = 0
+        while s < total and i <= ledger.n0 + 1:
+            s = min(s + step_margin * ((1.0 - eps) ** i * r0) / 4.0, total)
+            out.append(s)
+            i += 1
+        return out
 
-    idx = np.clip(np.searchsorted(cum, positions, side="right") - 1, 0, max(len(seg) - 1, 0))
-    if len(seg):
-        frac = (np.asarray(positions) - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
-        way = chain.path_points[idx] + frac[:, None] * (chain.path_points[idx + 1] - chain.path_points[idx])
-    else:
-        way = chain.path_points[:1].repeat(len(positions), axis=0)
+    way, targets = resample_polyline(chain.path_points, positions)
     way = surface.settle(way)
+    # one vectorized expression, so the shrink law holds to the ulp
+    radii = (1.0 - eps) ** np.arange(targets.size) * r0
 
     # each step must stay inside the closed r_i/4 patch of its predecessor:
     # tangential offset in the predecessor frame is the binding quantity
@@ -344,6 +322,7 @@ def harnack_chain(chain: Chain, eps: float, rho: float, delta: float) -> Harnack
     excess = float(np.max(tang - radii[: len(d)] / 4.0, initial=-np.inf))
     steps_ok = bool(excess <= 1e-7 * max(rho, 1.0))
     count_ok = bool(len(way) - 1 <= ledger.n0)
+    seg = np.linalg.norm(np.diff(chain.path_points, axis=0), axis=1)
     return HarnackChain(
         waypoints=way,
         radii=radii[: len(way)],
@@ -351,6 +330,6 @@ def harnack_chain(chain: Chain, eps: float, rho: float, delta: float) -> Harnack
         count_ok=count_ok,
         n0=ledger.n0,
         eps0=ledger.eps0,
-        resubdivided=bool(len(seg) and seg.max() > radii.min() / 4.0),
+        resubdivided=bool(np.max(seg, initial=0.0) > radii.min() / 4.0),
         worst_step_excess=float(excess),
     )

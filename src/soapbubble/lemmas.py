@@ -35,6 +35,10 @@ from .tracing import (
 
 ANALYTIC_TOL = 1e-7
 FD_TOL = 1e-4
+_TRANSVERSALITY_MARGIN = 0.05  # a slice with |nu . omega| > 1 - this is tangential
+_NORMAL_CHANGE_PROBES = 12  # source-patch points per normal-change trial
+_TILT_TRIALS_CAP = 10000  # band nodes a normal-tilt check takes at most
+_TILT_MATCH_TOL = 1e-6  # excess of |nu_q - nu_hat| over alpha a tilt match allows
 
 
 @dataclass
@@ -217,7 +221,6 @@ def slice_curvature_bounds(
     level: float,
     step: float = 0.01,
     tol: float = FD_TOL,
-    transversality_margin: float = 0.05,
 ) -> LemmaVerdict:
     """Sliced-curve curvature bounds: with s = sqrt(1-(nu.omega)^2) the unit
     in-plane normal satisfies nu.nu' = s and the sliced curvature lies in
@@ -231,7 +234,7 @@ def slice_curvature_bounds(
     P = trace.points
     nus, kappas = surface.curvatures_batch(P)
     align = np.abs(nus @ omega)
-    if align.max() > 1.0 - transversality_margin:
+    if align.max() > 1.0 - _TRANSVERSALITY_MARGIN:
         raise TangentialSliceError(
             f"slice is near-tangential: max |nu.omega| = {align.max():.4f} "
             f"at {P[int(np.argmax(align))]}"
@@ -385,7 +388,6 @@ def verify_normal_change(
     trials: int = 10000,
     seed: int = 0,
     eps_range: tuple[float, float] = (0.02, 0.6),
-    probes_per_trial: int = 12,
     tol: float = ANALYTIC_TOL,
 ) -> LemmaVerdict:
     """Re-graphing bound: a tangent patch of radius r, re-expressed as
@@ -414,7 +416,7 @@ def verify_normal_change(
 
     margins = np.full(trials, np.inf)
     skipped = 0
-    for _ in range(probes_per_trial):
+    for _ in range(_NORMAL_CHANGE_PROBES):
         # sample the source patch on the shrunken disk and re-express the
         # same surface point in the tilted direction
         xdirs = rng.standard_normal((trials, surface.n))
@@ -436,7 +438,7 @@ def verify_normal_change(
         margins = np.minimum(margins, m)
 
     return _tally("normal-change", margins, tol, skipped=skipped,
-                  notes=[f"r={r:.4g}", f"probes={probes_per_trial}"])
+                  notes=[f"r={r:.4g}", f"probes={_NORMAL_CHANGE_PROBES}"])
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +498,7 @@ def verify_normal_tilt(
     plane: CriticalPlane,
     graph: GeodesicGraph,
     delta: float | None = None,
-    trials_cap: int = 10000,
     tol: float = ANALYTIC_TOL,
-    match_tol: float = 1e-6,
 ) -> LemmaVerdict:
     """Reflected-cap normal tilt near the cap boundary: for band points q of
     the reflected cap with a surface match q_hat = q - alpha*nu_q whose
@@ -513,7 +513,7 @@ def verify_normal_tilt(
     sigma_mask[caps.sigma_nodes] = True
     dist = interface_distances(graph, sigma_mask, crossing_fn=plane_crossing_fn(omega, m, surface))
     band = caps.sigma_nodes[dist[caps.sigma_nodes] <= delta]
-    band = band[: trials_cap]
+    band = band[:_TILT_TRIALS_CAP]
 
     P, nu_p = graph.points[band], graph.normals[band]
     q = P - 2.0 * (row_dots(P, omega) - m)[:, None] * omega
@@ -527,7 +527,7 @@ def verify_normal_tilt(
     g = surface.implicit_grad(q[found] - alpha[found, None] * nu_q[found])
     nu_hat = g / np.sqrt(row_dots(g, g))[:, None]
     diff = nu_q[found] - nu_hat
-    keep = found[np.sqrt(row_dots(diff, diff)) <= alpha[found] + match_tol]
+    keep = found[np.sqrt(row_dots(diff, diff)) <= alpha[found] + _TILT_MATCH_TOL]
     t = row_dots(nu_q[keep], omega)
     bound = np.sqrt(8.0 * delta**2 / rho**2 + alpha[keep] / 2.0)
     margins = np.minimum(t, bound - t)  # both 0 <= t and t <= bound

@@ -126,13 +126,6 @@ def _caps_contained(
     return ok
 
 
-def _cap_contained(
-    surface: Surface, omega: np.ndarray, lam: float, tol: float, pts: np.ndarray
-) -> bool:
-    """`_caps_contained` at the single level lam."""
-    return bool(_caps_contained(surface, omega, np.array([lam]), tol, pts)[0])
-
-
 @dataclass(frozen=True)
 class CriticalPlane:
     direction: np.ndarray
@@ -202,7 +195,7 @@ def critical_position(
     lo = -extent(surface, -omega, sample_budget, seed)
 
     def inside(lam: float) -> bool:
-        return _cap_contained(surface, omega, lam, contain_tol, pts)
+        return bool(_caps_contained(surface, omega, np.array([lam]), contain_tol, pts)[0])
 
     def bisect(a: float, b: float) -> float:
         # inside(b) holds and inside(a) fails; shrink to width tol
@@ -237,15 +230,13 @@ def critical_position(
     degenerate = sd.size > 0 and bool(np.mean(np.abs(sd) <= 10.0 * tol + 1e-9 * diam) > 0.25)
     spacing = diam / math.sqrt(max(sample_budget, 1))
     p0 = check.witness
-    case = INTERIOR_TANGENCY
+    case = INTERIOR_TANGENCY  # also when the whole cap touches (label moot)
     alignment = None
     if p0 is not None and not degenerate:
         if float(p0 @ omega) - m <= 2.0 * spacing:
             case = BOUNDARY_ORTHOGONALITY
             nu, _ = surface.curvature_at(surface.project(check.witness_reflected))
             alignment = abs(float(nu @ omega))
-    elif degenerate:
-        case = INTERIOR_TANGENCY  # whole cap touches; case label is moot
     return CriticalPlane(
         direction=omega,
         level=float(m),
@@ -258,17 +249,6 @@ def critical_position(
         degenerate_contact=degenerate,
         tol=float(tol),
     )
-
-
-def axis_critical_planes(
-    surface: Surface,
-    tol: float | None = None,
-    sample_budget: int = 2000,
-    seed: int = 0,
-) -> list[CriticalPlane]:
-    """Critical planes for the canonical basis directions."""
-    d = surface.dim
-    return [critical_position(surface, w, tol, sample_budget, seed) for w in np.eye(d)]
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import elliprg
 
-from .geometry import tangent_frame, tangent_frames
+from .geometry import row_dots, tangent_frame
 
 
 class SurfaceError(Exception):
@@ -109,7 +109,7 @@ def rows_kernel(kernel):
     return method
 
 
-_NEWTON_TOL = 1e-12  # residual at which a row stops
+_NEWTON_TOL = 1e-12  # residual at which a row stops; phi's counts relative to the size
 _NEWTON_MAX_ITER = 80
 
 
@@ -220,19 +220,27 @@ class Surface:
         phi), halving a row's step until its residual does not grow. The seed
         decides which stationary point (minimum, maximum or saddle) a row
         reaches. A row stops once its gradient residual is within
-        `objective.tol` and |phi| within _NEWTON_TOL. Where the Jacobian is
-        flat to within `objective.flat` (a degenerate extremum, such as a
-        ring of nearest points) the minimum-norm step leaves the flat
-        direction alone instead of sliding along it. Returns (points,
+        `objective.tol` and phi, as a length |phi| / |grad phi|, within
+        _NEWTON_TOL times the surface's size `bounding_radius()`, so the
+        rule holds at every scale; it has converged within 1e4 *
+        objective.tol and 100 * _NEWTON_TOL times that size. Where the
+        Jacobian is flat to within `objective.flat` (a degenerate extremum,
+        such as a ring of nearest points) the minimum-norm step leaves the
+        flat direction alone instead of sliding along it. Returns (points,
         converged mask)."""
         k, d = x0.shape
         every = np.arange(k)
+        size = self.bounding_radius()
 
-        def residual(F1, phi):
+        def off(phi, g):
+            # distance to the surface to first order, relative to its size
+            return np.abs(phi) / (np.maximum(np.sqrt(row_dots(g, g)), 1e-300) * size)
+
+        def residual(F1, phi, g):
             # a gradient residual within the objective's accuracy is noise;
             # NaN stays NaN and stops its row
             f1 = np.abs(F1).max(axis=1)
-            return np.maximum(np.where(f1 <= objective.tol, 0.0, f1), np.abs(phi))
+            return np.maximum(np.where(f1 <= objective.tol, 0.0, f1), off(phi, g))
 
         x = x0.copy()
         g = self.implicit_grad(x)
@@ -245,7 +253,7 @@ class Surface:
             phi = self.implicit(x)
             grad, hess = objective.derivs(x, every)
             F1 = grad - lam[:, None] * g
-            active = residual(F1, phi) > _NEWTON_TOL
+            active = residual(F1, phi, g) > _NEWTON_TOL
             if not active.any():
                 break
             J = np.zeros((k, d + 1, d + 1))
@@ -271,13 +279,13 @@ class Surface:
             rows = np.flatnonzero(active)
             t = np.ones(rows.size)
             xa, la = x[rows], lam[rows]
-            base = residual(F1[rows], phi[rows])
+            base = residual(F1[rows], phi[rows], g[rows])
             for _ in range(10):
                 xn = xa + t[:, None] * step[:, :d]
                 ln = la + t * step[:, d]
                 gn = self.implicit_grad(xn)
                 phin = self.implicit(xn)
-                worse = residual(objective.derivs(xn, rows)[0] - ln[:, None] * gn, phin) > base
+                worse = residual(objective.derivs(xn, rows)[0] - ln[:, None] * gn, phin, gn) > base
                 if not worse.any():
                     break
                 t = np.where(worse, 0.5 * t, t)
@@ -286,8 +294,7 @@ class Surface:
         g = self.implicit_grad(x)
         phi = self.implicit(x)
         resid = np.abs(objective.derivs(x, every)[0] - lam[:, None] * g).max(axis=1)
-        ok = (resid <= 1e4 * objective.tol) & (np.abs(phi) <= 1e-10)
-        return x, ok
+        return x, (resid <= 1e4 * objective.tol) & (off(phi, g) <= 100.0 * _NEWTON_TOL)
 
     # --- sampling ---
 
@@ -295,7 +302,8 @@ class Surface:
         raise self._lacks("sample_points")
 
     def probe_points(self, budget: int, seed: int = 0) -> np.ndarray:
-        """Deterministic cached sample set used by batch operations."""
+        """Deterministic cached sample set used by batch operations. Every
+        caller gets the same array, so it is read-only."""
         key = (int(budget), int(seed))
         cache = getattr(self, "_probe_cache", None)
         if cache is None:
@@ -304,6 +312,7 @@ class Surface:
         if key not in cache:
             rng = np.random.default_rng(seed)
             cache[key] = self.sample_points(budget, rng)
+            cache[key].setflags(write=False)
         return cache[key]
 
     # --- area ---
@@ -352,7 +361,7 @@ class Surface:
         g = self.implicit_grad(P)
         gn = np.linalg.norm(g, axis=1)
         nus = g / gn[:, None]
-        frames = tangent_frames(nus)  # (m, n, d)
+        frames = tangent_frame(nus)  # (m, n, d)
         hess = self.implicit_hess(P)  # (m, d, d)
         shape_ops = -np.einsum("mid,mde,mje->mij", frames, hess, frames) / gn[:, None, None]
         kappas = np.sort(np.linalg.eigvalsh(shape_ops), axis=1)
@@ -1246,10 +1255,6 @@ class GraphPatch:
     radius: float
     rho: float
 
-    def point_on_plane(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.base + x @ self.frame
-
     def height(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         t = _graph_heights_batch(
@@ -1264,7 +1269,8 @@ class GraphPatch:
         return float(t[0])
 
     def point(self, x: np.ndarray) -> np.ndarray:
-        return self.point_on_plane(x) + self.height(x) * self.inner_normal
+        x = np.asarray(x, dtype=float)
+        return self.base + x @ self.frame + self.height(x) * self.inner_normal
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Tangent-frame coordinates of grad u at x (exact via implicit
@@ -1299,14 +1305,18 @@ def local_graph(surface: Surface, p: SurfaceSample, radius: float) -> GraphPatch
     )
 
 
+# `_graph_heights_batch` brackets each height by the touching-ball bound
+# widened by this factor, then bisects it this many times
+_GRAPH_BRACKET_EXPAND = 1.05
+_GRAPH_BISECTIONS = 100
+
+
 def _graph_heights_batch(
     surface: Surface,
     bases: np.ndarray,
     normals: np.ndarray,
     offsets: np.ndarray,
     rho: float,
-    expand: float = 1.05,
-    iters: int = 100,
 ) -> np.ndarray:
     """Vectorized graph heights: solve surface crossing along each normal.
 
@@ -1317,11 +1327,11 @@ def _graph_heights_batch(
     x2 = np.einsum("md,md->m", offsets, offsets)
     cap = rho**2 - x2
     hb = np.where(cap > 0.0, rho - np.sqrt(np.maximum(cap, 0.0)), rho)
-    hb = expand * hb + 1e-12 * rho
+    hb = _GRAPH_BRACKET_EXPAND * hb + 1e-12 * rho
     feet = bases + offsets
     phi_lo = surface.implicit(feet - hb[:, None] * normals)
     phi_hi = surface.implicit(feet + hb[:, None] * normals)
-    t = _bisect_along(surface, feet, normals, -hb, hb, phi_lo, iters)
+    t = _bisect_along(surface, feet, normals, -hb, hb, phi_lo, _GRAPH_BISECTIONS)
     return np.where(np.sign(phi_lo) != np.sign(phi_hi), t, np.nan)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import ConstantsReport, compute_constants
 from .geometry import unit
-from .planes import CriticalPlane, axis_critical_planes, critical_position
+from .planes import CriticalPlane, critical_position
 from .surfaces import OscReport, Surface, mean_curvature_oscillation, quadratic, touching_radius
 
 H_CONVENTION = "inner normal; sphere of radius R has H = +1/R"
@@ -38,7 +38,7 @@ def symmetry_center(
     seed: int = 0,
 ) -> tuple[np.ndarray, list[CriticalPlane]]:
     """Intersection of the critical hyperplanes for the canonical axes."""
-    planes = axis_critical_planes(surface, tol, sample_budget, seed)
+    planes = [critical_position(surface, w, tol, sample_budget, seed) for w in np.eye(surface.dim)]
     center = np.array([p.level for p in planes])
     return center, planes
 
@@ -284,10 +284,9 @@ def stability_ratio(
     sample_budget: int = 2000,
     seed: int = 0,
     tol: float | None = None,
-    k1: float = 1.0,
-    k2: float = 1.0,
-    k3: float = 1.0,
-    k_supplied: bool = False,
+    k1: float | None = None,
+    k2: float | None = None,
+    k3: float | None = None,
     n_rays: int = 1000,
     osc_noise_floor: float = 1e-8,
 ) -> StabilityReport:
@@ -337,7 +336,7 @@ def stability_ratio(
     else:
         verdict = "stability ratio measured"
 
-    ledger = compute_constants(surface.n, rho, area, k1, k2, k3, k_supplied=k_supplied)
+    ledger = compute_constants(surface.n, rho, area, k1, k2, k3)
     metadata = {
         "rho_hat": rho,
         "area": area,

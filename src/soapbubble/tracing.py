@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import row_dots, unit
+from .geometry import resample_polyline, row_dots, unit
 
 # The march step may grow to this multiple of the output spacing. The
 # turning-angle control keeps a step within 0.35 rad of turning anyway; the
@@ -213,21 +213,16 @@ def _passes(p0, t0, p, q, step):
 def _resample_closed(pts, land, step):
     """Points at even arclength `step` along the closed polyline `pts`,
     starting at its first point, landed back on the section in one batch."""
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = float(cum[-1])
-    count = max(8, int(round(total / step)))
-    targets = np.linspace(0.0, total, count, endpoint=False)
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
-    frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
-    rough = closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx])
+    rough, _ = resample_polyline(
+        np.vstack([pts, pts[:1]]),
+        lambda total: np.linspace(0.0, total, max(8, int(round(total / step))), endpoint=False),
+    )
     return land(rough)
 
 
-def curve_curvatures(points: np.ndarray, closed: bool = True) -> np.ndarray:
-    """Unsigned curvature at each point from the circumscribed circle of
-    (previous, here, next); exact on circles."""
+def curve_curvatures(points: np.ndarray) -> np.ndarray:
+    """Unsigned curvature at each point of a closed curve from the
+    circumscribed circle of (previous, here, next); exact on circles."""
     P = np.asarray(points, dtype=float)
     a = np.roll(P, 1, axis=0)
     c = np.roll(P, -1, axis=0)
@@ -239,11 +234,7 @@ def curve_curvatures(points: np.ndarray, closed: bool = True) -> np.ndarray:
     denom = (
         np.linalg.norm(ab, axis=-1) * np.linalg.norm(bc, axis=-1) * np.linalg.norm(ac, axis=-1)
     )
-    kappa = 2.0 * cross_norm / np.where(denom > 1e-300, denom, 1.0)
-    if not closed:
-        kappa[0] = kappa[1]
-        kappa[-1] = kappa[-2]
-    return kappa
+    return 2.0 * cross_norm / np.where(denom > 1e-300, denom, 1.0)
 
 
 def curve_normals_in_plane(points: np.ndarray, omega: np.ndarray) -> np.ndarray:

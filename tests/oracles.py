@@ -339,9 +339,14 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
     that projection ran before it shared one Lagrange-Newton solver with the
     constrained extrema: x - P - lam grad phi = 0, phi = 0, halving steps
     until the residual does not grow, with a multistart fallback from
-    jittered radial casts."""
+    jittered radial casts. phi counts as a length relative to the surface's
+    size: |phi| / (|grad phi| * bounding_radius())."""
     P = np.asarray(P, dtype=float)
     m, d = P.shape
+    size = surface.bounding_radius()
+
+    def off(phi, g):
+        return np.abs(phi) / (np.maximum(np.linalg.norm(g, axis=-1), 1e-300) * size)
 
     def seed_for(Q, jitter):
         u = Q.copy()
@@ -368,7 +373,7 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
             h = surface.implicit_hess(x)
             phi = surface.implicit(x)
             F1 = x - targets - lam[:, None] * g
-            res = np.maximum(np.abs(F1).max(axis=1), np.abs(phi))
+            res = np.maximum(np.abs(F1).max(axis=1), off(phi, g))
             active = res > 1e-12
             if not active.any():
                 break
@@ -383,16 +388,14 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
                 return x, np.zeros(k, dtype=bool) | ~active
             t = np.ones(int(active.sum()))
             xa, la = x[active], lam[active]
-            base = np.abs(F[active]).max(axis=1)
+            base = np.maximum(np.abs(F1[active]).max(axis=1), off(phi[active], g[active]))
             for _ in range(10):
                 xn = xa + t[:, None] * step[:, :d]
                 ln = la + t * step[:, d]
                 gn = surface.implicit_grad(xn)
                 phin = surface.implicit(xn)
-                Fn = np.concatenate(
-                    [xn - targets[active] - ln[:, None] * gn, phin[:, None]], axis=1
-                )
-                worse = np.abs(Fn).max(axis=1) > base
+                Fn = xn - targets[active] - ln[:, None] * gn
+                worse = np.maximum(np.abs(Fn).max(axis=1), off(phin, gn)) > base
                 if not worse.any():
                     break
                 t = np.where(worse, 0.5 * t, t)
@@ -401,7 +404,7 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
         g = surface.implicit_grad(x)
         phi = surface.implicit(x)
         ok = (np.abs(x - targets - lam[:, None] * g).max(axis=1) <= 1e-8) & (
-            np.abs(phi) <= 1e-10
+            off(phi, g) <= 1e-10
         )
         return x, ok
 
@@ -494,3 +497,37 @@ def trace_plane_section_fine(phi, grad, omega, level, seed_point, step=0.02):
     idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
     frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
     return land(closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx]))
+
+
+# ---------------------------------------------------------------------------
+# a second tangent-frame build and one of three arclength interpolations the
+# package used to carry, kept as references for the shared helpers
+
+
+def tangent_frames_batch(normals: np.ndarray) -> np.ndarray:
+    """Householder tangent frames of rows of unit normals (m, d) -> (m, d-1, d),
+    with `np.linalg.norm` row norms and no renormalization of the input."""
+    w = np.asarray(normals, dtype=float)
+    d = w.shape[1]
+    sign = np.where(w[:, -1] >= 0.0, 1.0, -1.0)
+    v = w.copy()
+    v[:, -1] += sign
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    house = np.eye(d)[None, :, :] - 2.0 * v[:, :, None] * v[:, None, :]
+    return np.swapaxes(house[:, :, : d - 1], 1, 2)
+
+
+def resample_polyline_steps(points: np.ndarray, step: float):
+    """(points, arc lengths, total) at arc positions 0, step, 2*step, ..., end
+    along a polyline: the piecewise-geodesic chain's own interpolation."""
+    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = float(cum[-1])
+    if total == 0.0:
+        return points[:1].copy(), np.zeros(0), 0.0
+    targets = np.arange(0.0, total, step)
+    targets = np.concatenate([targets, [total]])
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
+    frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
+    way = points[idx] + frac[:, None] * (points[idx + 1] - points[idx])
+    return way, np.diff(targets), total

@@ -166,6 +166,44 @@ class TestConstantsCmd:
     def test_invalid_inputs_exit_2(self):
         assert main(["constants", "--n", "2", "--rho", "-1", "--area", "1"]) == 2
 
+    def test_one_supplied_constant_clears_the_placeholder(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["constants", "--n", "2", "--rho", "1", "--area", "1",
+                     "--k2", "3", "--out", str(out)]) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert [inputs["k1"], inputs["k2"], inputs["k3"]] == [1.0, 3.0, 1.0]
+        assert inputs["k_placeholder"] is False
+        assert "PLACEHOLDER" not in capsys.readouterr().out
+
+
+class TestFlags:
+    # each subcommand accepts only the flags it reads; any other is an
+    # argparse error (exit 2), like an unknown flag
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--csv", "x.csv"],
+            ["sweep-ellipsoid", "--surface", "s.json"],
+            ["sweep-ellipsoid", "--out", "x.json"],
+            ["verify", "fig1", "--k1", "2"],
+            ["verify", "fig1", "--k2", "2"],
+            ["verify", "fig1", "--k3", "2"],
+            ["verify", "fig1", "--csv", "x.csv"],
+            ["moving-plane", "--direction", "0,0,1", "--k1", "2"],
+            ["moving-plane", "--direction", "0,0,1", "--k2", "2"],
+            ["moving-plane", "--direction", "0,0,1", "--k3", "2"],
+            ["moving-plane", "--direction", "0,0,1", "--csv", "x.csv"],
+            ["verify", "fig1", "--no-such-flag"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerifyCmd:
     def test_normal_difference_ok(self, capsys):

@@ -48,9 +48,7 @@ class TestLedgerValues:
         # (a coarse chain mesh keeps the amplification factor finite)
         n, rho, area = 2, 1.0, 0.4
         delta = 0.45 * rho
-        rep = compute_constants(
-            n, rho, area, k1=1.3, k2=0.7, k3=2.0, k_supplied=True, delta=delta
-        )
+        rep = compute_constants(n, rho, area, k1=1.3, k2=0.7, k3=2.0, delta=delta)
         omega_n = math.pi
         big_l = area * 4 / (omega_n * delta**2)
         eps0 = min(0.5, rho / (16 * big_l) * math.sin(delta / (2 * rho)))
@@ -101,9 +99,24 @@ class TestLedgerValues:
 
     def test_placeholder_marker(self):
         assert compute_constants(2, 1.0, 1.0).k_placeholder
-        assert not compute_constants(2, 1.0, 1.0, k1=2.0, k_supplied=True).k_placeholder
+        assert not compute_constants(2, 1.0, 1.0, k1=2.0).k_placeholder
         notes = compute_constants(2, 1.0, 1.0).to_dict()["notes"]
         assert any("PLACEHOLDER" in n for n in notes)
+
+    @pytest.mark.parametrize("k", ["k1", "k2", "k3"])
+    def test_any_supplied_constant_clears_the_placeholder(self, k):
+        # the ledger works out from its inputs whether K1..K3 were supplied
+        rep = compute_constants(2, 1.0, 1.0, **{k: 2.0})
+        assert not rep.k_placeholder
+        assert getattr(rep, k) == 2.0
+        assert not any("PLACEHOLDER" in n for n in rep.to_dict()["notes"])
+        assert "[PLACEHOLDER]" not in rep.table()
+        # the ones left out stand at 1.0
+        assert sorted([rep.k1, rep.k2, rep.k3]) == [1.0, 1.0, 2.0]
+
+    def test_explicit_ones_are_not_placeholders(self):
+        # a measured K of exactly 1 is a supplied value, not the placeholder
+        assert not compute_constants(2, 1.0, 1.0, k1=1.0, k2=1.0, k3=1.0).k_placeholder
 
 
 class TestScalingAndMonotonicity:

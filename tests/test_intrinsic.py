@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soapbubble as sb
 from soapbubble.constants import compute_constants
+from soapbubble.geometry import resample_polyline
 from soapbubble.intrinsic import (
     GraphConnectivityError,
     build_geodesic_graph,
@@ -16,7 +19,11 @@ from soapbubble.intrinsic import (
     region_boundary,
 )
 
-from .oracles import ellipsoid_meridian_halflength, spherical_cap_area_fraction
+from .oracles import (
+    ellipsoid_meridian_halflength,
+    resample_polyline_steps,
+    spherical_cap_area_fraction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -308,3 +315,48 @@ class TestHarnackChain:
             hc = harnack_chain(ch, led.eps0 * 0.9, 1.0, led.delta)
             assert len(hc.waypoints) - 1 <= led.n0
             assert hc.count_ok
+
+
+@st.composite
+def polylines(draw):
+    """Polylines of 1 to 8 points in R^2 or R^3, some with repeated points
+    (zero-length segments), and an arclength step."""
+    d = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((m, d))
+    repeats = draw(st.lists(st.integers(0, m - 1), max_size=m))
+    for i in repeats:
+        if i + 1 < m:
+            pts[i + 1] = pts[i]
+    if draw(st.booleans()):
+        pts[:] = pts[0]  # the whole polyline at one place
+    total = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    step = draw(st.sampled_from([0.07, 0.3, 1.0, 2.5])) * max(total, 1e-3)
+    return pts, step
+
+
+class TestResamplePolyline:
+    @given(case=polylines())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_chain_interpolation_bit_for_bit(self, case):
+        pts, step = case
+        way, targets = resample_polyline(pts, lambda total: np.append(np.arange(0.0, total, step), total))
+        want_way, want_arcs, want_total = resample_polyline_steps(pts, step)
+        np.testing.assert_array_equal(way, want_way)
+        np.testing.assert_array_equal(np.signbit(way), np.signbit(want_way))
+        np.testing.assert_array_equal(np.diff(targets), want_arcs)
+        assert float(targets[-1]) == want_total
+
+    def test_one_point_and_the_very_end(self):
+        one = np.array([[0.5, -1.0, 2.0]])
+        way, targets = resample_polyline(one, lambda total: [total, total])
+        np.testing.assert_array_equal(way, np.repeat(one, 2, axis=0))
+        np.testing.assert_array_equal(targets, [0.0, 0.0])
+        # a zero-length segment, and a target at the very end, which lands
+        # on the last point exactly
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
+        way, targets = resample_polyline(pts, lambda total: [0.0, 1.0, 1.5, total])
+        np.testing.assert_array_equal(targets, [0.0, 1.0, 1.5, 3.0])
+        np.testing.assert_array_equal(way, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [1.0, 2.0]])
+

@@ -12,7 +12,6 @@ from soapbubble.planes import (
     BOUNDARY_ORTHOGONALITY,
     INTERIOR_TANGENCY,
     CapExtractionError,
-    _cap_contained,
     _caps_contained,
     _mirror_cap,
     critical_caps,
@@ -138,7 +137,7 @@ class TestContainmentScreen:
         lam = lo + frac * (hi - lo)
         tol = 1e-3 if coarse else 1e-11 * surface.diameter_hint()
         check = reflected_cap_inside(surface, w, lam, tol, samples=pts)
-        assert _cap_contained(surface, w, lam, tol, pts) == check.inside
+        assert _caps_contained(surface, w, np.array([lam]), tol, pts)[0] == check.inside
         _, mirrored = _mirror_cap(w, lam, pts)
         if mirrored.shape[0]:
             assert surface.protrusion(mirrored).max() == max(check.worst_violation, 0.0)
@@ -184,7 +183,7 @@ class TestContainmentScreen:
         _, mirrored = _mirror_cap(w, -0.05, pts)
         outside = ~(surface.implicit(mirrored) >= 0.0)
         assert outside[0] and 1 < outside.sum() < mirrored.shape[0]
-        assert not _cap_contained(surface, w, -0.05, 1e-9, pts)
+        assert not _caps_contained(surface, w, np.array([-0.05]), 1e-9, pts)[0]
         assert len(projected) == 1
         np.testing.assert_array_equal(projected[0], mirrored[outside])
         # the full pass projects every row

@@ -24,6 +24,7 @@ from .oracles import (
     ellipse_perimeter_brute,
     project_newton_loop,
     quadric_fit_loop,
+    tangent_frames_batch,
     touching_ball_gradient,
     touching_ball_height,
     touching_radius_dense,
@@ -269,6 +270,17 @@ class TestHarmonicRadial:
         P = scale[:, None] * u * radial_bumpy.radial(u)[:, None]
         expected = project_newton_loop(radial_bumpy, P, radial_bumpy._projection_seeds(P))
         np.testing.assert_array_equal(radial_bumpy.project(P), expected)
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e4, 1e6])
+    def test_newton_stop_is_scale_free(self, s):
+        # phi = r - |x| is a length, so the solver's stop rule must scale
+        # with the surface: lands as close at every size, and neither the
+        # extent nor any projection falls back or fails at large sizes
+        surf = sb.HarmonicRadial([(2, 0, 0.15 * s), (3, 0, 0.05 * s)], base_radius=s)
+        X = surf.project(1.3 * surf.probe_points(500, 0))
+        assert np.abs(surf.implicit(X)).max() <= 2e-12 * s
+        top = sb.extent(surf, np.array([0.0, 0.0, 1.0]))
+        assert top == pytest.approx(1.1319351028347675 * s, rel=1e-15)
 
 
 @st.composite
@@ -932,6 +944,27 @@ class TestOnePointParity:
             with pytest.raises(ValueError):
                 tangent_frame(bad)
 
+    @given(
+        d=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
+        last=st.sampled_from([None, 0.0, -0.0, 1e-17]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tangent_frame_matches_the_batch_build(self, d, seed, scale, last):
+        # normals of any scale: orthonormal rows orthogonal to the normal,
+        # within a few ulps of the batch build on the unit normals
+        W = scale * np.random.default_rng(seed).standard_normal((6, d))
+        if last is not None:
+            W[:, -1] = last * scale
+        frames = tangent_frame(W)
+        units = W / np.linalg.norm(W, axis=1, keepdims=True)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(frames, tangent_frames_batch(units), rtol=0, atol=4 * eps)
+        gram = np.einsum("mid,mjd->mij", frames, frames)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(d - 1), gram.shape), atol=8 * eps)
+        np.testing.assert_allclose(np.einsum("mid,md->mi", frames, units), 0.0, atol=8 * eps)
+
 
 class TestDeterminism:
     def test_probe_points_reproducible(self, ell_111):
@@ -940,3 +973,15 @@ class TestDeterminism:
         assert a is b  # cached
         fresh = sb.Ellipsoid([1.0, 1.0, 1.1]).probe_points(300, seed=42)
         np.testing.assert_array_equal(a, fresh)
+
+    @pytest.mark.parametrize("name", ["unit_sphere", "ell_111", "radial_bumpy", "sphere_cloud"])
+    def test_probe_points_read_only(self, request, name):
+        # every caller shares the cached array, so no caller may write into it
+        surface = request.getfixturevalue(name)
+        pts = surface.probe_points(200, seed=5)
+        before = pts.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            pts += 1.0
+        np.testing.assert_array_equal(surface.probe_points(200, seed=5), before)
