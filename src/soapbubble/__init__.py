@@ -11,9 +11,7 @@ from .constants import ConstantsReport, check_smallness, compute_constants
 from .intrinsic import (
     GeodesicGraph,
     build_geodesic_graph,
-    cap_interior,
     harnack_chain,
-    intrinsic_distance,
     piecewise_geodesic_chain,
 )
 from .planes import (
@@ -27,21 +25,16 @@ from .specio import SpecError, load_surface, surface_from_dict
 from .surfaces import (
     CapabilityError,
     Ellipsoid,
-    GraphPatch,
     HarmonicRadial,
     OrientationError,
     OscReport,
-    PatchBracketError,
     PointCloud,
     ProjectionError,
     SparseNeighborhoodError,
     Sphere,
     Surface,
     SurfaceError,
-    SurfaceSample,
     estimate_touching_radius,
-    evaluate_sample,
-    local_graph,
     mean_curvature_oscillation,
     touching_radius,
 )
@@ -62,11 +55,9 @@ __all__ = [
     "CriticalPlane",
     "Ellipsoid",
     "GeodesicGraph",
-    "GraphPatch",
     "HarmonicRadial",
     "OrientationError",
     "OscReport",
-    "PatchBracketError",
     "PointCloud",
     "ProjectionError",
     "SparseNeighborhoodError",
@@ -75,20 +66,15 @@ __all__ = [
     "StabilityReport",
     "Surface",
     "SurfaceError",
-    "SurfaceSample",
     "build_geodesic_graph",
-    "cap_interior",
     "check_smallness",
     "compute_constants",
     "critical_caps",
     "critical_position",
     "estimate_touching_radius",
-    "evaluate_sample",
     "extent",
     "harnack_chain",
-    "intrinsic_distance",
     "load_surface",
-    "local_graph",
     "mean_curvature_oscillation",
     "piecewise_geodesic_chain",
     "radial_bounds",

@@ -1,5 +1,5 @@
-"""Intrinsic (geodesic) machinery: k-NN graph distances, cap interiors,
-piecewise-geodesic chains and shrinking-radius chains.
+"""Intrinsic (geodesic) machinery: k-NN graph distances, distances to a
+region's interface, piecewise-geodesic chains and shrinking-radius chains.
 
 Geodesics are approximated by shortest paths on a k-nearest-neighbor graph
 with Euclidean chord weights. Chord chains lower-bound the straight-line
@@ -95,12 +95,6 @@ def build_geodesic_graph(
     )
 
 
-def intrinsic_distance(graph: GeodesicGraph, p: int, q: int) -> float:
-    """Shortest-path length between two nodes; inf across components."""
-    d = graph.distances_from(p, targets=q)
-    return float(d)
-
-
 def region_boundary(graph: GeodesicGraph, region: np.ndarray) -> np.ndarray:
     """Region nodes with at least one neighbor outside the region (mask in,
     indices out)."""
@@ -110,19 +104,6 @@ def region_boundary(graph: GeodesicGraph, region: np.ndarray) -> np.ndarray:
     leaves = np.zeros(graph.node_count, dtype=bool)
     leaves[rows[~region[A.indices]]] = True
     return np.nonzero(region & leaves)[0]
-
-
-@dataclass
-class CapInterior:
-    mask: np.ndarray
-    distances: np.ndarray
-    boundary: np.ndarray
-    component_labels: np.ndarray  # labels within the interior set (-1 outside)
-
-    @property
-    def n_components(self) -> int:
-        inside = self.component_labels[self.component_labels >= 0]
-        return int(inside.max()) + 1 if inside.size else 0
 
 
 def interface_distances(graph: GeodesicGraph, region: np.ndarray, crossing_fn=None) -> np.ndarray:
@@ -155,25 +136,6 @@ def interface_distances(graph: GeodesicGraph, region: np.ndarray, crossing_fn=No
     big = coo_matrix((dd, (rr, cc)), shape=(m + 1, m + 1)).tocsr()
     dist = dijkstra(big, directed=False, indices=m)
     return dist[:m]
-
-
-def cap_interior(region: np.ndarray, delta: float, graph: GeodesicGraph) -> CapInterior:
-    """Nodes of `region` at graph distance greater than delta from the region
-    interface; empty results are legitimate."""
-    region = np.asarray(region, dtype=bool)
-    boundary = region_boundary(graph, region)
-    if boundary.size == 0:
-        dist = np.full(graph.node_count, np.inf)
-        mask = region.copy()
-    else:
-        dist = interface_distances(graph, region)
-        mask = region & (dist > delta)
-    labels = np.full(graph.node_count, -1, dtype=int)
-    if mask.any():
-        sub = graph.adjacency[np.ix_(mask, mask)]
-        _, sub_labels = connected_components(sub, directed=False)
-        labels[mask] = sub_labels
-    return CapInterior(mask=mask, distances=dist, boundary=boundary, component_labels=labels)
 
 
 @dataclass

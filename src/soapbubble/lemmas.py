@@ -24,6 +24,7 @@ from .surfaces import (
     _graph_heights_batch,
     touching_radius,
 )
+from .symmetry import _radial_normal_dots
 from .tracing import (
     TangentialSliceError,
     TracingError,
@@ -595,12 +596,7 @@ def verify_annulus_normal(
         raise ValueError(
             f"annulus hypothesis violated: r_e - r_i = {r_e - r_i:.4g} > 2 rho = {2 * rho:.4g}"
         )
-    pts = surface.probe_points(sample_budget, seed)
-    rel = pts - center
-    rad = rel / np.linalg.norm(rel, axis=1, keepdims=True)
-    normals, _ = surface.curvatures_batch(pts)
-    dots = np.einsum("md,md->m", rad, normals)
-    bound = -1.0 + (r_e - r_i) / rho
+    pts, dots, bound = _radial_normal_dots(surface, center, r_i, r_e, rho, sample_budget, seed)
     margins = bound - dots
 
     def witness(i):

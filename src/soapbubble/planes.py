@@ -235,8 +235,8 @@ def critical_position(
     if p0 is not None and not degenerate:
         if float(p0 @ omega) - m <= 2.0 * spacing:
             case = BOUNDARY_ORTHOGONALITY
-            nu, _ = surface.curvature_at(surface.project(check.witness_reflected))
-            alignment = abs(float(nu @ omega))
+            nus, _ = surface.curvatures_batch(surface.project(check.witness_reflected)[None])
+            alignment = abs(float(nus[0] @ omega))
     return CriticalPlane(
         direction=omega,
         level=float(m),
@@ -258,9 +258,6 @@ class CapRegion:
     sigma_nodes: np.ndarray       # cap-side pre-images of the reflected cap component
     sigma_hat_nodes: np.ndarray   # left-portion component
     boundary_nodes: np.ndarray    # sigma nodes with a neighbor outside sigma
-
-    def sigma_reflected_points(self, graph: GeodesicGraph) -> np.ndarray:
-        return reflect(graph.points[self.sigma_nodes], self.direction, self.level)
 
 
 def critical_caps(surface: Surface, plane: CriticalPlane, graph: GeodesicGraph) -> CapRegion:

@@ -31,14 +31,6 @@ class ProjectionError(SurfaceError):
     """Nearest-point projection onto the surface did not converge."""
 
 
-class PatchBracketError(SurfaceError):
-    """Graph-height root left the touching-ball bracket.
-
-    Signals that the requested patch radius is too large or that the
-    touching radius estimate is optimistic.
-    """
-
-
 class OrientationError(SurfaceError):
     """Point cloud ships inconsistently oriented normals."""
 
@@ -50,20 +42,6 @@ class SparseNeighborhoodError(SurfaceError):
 class CapabilityError(SurfaceError, NotImplementedError):
     """The surface type does not provide a member an operation needs, such
     as the level-function gradient of a point cloud."""
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    """A surface point with inner normal and curvature data.
-
-    principal_curvatures are sorted ascending; mean_curvature is their
-    average (units 1/length).
-    """
-
-    point: np.ndarray
-    inner_normal: np.ndarray
-    principal_curvatures: np.ndarray
-    mean_curvature: float
 
 
 @dataclass(frozen=True)
@@ -347,12 +325,6 @@ class Surface:
         return 1
 
     # --- pointwise differential geometry from the level function ---
-
-    def curvature_at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(inner normal, ascending principal curvatures) at one surface
-        point: the one-row case of `curvatures_batch`."""
-        nus, kappas = self.curvatures_batch(np.asarray(p, dtype=float)[None])
-        return nus[0], kappas[0]
 
     def curvatures_batch(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(m, d) surface points -> inner normals (m, d), ascending principal
@@ -768,9 +740,9 @@ def _project_newton(surface: HarmonicRadial, P: np.ndarray, seeds: np.ndarray) -
 class PointCloud(Surface):
     """Surface known through samples with inward normals.
 
-    `curvature_at` and `curvatures_batch` answer with the nearest sample's
-    inner normal and the principal curvatures of a quadric fitted over its
-    k nearest neighbors; the fits of all asked-for samples form one stacked
+    `curvatures_batch` answers with the nearest sample's inner normal and
+    the principal curvatures of a quadric fitted over its k nearest
+    neighbors; the fits of all asked-for samples form one stacked
     least-squares solve over the neighbor table that the constructor's one
     self k-NN query stores. Signed distance is the distance to the nearest
     sample, signed by its normal. Along rays (`implicit_on_rays`) the
@@ -1043,13 +1015,6 @@ def _voronoi_cell_areas(neigh_xy: np.ndarray) -> np.ndarray:
 # operations
 
 
-def evaluate_sample(surface: Surface, seed: np.ndarray) -> SurfaceSample:
-    """Project a seed point onto the surface and report normal + curvatures."""
-    p = surface.project(np.asarray(seed, dtype=float))
-    nu, kappas = surface.curvature_at(p)
-    return SurfaceSample(p, nu, kappas, float(kappas.mean()))
-
-
 def _refine_extremum(surface: Surface, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     """Stationary points of the mean curvature H near the on-surface seeds
     (m, d), all in one `Surface.stationary` solve: (points, H there,
@@ -1237,72 +1202,6 @@ def touching_radius(surface: Surface, sample_budget: int = 2000, seed: int = 0) 
     if key not in cache:
         cache[key] = estimate_touching_radius(surface, sample_budget, seed)
     return cache[key]
-
-
-@dataclass
-class GraphPatch:
-    """Local graph of the surface over the tangent hyperplane at `base`.
-
-    Heights are measured along the inner normal; coordinates x live in the
-    tangent frame (rows of `frame`). Valid for |x| < radius with
-    radius below the touching radius `rho`.
-    """
-
-    surface: Surface
-    base: np.ndarray
-    frame: np.ndarray  # (n, d) tangent rows
-    inner_normal: np.ndarray
-    radius: float
-    rho: float
-
-    def height(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        t = _graph_heights_batch(
-            self.surface, self.base[None, :], self.inner_normal[None, :],
-            (x @ self.frame)[None, :], self.rho,
-        )
-        if not np.isfinite(t[0]):
-            raise PatchBracketError(
-                "graph height left the touching-ball bracket; radius too large "
-                "or touching radius overestimated"
-            )
-        return float(t[0])
-
-    def point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.base + x @ self.frame + self.height(x) * self.inner_normal
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Tangent-frame coordinates of grad u at x (exact via implicit
-        differentiation for analytic surfaces)."""
-        q = self.point(x)
-        g = self.surface.implicit_grad(q)
-        denom = float(self.inner_normal @ g)
-        if abs(denom) < 1e-300:
-            raise PatchBracketError("graph tangency: normal derivative vanished")
-        return -(self.frame @ g) / denom
-
-    def gradient_ambient(self, x: np.ndarray) -> np.ndarray:
-        return self.gradient(x) @ self.frame
-
-    def normal_at(self, x: np.ndarray) -> np.ndarray:
-        q = self.point(x)
-        nu, _ = self.surface.curvature_at(q)
-        return nu
-
-
-def local_graph(surface: Surface, p: SurfaceSample, radius: float) -> GraphPatch:
-    rho = touching_radius(surface)
-    if not radius < rho:
-        raise ValueError(f"patch radius {radius} must stay below the touching radius {rho:.6g}")
-    return GraphPatch(
-        surface=surface,
-        base=p.point,
-        frame=tangent_frame(p.inner_normal),
-        inner_normal=p.inner_normal,
-        radius=float(radius),
-        rho=rho,
-    )
 
 
 # `_graph_heights_batch` brackets each height by the touching-ball bound

@@ -30,6 +30,12 @@ H_CONVENTION = "inner normal; sphere of radius R has H = +1/R"
 # 18% faster than one block holding all 100 rays.
 _RAY_BLOCK_POINTS = 2**15
 
+# An osc at or below this is taken for rounding noise and leaves the ratio
+# indeterminate: acceptance criterion 01 requires a round sphere to measure
+# osc <= 1e-8. It is an absolute curvature (1/length), not yet relative to
+# the surface's size.
+_OSC_NOISE_FLOOR = 1e-8
+
 
 def symmetry_center(
     surface: Surface,
@@ -41,29 +47,6 @@ def symmetry_center(
     planes = [critical_position(surface, w, tol, sample_budget, seed) for w in np.eye(surface.dim)]
     center = np.array([p.level for p in planes])
     return center, planes
-
-
-def symmetry_center_robust(
-    surface: Surface,
-    n_directions: int = 16,
-    tol: float | None = None,
-    sample_budget: int = 2000,
-    seed: int = 0,
-) -> tuple[np.ndarray, float]:
-    """Noise-resilient center diagnostic: average the critical-plane foot
-    points m(omega)*omega over random directions and report their spread
-    around the estimate (a sphere gives spread ~ 0)."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, surface.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    levels = np.array(
-        [critical_position(surface, w, tol, sample_budget, seed).level for w in dirs]
-    )
-    # least-squares point closest to all critical hyperplanes {x . w_i = m_i}
-    normal_matrix = dirs.T @ dirs
-    center = np.linalg.solve(normal_matrix, dirs.T @ levels)
-    spread = float(np.abs(dirs @ center - levels).max())
-    return center, spread
 
 
 def radial_bounds(
@@ -93,20 +76,6 @@ def radial_bounds(
     if ok[1] and v[1] > r_e:
         r_e, p_e = float(v[1]), x[1]
     return r_i, r_e, p_i, p_e
-
-
-def critical_plane_distance(
-    surface: Surface,
-    center: np.ndarray,
-    omega: np.ndarray,
-    tol: float | None = None,
-    sample_budget: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Distance from the center to the critical hyperplane in direction omega."""
-    omega = unit(omega)
-    plane = critical_position(surface, omega, tol, sample_budget, seed)
-    return abs(float(np.asarray(center) @ omega) - plane.level)
 
 
 def reflection_defect(
@@ -183,6 +152,27 @@ def count_ray_hits(
     return counts
 
 
+def _radial_normal_dots(
+    surface: Surface,
+    center: np.ndarray,
+    r_i: float,
+    r_e: float,
+    rho: float,
+    sample_budget: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(probe points, their unit radial directions from the center dotted
+    with the inner normals, the annulus-normal bound -1 + (r_e - r_i)/rho),
+    from one `curvatures_batch` call; the radial-map check and the
+    annulus-normal lemma each judge the dots against the bound with their
+    own tolerance."""
+    pts = surface.probe_points(sample_budget, seed)
+    rel = pts - center
+    rad = rel / np.linalg.norm(rel, axis=1, keepdims=True)
+    normals, _ = surface.curvatures_batch(pts)
+    return pts, np.einsum("md,md->m", rad, normals), -1.0 + (r_e - r_i) / rho
+
+
 def radial_map_check(
     surface: Surface,
     center: np.ndarray,
@@ -206,13 +196,8 @@ def radial_map_check(
     if rho is None:
         rho = touching_radius(surface, sample_budget, seed)
 
-    pts = surface.probe_points(sample_budget, seed)
-    rel = pts - center
-    rad = rel / np.linalg.norm(rel, axis=1, keepdims=True)
-    normals, _ = surface.curvatures_batch(pts)
-    dots = np.einsum("md,md->m", rad, normals)
+    _, dots, bound = _radial_normal_dots(surface, center, r_i, r_e, rho, sample_budget, seed)
     max_dot = float(dots.max())
-    bound = -1.0 + (r_e - r_i) / rho
     transversal_ok = bool(max_dot < 0.0)
     annulus_ok = bool(max_dot <= bound + 1e-9)
 
@@ -288,7 +273,6 @@ def stability_ratio(
     k2: float | None = None,
     k3: float | None = None,
     n_rays: int = 1000,
-    osc_noise_floor: float = 1e-8,
 ) -> StabilityReport:
     """Full pipeline: oscillation, touching radius, axis critical planes,
     center, radii, defects, radial-map diagnosis, constants ledger."""
@@ -325,12 +309,12 @@ def stability_ratio(
     except ValueError as exc:
         radial_err = str(exc)
 
-    indeterminate = osc_rep.osc <= osc_noise_floor
+    indeterminate = osc_rep.osc <= _OSC_NOISE_FLOOR
     ratio = None if indeterminate else spread / osc_rep.osc
     if indeterminate:
         verdict = (
             "sphere within tolerance"
-            if spread <= max(10.0 * osc_noise_floor, 1e-6 * surface.diameter_hint())
+            if spread <= max(10.0 * _OSC_NOISE_FLOOR, 1e-6 * surface.diameter_hint())
             else "oscillation below noise floor but radii spread is not"
         )
     else:
@@ -345,7 +329,7 @@ def stability_ratio(
         "seed": seed,
         "tol": tol,
         "h_convention": H_CONVENTION,
-        "osc_noise_floor": osc_noise_floor,
+        "osc_noise_floor": _OSC_NOISE_FLOOR,
         "radial_map_error": radial_err,
         "degenerate_contacts": [p.degenerate_contact for p in planes],
     }

@@ -97,14 +97,6 @@ def spherical_cap_area_fraction(polar_margin: float) -> float:
     return (1.0 - math.sin(polar_margin)) / 2.0
 
 
-def touching_ball_height(rho: float, x_norm: float) -> float:
-    return rho - math.sqrt(rho**2 - x_norm**2)
-
-
-def touching_ball_gradient(rho: float, x_norm: float) -> float:
-    return x_norm / math.sqrt(rho**2 - x_norm**2)
-
-
 def touching_radius_dense(
     surface, sample_budget: int = 2000, seed: int = 0, pair_budget: int = 1500
 ) -> float:

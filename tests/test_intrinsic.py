@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import soapbubble as sb
 from soapbubble.constants import compute_constants
@@ -12,9 +13,8 @@ from soapbubble.geometry import resample_polyline
 from soapbubble.intrinsic import (
     GraphConnectivityError,
     build_geodesic_graph,
-    cap_interior,
     harnack_chain,
-    intrinsic_distance,
+    interface_distances,
     piecewise_geodesic_chain,
     region_boundary,
 )
@@ -81,7 +81,7 @@ class TestGraphBuild:
         g = build_geodesic_graph(ell_111, 5000, k=16, seed=0)
         i, j = poles(g)
         oracle = ellipsoid_meridian_halflength(1.0, 1.1)
-        assert intrinsic_distance(g, i, j) == pytest.approx(oracle, rel=0.03)
+        assert g.distances_from(i, targets=j) == pytest.approx(oracle, rel=0.03)
 
     def test_determinism(self, unit_sphere):
         g1 = build_geodesic_graph(unit_sphere, 800, k=8, seed=3)
@@ -93,10 +93,10 @@ class TestGraphBuild:
 class TestIntrinsicDistance:
     def test_antipodal_great_circle(self, sphere_graph):
         i, j = poles(sphere_graph)
-        assert intrinsic_distance(sphere_graph, i, j) == pytest.approx(math.pi, rel=0.02)
+        assert sphere_graph.distances_from(i, targets=j) == pytest.approx(math.pi, rel=0.02)
 
     def test_identical_nodes(self, sphere_graph):
-        assert intrinsic_distance(sphere_graph, 5, 5) == 0.0
+        assert sphere_graph.distances_from(5, targets=5) == 0.0
 
     def test_chord_lower_bound_and_arcsin_envelope(self, sphere_graph):
         # graph distance is a sum of chords, hence at least the straight chord;
@@ -130,7 +130,7 @@ class TestIntrinsicDistance:
         chord = np.linalg.norm(g.points - g.points[i], axis=1)
         j = int(np.argmin(np.abs(chord - 0.2)))
         c = chord[j]
-        d = intrinsic_distance(g, i, j)
+        d = float(g.distances_from(i, targets=j))
         assert c >= 0.195  # sampling found a genuine ~0.2 chord
         assert d >= c - 1e-12
         assert d <= math.asin(min(c, 1.0)) + 2.0 * g.mean_edge
@@ -160,7 +160,7 @@ class TestIntrinsicDistance:
         g = build_geodesic_graph(cloud, 1400, k=8, seed=0)
         a = int(np.nonzero(g.labels == 0)[0][0])
         b = int(np.nonzero(g.labels == 1)[0][0])
-        assert math.isinf(intrinsic_distance(g, a, b))
+        assert math.isinf(g.distances_from(a, targets=b))
 
 
 class TestCapInterior:
@@ -177,25 +177,25 @@ class TestCapInterior:
             np.testing.assert_array_equal(region_boundary(g, region), np.array(loop, dtype=int))
         assert region_boundary(g, np.ones(g.node_count, dtype=bool)).size == 0
 
+    # the interior of a cap at margin delta: its nodes farther than delta
+    # from the cap's interface
     def test_whole_surface_no_boundary(self, sphere_graph):
         region = np.ones(sphere_graph.node_count, dtype=bool)
-        ci = cap_interior(region, 1.0, sphere_graph)
-        assert ci.mask.all()
-        assert len(ci.boundary) == 0
+        dist = interface_distances(sphere_graph, region)
+        assert (region & (dist > 1.0)).all()
+        assert region_boundary(sphere_graph, region).size == 0
 
     def test_hemisphere_margin_area(self, unit_sphere):
         g = build_geodesic_graph(unit_sphere, 8000, k=10, seed=1)
         region = g.points[:, 2] > 0
-        ci = cap_interior(region, 0.3, g)
-        frac = ci.mask.sum() / g.node_count
+        inner = region & (interface_distances(g, region) > 0.3)
+        frac = inner.sum() / g.node_count
         assert frac == pytest.approx(spherical_cap_area_fraction(0.3), rel=0.05)
-        assert ci.n_components == 1
+        assert connected_components(g.adjacency[np.ix_(inner, inner)], directed=False)[0] == 1
 
     def test_hemisphere_huge_delta_empty(self, sphere_graph):
         region = sphere_graph.points[:, 2] > 0
-        ci = cap_interior(region, math.pi, sphere_graph)
-        assert not ci.mask.any()
-        assert ci.n_components == 0
+        assert not (region & (interface_distances(sphere_graph, region) > math.pi)).any()
 
 
 class TestChains:
@@ -296,7 +296,7 @@ class TestHarnackChain:
         steps = np.diff(way, axis=0)
         tang, chord = [], []
         for w, d in zip(way[:-1], steps):
-            nu = cloud.curvature_at(w)[0]
+            nu = cloud.curvatures_batch(w[None])[0][0]
             tang.append(np.linalg.norm(d - (d @ nu) * nu))
             chord.append(np.linalg.norm(d))
         quarter = hc.radii[: len(steps)] / 4.0

@@ -318,7 +318,7 @@ class TestCriticalCaps:
         assert frac == pytest.approx(0.5, abs=0.05)
         assert frac_hat == pytest.approx(0.5, abs=0.05)
         # mirrored cap overlays the left portion
-        mirrored = caps.sigma_reflected_points(g)
+        mirrored = reflect(g.points[caps.sigma_nodes], caps.direction, caps.level)
         assert np.abs(unit_sphere.signed_distance(mirrored)).max() < 1e-9
 
     def test_ellipsoid_axis_area_split(self, ell_111, ell_graph):

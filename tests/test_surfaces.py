@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import soapbubble as sb
 from soapbubble.geometry import tangent_frame
-from soapbubble.surfaces import _bisect_along, quadratic
+from soapbubble.surfaces import _bisect_along, _graph_heights_batch, quadratic
 
 from .oracles import (
     bisect_along_full,
@@ -25,8 +25,6 @@ from .oracles import (
     project_newton_loop,
     quadric_fit_loop,
     tangent_frames_batch,
-    touching_ball_gradient,
-    touching_ball_height,
     touching_radius_dense,
     voronoi_cell_area,
 )
@@ -38,32 +36,34 @@ ELL111_OSC = 0.18677685950413236
 
 
 class TestEvaluateSample:
+    # seeds projected onto the surface, then their inner normals and
+    # principal curvatures from `curvatures_batch`
     def test_unit_sphere_seed_outside(self, unit_sphere):
-        s = sb.evaluate_sample(unit_sphere, [2.0, 0.0, 0.0])
-        np.testing.assert_allclose(s.point, [1.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(s.inner_normal, [-1.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(s.principal_curvatures, [1.0, 1.0], atol=1e-12)
-        assert s.mean_curvature == pytest.approx(1.0, abs=1e-12)
+        p = unit_sphere.project(np.array([[2.0, 0.0, 0.0]]))
+        nus, kappas = unit_sphere.curvatures_batch(p)
+        np.testing.assert_allclose(p[0], [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(nus[0], [-1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(kappas[0], [1.0, 1.0], atol=1e-12)
+        assert kappas[0].mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_ellipsoid_pole_matches_symbolic(self, ell_111):
-        s = sb.evaluate_sample(ell_111, [0.0, 0.0, 1.3])
-        assert abs(ell_111.signed_distance(s.point)) < 1e-9
-        assert s.mean_curvature == pytest.approx(ELL111_H_POLE, abs=1e-9)
+        p = ell_111.project(np.array([[0.0, 0.0, 1.3]]))
+        _, kappas = ell_111.curvatures_batch(p)
+        assert abs(ell_111.signed_distance(p[0])) < 1e-9
+        assert kappas[0].mean() == pytest.approx(ELL111_H_POLE, abs=1e-9)
         assert ellipsoid_mean_curvature(1, 1, 1.1, 1e-7, 0.0) == pytest.approx(1.1, abs=1e-5)
 
     def test_ellipsoid_equator_matches_symbolic(self, ell_111):
-        s = sb.evaluate_sample(ell_111, [1.05, 0.0, 0.0])
-        assert s.mean_curvature == pytest.approx(ELL111_H_EQUATOR, abs=1e-9)
+        _, kappas = ell_111.curvatures_batch(ell_111.project(np.array([[1.05, 0.0, 0.0]])))
+        assert kappas[0].mean() == pytest.approx(ELL111_H_EQUATOR, abs=1e-9)
         assert ellipsoid_mean_curvature(1, 1, 1.1, math.pi / 2, 0.0) == pytest.approx(
             ELL111_H_EQUATOR, abs=1e-12
         )
 
-    def test_mean_is_average_of_principal(self, ell_111):
+    def test_principal_curvatures_ascend(self, ell_111):
         rng = np.random.default_rng(1)
-        for seed in rng.standard_normal((20, 3)) * 1.4:
-            s = sb.evaluate_sample(ell_111, seed)
-            assert s.mean_curvature == pytest.approx(float(s.principal_curvatures.mean()), abs=1e-12)
-            assert np.all(np.diff(s.principal_curvatures) >= 0)
+        _, kappas = ell_111.curvatures_batch(ell_111.project(rng.standard_normal((20, 3)) * 1.4))
+        assert np.all(np.diff(kappas, axis=1) >= 0)
 
     @pytest.mark.parametrize("surface_name", ["unit_sphere", "ell_111", "radial_bumpy"])
     def test_h_matches_normal_divergence(self, surface_name, request):
@@ -71,29 +71,25 @@ class TestEvaluateSample:
         surface = request.getfixturevalue(surface_name)
         rng = np.random.default_rng(2)
         h = 1e-5
-        for seed in rng.standard_normal((10, 3)):
-            s = sb.evaluate_sample(surface, seed)
-            frame = tangent_frame(s.inner_normal)
-            trace = 0.0
-            for e in frame:
-                nup, _ = surface.curvature_at(surface.project(s.point + h * e))
-                num, _ = surface.curvature_at(surface.project(s.point - h * e))
-                trace += float((nup - num) @ e) / (2 * h)
+        P = surface.project(rng.standard_normal((10, 3)))
+        nus, kappas = surface.curvatures_batch(P)
+        for p, nu, k in zip(P, nus, kappas):
+            frame = tangent_frame(nu)
+            nup, _ = surface.curvatures_batch(surface.project(p + h * frame))
+            num, _ = surface.curvatures_batch(surface.project(p - h * frame))
+            trace = float(np.einsum("id,id->", nup - num, frame)) / (2 * h)
             h_fd = -trace / surface.n
-            assert h_fd == pytest.approx(s.mean_curvature, abs=1e-4)
+            assert h_fd == pytest.approx(float(k.mean()), abs=1e-4)
 
     def test_symbolic_oracle_agreement_random_points(self, ell_111):
         rng = np.random.default_rng(3)
-        for _ in range(15):
-            th = rng.uniform(0.2, math.pi - 0.2)
-            ph = rng.uniform(0, 2 * math.pi)
-            p = np.array(
-                [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), 1.1 * math.cos(th)]
-            )
-            s = sb.evaluate_sample(ell_111, p)
-            assert s.mean_curvature == pytest.approx(
-                ellipsoid_mean_curvature(1, 1, 1.1, th, ph), abs=1e-9
-            )
+        th, ph = np.array(
+            [(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0, 2 * math.pi)) for _ in range(15)]
+        ).T
+        P = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), 1.1 * np.cos(th)], axis=1)
+        _, kappas = ell_111.curvatures_batch(ell_111.project(P))
+        for k, t, f in zip(kappas, th, ph):
+            assert k.mean() == pytest.approx(ellipsoid_mean_curvature(1, 1, 1.1, t, f), abs=1e-9)
 
 
 class TestOscillation:
@@ -512,76 +508,43 @@ class TestArea:
 
 
 class TestLocalGraph:
+    # heights of the surface over its tangent plane at a base point, along
+    # the inner normal, from `_graph_heights_batch`
+    @staticmethod
+    def _base(surface, seed):
+        p = surface.project(np.array([seed], dtype=float))
+        nus, _ = surface.curvatures_batch(p)
+        return p, nus, tangent_frame(nus[0])
+
     def test_sphere_bottom_patch(self, unit_sphere):
-        s = sb.evaluate_sample(unit_sphere, [0.0, 0.0, -2.0])
-        np.testing.assert_allclose(s.inner_normal, [0, 0, 1.0], atol=1e-12)
-        patch = sb.local_graph(unit_sphere, s, 0.8)
+        p, nu, frame = self._base(unit_sphere, [0.0, 0.0, -2.0])
+        np.testing.assert_allclose(nu[0], [0, 0, 1.0], atol=1e-12)
         # frame is some orthonormal basis of z=0; height only depends on |x|
-        u = patch.height(np.array([0.6, 0.0]))
-        assert u == pytest.approx(1.0 - 0.8, abs=1e-10)
-        assert patch.height(np.zeros(2)) == pytest.approx(0.0, abs=1e-10)
-        assert np.linalg.norm(patch.gradient(np.zeros(2))) < 1e-9
+        offsets = np.array([[0.6, 0.0], [0.0, 0.0]]) @ frame
+        u = _graph_heights_batch(unit_sphere, p, nu, offsets, sb.touching_radius(unit_sphere))
+        assert u[0] == pytest.approx(1.0 - 0.8, abs=1e-10)
+        assert u[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_patch_point_lies_on_surface(self, ell_111):
-        s = sb.evaluate_sample(ell_111, [0.5, -0.6, 0.9])
-        patch = sb.local_graph(ell_111, s, 0.5)
-        for x in (np.array([0.2, 0.1]), np.array([-0.3, 0.25])):
-            q = patch.point(x)
-            assert abs(ell_111.signed_distance(q)) < 1e-9
+        p, nu, frame = self._base(ell_111, [0.5, -0.6, 0.9])
+        offsets = np.array([[0.2, 0.1], [-0.3, 0.25]]) @ frame
+        u = _graph_heights_batch(ell_111, p, nu, offsets, sb.touching_radius(ell_111))
+        q = p + offsets + u[:, None] * nu
+        assert np.abs(ell_111.signed_distance(q)).max() < 1e-9
 
     def test_ellipsoid_pole_taylor(self, ell_111):
-        s = sb.evaluate_sample(ell_111, [0.0, 0.0, 2.0])
-        patch = sb.local_graph(ell_111, s, 0.5)
-        for r in (0.01, 0.02, 0.04):
-            x = np.array([r, 0.0])
-            quad = 0.5 * 1.1 * r**2  # both pole curvatures are 1.1
-            assert abs(patch.height(x) - quad) < 5.0 * r**3
-
-    def test_normal_formula_consistency(self, ell_111):
-        # graph normal (nu_p - grad u)/sqrt(1+|grad u|^2) equals the surface normal
-        s = sb.evaluate_sample(ell_111, [0.8, 0.3, 0.4])
-        patch = sb.local_graph(ell_111, s, 0.4)
-        x = np.array([0.15, -0.1])
-        gu = patch.gradient_ambient(x)
-        formula = (s.inner_normal - gu) / math.sqrt(1.0 + float(gu @ gu))
-        direct = patch.normal_at(x)
-        np.testing.assert_allclose(formula, direct, atol=1e-9)
-
-    def test_touching_ball_bounds_hold(self, ell_111):
-        rho = sb.touching_radius(ell_111)
-        rng = np.random.default_rng(7)
-        s = sb.evaluate_sample(ell_111, [0.0, 1.2, 0.3])
-        patch = sb.local_graph(ell_111, s, 0.9 * rho)
-        for _ in range(40):
-            d = rng.standard_normal(2)
-            d /= np.linalg.norm(d)
-            r = rng.uniform(0.0, 0.9 * rho)
-            x = r * d
-            u = patch.height(x)
-            g = np.linalg.norm(patch.gradient(x))
-            assert abs(u) <= touching_ball_height(rho, r) + 1e-7
-            assert g <= touching_ball_gradient(rho, r) + 1e-7
-            nu_q = patch.normal_at(x)
-            assert float(s.inner_normal @ nu_q) >= math.sqrt(rho**2 - r**2) / rho - 1e-7
-
-    def test_radius_must_stay_below_touching_radius(self, unit_sphere):
-        s = sb.evaluate_sample(unit_sphere, [0.0, 0.0, -2.0])
-        with pytest.raises(ValueError):
-            sb.local_graph(unit_sphere, s, 1.5)
+        p, nu, frame = self._base(ell_111, [0.0, 0.0, 2.0])
+        r = np.array([0.01, 0.02, 0.04])
+        offsets = r[:, None] * frame[0]
+        u = _graph_heights_batch(ell_111, p, nu, offsets, sb.touching_radius(ell_111))
+        quad = 0.5 * 1.1 * r**2  # both pole curvatures are 1.1
+        assert np.all(np.abs(u - quad) < 5.0 * r**3)
 
     def test_bracket_failure_reported(self, unit_sphere):
         # lie about the touching radius: heights beyond the true bound cannot bracket
-        s = sb.evaluate_sample(unit_sphere, [0.0, 0.0, -2.0])
-        patch = sb.GraphPatch(
-            surface=unit_sphere,
-            base=s.point,
-            frame=tangent_frame(s.inner_normal),
-            inner_normal=s.inner_normal,
-            radius=2.4,
-            rho=2.5,
-        )
-        with pytest.raises(sb.PatchBracketError):
-            patch.height(np.array([2.2, 0.0]))
+        p, nu, frame = self._base(unit_sphere, [0.0, 0.0, -2.0])
+        u = _graph_heights_batch(unit_sphere, p, nu, np.array([[2.2, 0.0]]) @ frame, 2.5)
+        assert np.isnan(u[0])
 
 
 class _CountingImplicit:
@@ -642,8 +605,8 @@ class TestBisectAlong:
 
 class TestPointCloud:
     def test_sphere_cloud_curvature(self, sphere_cloud):
-        s = sb.evaluate_sample(sphere_cloud, [2.0, 0.0, 0.0])
-        assert s.mean_curvature == pytest.approx(1.0, rel=0.02)
+        _, kappas = sphere_cloud.curvatures_batch(sphere_cloud.project(np.array([[2.0, 0.0, 0.0]])))
+        assert kappas[0].mean() == pytest.approx(1.0, rel=0.02)
 
     def test_sphere_cloud_signed_distance(self, sphere_cloud):
         assert sphere_cloud.signed_distance([0, 0, 0]) == pytest.approx(1.0, abs=0.01)
@@ -742,9 +705,9 @@ class TestPointCloudCurvatureInterface:
                 np.testing.assert_array_equal(nus, nus_loop)
                 np.testing.assert_allclose(kappas, kappas_loop, rtol=1e-12, atol=0)
                 for p, nu, k in zip(pts, nus, kappas):
-                    nu1, k1 = cloud.curvature_at(p)
-                    np.testing.assert_array_equal(nu1, nu)
-                    np.testing.assert_array_equal(k1, k)
+                    nu1, k1 = cloud.curvatures_batch(p[None])
+                    np.testing.assert_array_equal(nu1[0], nu)
+                    np.testing.assert_array_equal(k1[0], k)
 
     def test_too_few_neighbors_for_a_quadric(self):
         # a 3-D quadric has 6 terms; k = 4 neighbors cannot fit it
@@ -921,9 +884,9 @@ class TestOnePointParity:
         Q = surface.project(P)
         nus, kappas = surface.curvatures_batch(Q)
         for q, nu, k in zip(Q, nus, kappas):
-            nu1, k1 = surface.curvature_at(q)
-            np.testing.assert_array_equal(nu1, nu)
-            np.testing.assert_array_equal(k1, k)
+            nu1, k1 = surface.curvatures_batch(q[None])
+            np.testing.assert_array_equal(nu1[0], nu)
+            np.testing.assert_array_equal(k1[0], k)
 
     @given(
         d=st.integers(2, 4),

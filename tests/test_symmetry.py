@@ -8,13 +8,11 @@ import soapbubble as sb
 from soapbubble.planes import critical_position
 from soapbubble.symmetry import (
     count_ray_hits,
-    critical_plane_distance,
     radial_bounds,
     radial_map_check,
     reflection_defect,
     stability_ratio,
     symmetry_center,
-    symmetry_center_robust,
 )
 
 from .oracles import ray_hits_loop, ray_hits_one_block
@@ -44,18 +42,6 @@ class TestCenter:
         s = sb.Sphere(t, 0.8)
         O, _ = symmetry_center(s)
         np.testing.assert_allclose(O, t, atol=1e-6)
-
-    def test_robust_variant_recovers_center_with_spread(self):
-        s = sb.Sphere([0.2, -0.1, 0.35], 1.0)
-        O, spread = symmetry_center_robust(s, n_directions=10, sample_budget=1200)
-        np.testing.assert_allclose(O, [0.2, -0.1, 0.35], atol=1e-6)
-        assert spread < 1e-6
-        e = sb.Ellipsoid([1.0, 1.0, 1.1])
-        O2, spread2 = symmetry_center_robust(e, n_directions=10, sample_budget=1200)
-        # off-axis critical planes of a non-sphere genuinely miss a common
-        # point; the spread is the diagnostic that reports it
-        assert np.linalg.norm(O2) < 0.2
-        assert spread2 > 1e-3
 
 
 class TestRadialBounds:
@@ -99,6 +85,8 @@ class TestRadialBounds:
 
 
 class TestPlaneDistance:
+    # distance from the center to the critical hyperplane in direction w,
+    # |center . w - level|, as `stability_ratio` reports it
     def test_sphere_any_direction(self):
         s = sb.Sphere([0.2, 0.1, -0.3], 1.0)
         O, _ = symmetry_center(s)
@@ -106,18 +94,13 @@ class TestPlaneDistance:
         for _ in range(3):
             w = rng.standard_normal(3)
             w /= np.linalg.norm(w)
-            assert critical_plane_distance(s, O, w) == pytest.approx(0.0, abs=1e-6)
+            d = abs(float(O @ w) - critical_position(s, w).level)
+            assert d == pytest.approx(0.0, abs=1e-6)
 
     def test_ellipsoid_axis(self, ell_111):
-        assert critical_plane_distance(ell_111, np.zeros(3), np.array([0.0, 0, 1])) == (
+        assert abs(critical_position(ell_111, np.array([0.0, 0, 1])).level) == (
             pytest.approx(0.0, abs=1e-6)
         )
-
-    def test_ellipsoid_diagonal_matches_direct(self, ell_111):
-        w = np.array([1.0, 0, 1.0]) / math.sqrt(2)
-        plane = critical_position(ell_111, w)
-        d = critical_plane_distance(ell_111, np.zeros(3), w)
-        assert d == pytest.approx(abs(plane.level), abs=1e-9)
 
 
 class TestReflectionDefect:
@@ -275,6 +258,19 @@ class TestStabilityReport:
         assert rep.osc == pytest.approx(ELL111_OSC, rel=0.01)
         assert rep.ratio == pytest.approx(ELL111_RATIO, rel=0.02)
         np.testing.assert_allclose(rep.center, np.zeros(3), atol=1e-5)
+
+    # Ellipsoid(1, 1, c), c = 1 + t over acceptance criterion 03's sweep: H
+    # runs from (1 + c^-2)/2 on the equator to c at the poles, r_i = 1, r_e = c
+    # and the centre is 0. Each bound is about 10x the worst error measured
+    # over the sweep: osc 2.9e-15 and ratio 4.3e-13 relative, |centre| 1.8e-14.
+    @pytest.mark.parametrize("t", np.linspace(0.02, 0.2, 10), ids=lambda t: f"t={t:.2f}")
+    def test_ellipsoid_closed_forms(self, t):
+        c = 1.0 + t
+        rep = stability_ratio(sb.Ellipsoid([1.0, 1.0, c]), sample_budget=1500, seed=0)
+        osc = c - (1.0 + c**-2) / 2.0
+        assert rep.osc == pytest.approx(osc, rel=3e-14, abs=0.0)
+        assert rep.ratio == pytest.approx((c - 1.0) / osc, rel=5e-12, abs=0.0)
+        assert np.linalg.norm(rep.center) <= 2e-13
 
     def test_cross_check_inequality(self, ell_report):
         rep = ell_report
