@@ -20,8 +20,8 @@ from .intrinsic import GeodesicGraph, interface_distances
 from .planes import CriticalPlane, critical_caps, plane_crossing_fn
 from .surfaces import (
     Surface,
-    _bisect_along,
     _graph_heights_batch,
+    _roots_along,
     touching_radius,
 )
 from .symmetry import _radial_normal_dots
@@ -395,7 +395,8 @@ def verify_normal_change(
     heights along a tilted direction ell with |ell - nu_p| <= eps < 1 over
     the shrunken disk (radius r*sqrt(1-eps^2)), keeps the tilted heights
     within sup|u| + sqrt(2)*eps*r, and every re-expressed point still sees
-    ell transversally (nu_q . ell > 0)."""
+    ell transversally (nu_q . ell > 0). The 12 probe points of every trial
+    go through one height solve and one gradient call."""
     rng = np.random.default_rng(seed)
     rho = touching_radius(surface)
     r = 0.8 * rho
@@ -415,30 +416,27 @@ def verify_normal_change(
     height_cap = rho - math.sqrt(max(rho**2 - r**2, 0.0))
     bound = height_cap + math.sqrt(2.0) * eps * r
 
-    margins = np.full(trials, np.inf)
-    skipped = 0
+    # sample the source patch on the shrunken disk, one probe after another,
+    # and re-express the same surface points in the tilted direction
+    shrunk = r * np.sqrt(np.maximum(1.0 - eps**2, 0.0))
+    offsets = []
     for _ in range(_NORMAL_CHANGE_PROBES):
-        # sample the source patch on the shrunken disk and re-express the
-        # same surface point in the tilted direction
         xdirs = rng.standard_normal((trials, surface.n))
         xdirs /= np.linalg.norm(xdirs, axis=1, keepdims=True)
-        xr = r * np.sqrt(np.maximum(1.0 - eps**2, 0.0)) * rng.uniform(0, 1, trials) ** (
-            1.0 / surface.n
-        )
-        offsets = np.einsum("m,mi,mid->md", xr, xdirs, frames_full)
-        u = _graph_heights_batch(surface, pts, normals, offsets, rho)
-        good = np.isfinite(u)
-        skipped += int((~good).sum())
-        dq = offsets + u[:, None] * normals  # q - p
-        v = np.einsum("md,md->m", dq, ell)
-        g = surface.implicit_grad(pts + dq)
-        nu_q = g / np.linalg.norm(g, axis=1, keepdims=True)
-        transversal = np.einsum("md,md->m", nu_q, ell)
-        m = np.minimum(bound - np.abs(v), transversal)
-        m[~good] = np.inf
-        margins = np.minimum(margins, m)
-
-    return _tally("normal-change", margins, tol, skipped=skipped,
+        xr = shrunk * rng.uniform(0, 1, trials) ** (1.0 / surface.n)
+        offsets.append(np.einsum("m,mi,mid->md", xr, xdirs, frames_full))
+    offsets = np.concatenate(offsets)
+    pts, normals, ell = (np.tile(a, (_NORMAL_CHANGE_PROBES, 1)) for a in (pts, normals, ell))
+    u = _graph_heights_batch(surface, pts, normals, offsets, rho)
+    good = np.isfinite(u)
+    dq = offsets + u[:, None] * normals  # q - p
+    v = np.einsum("md,md->m", dq, ell)
+    g = surface.implicit_grad(pts + dq)
+    nu_q = g / np.linalg.norm(g, axis=1, keepdims=True)
+    transversal = np.einsum("md,md->m", nu_q, ell)
+    m = np.minimum(bound - np.abs(v).reshape(-1, trials), transversal.reshape(-1, trials))
+    margins = np.where(good.reshape(-1, trials), m, np.inf).min(axis=0)
+    return _tally("normal-change", margins, tol, skipped=int((~good).sum()),
                   notes=[f"r={r:.4g}", f"probes={_NORMAL_CHANGE_PROBES}"])
 
 
@@ -549,25 +547,20 @@ def verify_normal_tilt(
 
 def _root_along(surface, starts, directions, cap):
     """First crossing of the surface along each row's start + t*direction,
-    t in [0, cap]: a 64-point grid brackets it and 80 steps of
-    `_bisect_along`, batched over the rows, narrow it. Rows that start
-    inside and never cross give nan; rows that start outside and never cross
-    give 0.0."""
+    t in [0, cap]: a 64-point grid brackets it and `_roots_along`, batched
+    over the rows, solves it. Rows that start inside and never cross give
+    nan; rows that start outside and never cross give 0.0. A row that meets
+    NaN on the grid before its first sign change gives nan."""
     ts = np.linspace(0.0, cap, 64)
     m, d = starts.shape
     grid = starts[:, None, :] + ts[None, :, None] * directions[:, None, :]
-    phis = surface.implicit(grid.reshape(-1, d)).reshape(m, ts.size)
-    signs = np.sign(phis)
+    signs = np.sign(surface.implicit(grid.reshape(-1, d)).reshape(m, ts.size))
     signs[signs == 0] = 1
-    flips = np.diff(signs, axis=1) != 0
+    flips = np.diff(signs, axis=1) != 0  # NaN counts as a flip
     out = np.where(signs[:, 0] > 0, math.nan, 0.0)
     rows = np.nonzero(flips.any(axis=1))[0]
-    if rows.size == 0:
-        return out
     first = flips[rows].argmax(axis=1)
-    out[rows] = _bisect_along(
-        surface, starts[rows], directions[rows], ts[first], ts[first + 1], phis[rows, first], 80
-    )
+    out[rows] = _roots_along(surface, starts[rows], directions[rows], ts[first], ts[first + 1])
     return out
 
 

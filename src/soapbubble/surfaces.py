@@ -1205,49 +1205,56 @@ def touching_radius(surface: Surface, sample_budget: int = 2000, seed: int = 0) 
 
 
 # `_graph_heights_batch` brackets each height by the touching-ball bound
-# widened by this factor, then bisects it this many times
+# widened by this factor
 _GRAPH_BRACKET_EXPAND = 1.05
-_GRAPH_BISECTIONS = 100
+# `_roots_along` stops a row once its Newton step moves the point by less
+# than this fraction of |start| + |t*direction|, t the bracket end farther from 0
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _graph_heights_batch(
-    surface: Surface,
-    bases: np.ndarray,
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    rho: float,
-) -> np.ndarray:
-    """Vectorized graph heights: solve surface crossing along each normal.
-
-    offsets are ambient tangent offsets (already embedded). Returns NaN for
-    trials whose bracket (the touching-ball height bound, slightly expanded)
-    does not straddle the surface.
-    """
-    x2 = np.einsum("md,md->m", offsets, offsets)
-    cap = rho**2 - x2
+def _graph_heights_batch(surface: Surface, bases: np.ndarray, normals: np.ndarray,
+                         offsets: np.ndarray, rho: float) -> np.ndarray:
+    """Graph heights u: where the lines base + offset + u*normal cross the
+    surface, by `_roots_along` on the touching-ball height bound, slightly
+    expanded. offsets are ambient tangent offsets. A height is NaN where
+    that bracket does not straddle the surface or meets NaN."""
+    cap = rho**2 - np.einsum("md,md->m", offsets, offsets)
     hb = np.where(cap > 0.0, rho - np.sqrt(np.maximum(cap, 0.0)), rho)
     hb = _GRAPH_BRACKET_EXPAND * hb + 1e-12 * rho
-    feet = bases + offsets
-    phi_lo = surface.implicit(feet - hb[:, None] * normals)
-    phi_hi = surface.implicit(feet + hb[:, None] * normals)
-    t = _bisect_along(surface, feet, normals, -hb, hb, phi_lo, _GRAPH_BISECTIONS)
-    return np.where(np.sign(phi_lo) != np.sign(phi_hi), t, np.nan)
+    return _roots_along(surface, bases + offsets, normals, -hb, hb)
 
 
-def _bisect_along(surface, starts, directions, lo, hi, phi_lo, steps: int) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] of the rows' lines start + t*direction
-    after `steps` bisections of the sign (-1, 0 or +1) of `implicit`, batched
-    over the rows; phi_lo is `implicit` at t = lo.
-
-    The loop ends early once every row's midpoint rounds to an end of its
-    bracket: no later step can move that midpoint, so the result is the
-    same bit for bit. A row with a NaN bound never stops it."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        phi_mid = surface.implicit(starts + mid[:, None] * directions)
-        same = np.sign(phi_mid) == np.sign(phi_lo)
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        phi_lo = np.where(same, phi_mid, phi_lo)
-    return 0.5 * (lo + hi)
+def _roots_along(surface, starts, directions, lo, hi) -> np.ndarray:
+    """Roots t in [lo, hi] of g(t) = implicit(start + t*direction), batched
+    over the rows, by Newton with g' = implicit_grad . direction from where
+    the chord between the ends crosses zero. The bracket's midpoint replaces
+    a Newton step that leaves the bracket or is not at most half the row's
+    previous step. A row stops once its Newton step is within rounding or
+    its bracket cannot be halved, so it does not depend on the other rows.
+    A zero at an end is that end; a row whose ends do not straddle, or that
+    meets NaN, gives NaN."""
+    starts, directions = np.broadcast_arrays(starts, directions)
+    g_lo, g_hi = np.split(surface.implicit(np.concatenate(
+        [starts + lo[:, None] * directions, starts + hi[:, None] * directions])), 2)
+    straddle = np.sign(g_lo) * np.sign(g_hi)  # NaN where an end is NaN
+    t = np.where(straddle == 0, np.where(g_lo == 0, lo, hi), math.nan)
+    rows = np.nonzero(straddle < 0)[0]
+    x0, d, lo, hi, g_lo, g_hi = (a[rows] for a in (starts, directions, lo, hi, g_lo, g_hi))
+    tiny = _ROUNDING * (np.sqrt(row_dots(x0, x0) / row_dots(d, d)) + np.maximum(-lo, hi))
+    s_lo, prev = np.sign(g_lo), hi - lo
+    tr = lo + (hi - lo) * (g_lo / (g_lo - g_hi))  # where the chord crosses zero
+    while rows.size:
+        x = x0 + tr[:, None] * d
+        g = surface.implicit(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -g / row_dots(surface.implicit_grad(x), d)
+        below = np.sign(g) == s_lo
+        lo, hi = np.where(below, tr, lo), np.where(below, hi, tr)
+        newton, mid = tr + step, 0.5 * (lo + hi)
+        t[rows] = np.where(g == 0, tr, np.clip(newton, lo, hi))
+        go = (np.abs(step) > tiny) & (lo < mid) & (mid < hi)  # a NaN step stops its row
+        take = (lo < newton) & (newton < hi) & (np.abs(step) <= 0.5 * np.abs(prev))
+        nxt = np.where(take, newton, mid)
+        rows, x0, d, lo, hi, s_lo, tiny = (a[go] for a in (rows, x0, d, lo, hi, s_lo, tiny))
+        prev, tr = (nxt - tr)[go], nxt[go]
+    return t

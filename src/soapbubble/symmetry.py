@@ -291,7 +291,7 @@ def stability_ratio(
     # cross check against the critical plane orthogonal to the extremal chord
     gap = p_e - p_i
     slack = 2.0 * surface.diameter_hint() / math.sqrt(max(sample_budget, 1))
-    if np.linalg.norm(gap) > 1e-9:
+    if np.linalg.norm(gap) > 1e-9 * surface.diameter_hint():
         w = unit(gap)
         extremal_plane = critical_position(surface, w, tol, sample_budget, seed)
         rhs = 2.0 * abs(float(center @ w) - extremal_plane.level)

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from soapbubble import Ellipsoid, HarmonicRadial, PointCloud, Sphere
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that reproduces a failure; without it each run draws new examples
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

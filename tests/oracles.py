@@ -311,7 +311,10 @@ def ray_hits_one_block(surface, origin, directions, t_max, resolution=2048):
 
 
 def bisect_along_full(surface, starts, directions, lo, hi, phi_lo, steps):
-    """`_bisect_along` running every one of its `steps` bisections."""
+    """Midpoints of the brackets [lo, hi] of the rows' lines start +
+    t*direction after `steps` bisections of the sign of `implicit`; phi_lo
+    is `implicit` at t = lo. The line searches ran this before
+    `surfaces._roots_along`."""
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         phi_mid = surface.implicit(starts + mid[:, None] * directions)
@@ -319,6 +322,15 @@ def bisect_along_full(surface, starts, directions, lo, hi, phi_lo, steps):
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         phi_lo = np.where(same, phi_mid, phi_lo)
     return 0.5 * (lo + hi)
+
+
+def roots_along_bisection(surface, starts, directions, lo, hi):
+    """`surfaces._roots_along` by 100 steps of `bisect_along_full`: NaN where
+    the bracket's ends do not straddle the surface or one of them is NaN."""
+    phi_lo = surface.implicit(starts + lo[:, None] * directions)
+    phi_hi = surface.implicit(starts + hi[:, None] * directions)
+    t = bisect_along_full(surface, starts, directions, lo, hi, phi_lo, 100)
+    return np.where(np.sign(phi_lo) * np.sign(phi_hi) <= 0, t, math.nan)
 
 
 # ---------------------------------------------------------------------------

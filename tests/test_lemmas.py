@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soapbubble as sb
+from soapbubble import lemmas, surfaces
 from soapbubble.geometry import row_dots
 from soapbubble.intrinsic import build_geodesic_graph
 from soapbubble.lemmas import (
@@ -29,6 +30,8 @@ from soapbubble.tracing import (
     fit_circle,
     trace_plane_section,
 )
+
+from .oracles import roots_along_bisection
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +259,42 @@ class TestRootAlong:
         assert (sphere.implicit(starts) == 0.0).all()
         alpha = _root_along(sphere, starts, starts, 0.1)
         assert (alpha >= 0.0).all() and (alpha <= 1e-15).all()
+
+    def test_nan_before_the_crossing(self):
+        # a unit sphere whose level function is NaN for 0.95 < |x| < 0.97:
+        # the ray from (0, 0, 0.9) meets NaN before it crosses at t = 0.1
+        class NanShell(sb.Sphere):
+            def implicit(self, P):
+                r = np.linalg.norm(P, axis=1)
+                return np.where((0.95 < r) & (r < 0.97), math.nan, super().implicit(P))
+
+        start, up = np.array([[0.0, 0.0, 0.9]]), np.array([[0.0, 0.0, 1.0]])
+        assert _root_along(sb.Sphere([0.0, 0, 0], 1.0), start, up, 0.2)[0] == pytest.approx(0.1)
+        assert math.isnan(_root_along(NanShell([0.0, 0, 0], 1.0), start, up, 0.2)[0])
+
+
+class TestLineSolverVerdicts:
+    # the verdicts of the checks that find line crossings equal those of the
+    # sign bisection that the line searches ran before `_roots_along`
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdicts_match_bisection(self, ell_112, seed, monkeypatch):
+        rho = sb.touching_radius(ell_112)
+        _, planes = sb.symmetry_center(ell_112, sample_budget=250, seed=seed)
+        graph = build_geodesic_graph(ell_112, 2000, k=8, seed=seed)
+
+        def verdicts():
+            return [
+                verify_graph_bounds(ell_112, trials=1000, seed=seed),
+                verify_normal_change(ell_112, trials=1000, seed=seed),
+                *(verify_normal_tilt(ell_112, p, graph, delta=0.25 * rho) for p in planes),
+            ]
+
+        new = verdicts()
+        monkeypatch.setattr(surfaces, "_roots_along", roots_along_bisection)
+        monkeypatch.setattr(lemmas, "_roots_along", roots_along_bisection)
+        for a, b in zip(new, verdicts()):
+            assert (a.trials, a.skipped, a.violations) == (b.trials, b.skipped, b.violations)
+            assert a.worst_slack == pytest.approx(b.worst_slack, rel=0.0, abs=1e-12)
 
 
 class TestAnnulusNormal:

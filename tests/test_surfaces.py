@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 import soapbubble as sb
 from soapbubble.geometry import tangent_frame
-from soapbubble.surfaces import _bisect_along, _graph_heights_batch, quadratic
+from soapbubble.surfaces import _graph_heights_batch, _roots_along, quadratic
 
 from .oracles import (
-    bisect_along_full,
     cloud_area_loop,
     dense_projection_distance,
     ellipsoid_area_brute,
@@ -24,6 +23,7 @@ from .oracles import (
     ellipse_perimeter_brute,
     project_newton_loop,
     quadric_fit_loop,
+    roots_along_bisection,
     tangent_frames_batch,
     touching_radius_dense,
     voronoi_cell_area,
@@ -540,6 +540,18 @@ class TestLocalGraph:
         quad = 0.5 * 1.1 * r**2  # both pole curvatures are 1.1
         assert np.all(np.abs(u - quad) < 5.0 * r**3)
 
+    def test_nan_bracket_end_gives_nan(self, unit_sphere):
+        # a unit sphere whose level function is NaN below z = -1.045: the
+        # bracket's lower end lies there, so the height is unknown
+        class NanBelow(sb.Sphere):
+            def implicit(self, P):
+                return np.where(P[:, 2] < -1.045, math.nan, super().implicit(P))
+
+        p, nu, off = np.array([[0.0, 0, -1]]), np.array([[0.0, 0, 1]]), np.array([[0.3, 0, 0]])
+        u = _graph_heights_batch(unit_sphere, p, nu, off, 1.0)
+        assert u[0] == pytest.approx(1.0 - math.sqrt(0.91), abs=1e-15)
+        assert math.isnan(_graph_heights_batch(NanBelow([0.0, 0, 0], 1.0), p, nu, off, 1.0)[0])
+
     def test_bracket_failure_reported(self, unit_sphere):
         # lie about the touching radius: heights beyond the true bound cannot bracket
         p, nu, frame = self._base(unit_sphere, [0.0, 0.0, -2.0])
@@ -557,50 +569,95 @@ class _CountingImplicit:
         self.calls += 1
         return self.surface.implicit(pts)
 
+    def implicit_grad(self, pts):
+        return self.surface.implicit_grad(pts)
 
-class TestBisectAlong:
-    # stopping once no bracket can shrink must return what all the steps return
-    def _both(self, surface, starts, directions, lo, hi):
-        phi_lo = surface.implicit(starts + lo[:, None] * directions)
-        counted = _CountingImplicit(surface)
-        got = _bisect_along(counted, starts, directions, lo, hi, phi_lo, 100)
-        want = bisect_along_full(surface, starts, directions, lo, hi, phi_lo, 100)
-        assert got.tobytes() == want.tobytes()
-        return got, counted.calls
 
-    def test_graph_heights_stop_early(self, ell_112):
+class _SteepStep:
+    """A level function -atan(20 (z - 0.3)), whose Newton steps overshoot
+    from far off its root z = 0.3."""
+
+    @staticmethod
+    def implicit(P):
+        return -np.arctan(20.0 * (P[:, 2] - 0.3))
+
+    @staticmethod
+    def implicit_grad(P):
+        g = np.zeros_like(P)
+        g[:, 2] = -20.0 / (1.0 + (20.0 * (P[:, 2] - 0.3)) ** 2)
+        return g
+
+
+class TestRootsAlong:
+    # against the sign bisection it replaced: each root within 1e-13 of the
+    # bracket's half-width, NaN in the same rows, and each row equal to its
+    # one-row run
+    @pytest.mark.parametrize("name", ["unit_sphere", "ell_112", "radial_bumpy"])
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_bisection(self, unit_sphere, ell_112, radial_bumpy, name, seed, rows):
+        surface = {"unit_sphere": unit_sphere, "ell_112": ell_112, "radial_bumpy": radial_bumpy}[name]
+        rng = np.random.default_rng(seed)
+        feet = surface.probe_points(200, 0)[rng.integers(0, 200, rows)]
+        normals, _ = surface.curvatures_batch(feet)
+        # lines within about 45 degrees of the normal cross the surface once
+        directions = normals + rng.uniform(-0.4, 0.4, feet.shape)
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        starts = feet + rng.uniform(-0.1, 0.1, (rows, 1)) * directions
+        lo, hi = -rng.uniform(0.05, 0.3, rows), rng.uniform(0.05, 0.3, rows)
+        t = _roots_along(surface, starts, directions, lo, hi)
+        want = roots_along_bisection(surface, starts, directions, lo, hi)
+        np.testing.assert_array_equal(np.isnan(t), np.isnan(want))
+        ok = ~np.isnan(t)
+        assert np.all(np.abs(t - want)[ok] <= 1e-13 * 0.5 * (hi - lo)[ok])
+        alone = [_roots_along(surface, starts[i : i + 1], directions[i : i + 1], lo[i : i + 1],
+                              hi[i : i + 1]) for i in range(rows)]
+        assert t.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_zero_at_an_end_is_that_end(self, unit_sphere):
+        # implicit is exactly 0 at t = 0 on the first row and t = 0.25 on the second
+        starts = np.array([[1.0, 0.0, 0.0], [0.0, 0.75, 0.0]])
+        directions = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        t = _roots_along(unit_sphere, starts, directions, np.array([0.0, -0.5]),
+                         np.array([0.5, 0.25]))
+        np.testing.assert_array_equal(t, [0.0, 0.25])
+
+    def test_bracket_without_crossing(self, unit_sphere):
+        # the second row's bracket lies inside the sphere
+        starts = np.array([[0.9, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        t = _roots_along(unit_sphere, starts, np.eye(3)[:2], np.array([-0.5, 0.1]),
+                         np.array([0.5, 0.3]))
+        assert t[0] == pytest.approx(0.1, abs=1e-15)
+        assert math.isnan(t[1])
+
+    def test_newton_leaving_the_bracket(self):
+        start, up = np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]])
+        lo, hi = np.array([-1.0]), np.array([1.0])
+        # the first Newton step, from where the chord crosses zero, leaves [-1, 1]
+        g = _SteepStep.implicit(np.array([[0, 0, -1.0], [0, 0, 1.0]]))
+        t0 = -1.0 + 2.0 * g[0] / (g[0] - g[1])
+        x0 = np.array([[0.0, 0.0, t0]])
+        assert t0 - _SteepStep.implicit(x0)[0] / _SteepStep.implicit_grad(x0)[0, 2] > hi[0]
+        t = _roots_along(_SteepStep, start, up, lo, hi)
+        assert t[0] == pytest.approx(0.3, abs=1e-15)
+        want = roots_along_bisection(_SteepStep, start, up, lo, hi)
+        assert abs(t[0] - want[0]) <= 1e-13
+
+    def test_level_evaluations_per_row(self, ell_112):
+        # graph-height brackets about tangent-plane offsets, one row at a time:
+        # the median row takes at most 8 `implicit` calls
         rng = np.random.default_rng(3)
         feet = ell_112.probe_points(400, 0)
         normals, _ = ell_112.curvatures_batch(feet)
         feet = feet + 0.2 * np.cross(normals, rng.standard_normal(feet.shape))
-        h = np.full(feet.shape[0], 0.5)
-        t, calls = self._both(ell_112, feet, normals, -h, h)
-        assert np.isfinite(t).all()
-        assert calls < 100
-
-    def test_root_at_zero(self, unit_sphere):
-        u = np.eye(3)
-        t, _ = self._both(unit_sphere, u, -u, np.full(3, -0.5), np.full(3, 0.5))
-        assert np.all(np.abs(t) < 1e-15)
-
-    def test_nan_row_runs_every_step(self, unit_sphere):
-        u = np.eye(3)
-        lo = np.array([-0.5, math.nan, -0.5])
-        t, calls = self._both(unit_sphere, 0.9 * u, -u, lo, np.full(3, 0.5))
-        assert math.isnan(t[1]) and np.isfinite(t[[0, 2]]).all()
-        assert calls == 100
-
-    def test_bracket_without_crossing(self, unit_sphere):
-        # the second row's bracket lies inside the sphere: it converges to an end
-        u = np.eye(3)[:2]
-        lo, hi = np.array([-0.5, 0.1]), np.array([0.5, 0.3])
-        t, _ = self._both(unit_sphere, np.array([[0.9, 0, 0], [0, 0.1, 0]]), u, lo, hi)
-        assert t[1] == pytest.approx(0.3)
-
-    def test_one_row(self, radial_bumpy):
-        x = radial_bumpy.probe_points(1, 2)
-        nu, _ = radial_bumpy.curvatures_batch(x)
-        self._both(radial_bumpy, x + 0.01 * nu, nu, np.array([-0.2]), np.array([0.2]))
+        h = np.full(1, 0.5)
+        calls = []
+        for i in range(feet.shape[0]):
+            counted = _CountingImplicit(ell_112)
+            t = _roots_along(counted, feet[i : i + 1], normals[i : i + 1], -h, h)
+            assert np.isfinite(t).all()
+            calls.append(counted.calls)
+        assert np.median(calls) <= 8
 
 
 class TestPointCloud:

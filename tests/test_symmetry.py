@@ -272,6 +272,27 @@ class TestStabilityReport:
         assert rep.ratio == pytest.approx((c - 1.0) / osc, rel=5e-12, abs=0.0)
         assert np.linalg.norm(rep.center) <= 2e-13
 
+    # r = 1 + eps Y_l0 with even l: to first order H = 1 + eps (l-1)(l+2) Y/2
+    # and r_e - r_i = eps (max Y - min Y), so the ratio tends to
+    # 2/((l-1)(l+2)). The Richardson value 2 r(1e-3) - r(2e-3) measured
+    # 1.1e-6, 1.4e-6 and 1.9e-6 relative off it for l = 2, 4, 6.
+    @pytest.mark.parametrize("l", [2, 4, 6])
+    def test_zonal_harmonic_ratio(self, l):
+        r = [
+            stability_ratio(sb.HarmonicRadial([(l, 0, eps)]), sample_budget=1000, seed=0,
+                            n_rays=100).ratio
+            for eps in (1e-3, 2e-3)
+        ]
+        assert 2.0 * r[0] - r[1] == pytest.approx(2.0 / ((l - 1) * (l + 2)), rel=1e-5, abs=0.0)
+
+    # the extremal chord is long enough for its plane when it is long against
+    # the surface's size, whatever the scale
+    @pytest.mark.parametrize("s", [1e-10, 1e-12])
+    def test_extremal_plane_at_small_scale(self, s):
+        rep = stability_ratio(sb.Ellipsoid(np.array([1.0, 1.0, 1.1]) * s), sample_budget=500)
+        assert rep.plane_distances["extremal"] > 0.0
+        assert rep.cross_check_rhs > 0.0
+
     def test_cross_check_inequality(self, ell_report):
         rep = ell_report
         assert rep.cross_check_lhs <= rep.cross_check_rhs + rep.cross_check_slack
