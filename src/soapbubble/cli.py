@@ -23,7 +23,7 @@ from .constants import check_smallness, compute_constants
 from .intrinsic import build_geodesic_graph
 from .planes import critical_position
 from .specio import SpecError, dump_report, load_surface, write_report, write_sweep_csv
-from .surfaces import CapabilityError, Ellipsoid, SurfaceError
+from .surfaces import CapabilityError, Ellipsoid, OrientationError, SurfaceError
 from .symmetry import stability_ratio
 from .tracing import TracingError
 
@@ -64,7 +64,8 @@ _FLAGS = {
     "--tol": {
         "type": float,
         "default": None,
-        "help": "critical-level resolution (point clouds: also the containment threshold)",
+        "help": "critical-plane tolerance: the degenerate-contact band and the "
+        "embeddedness margin (point clouds: also the exit threshold)",
     },
     "--k1": {"type": float, "default": None},
     "--k2": {"type": float, "default": None},
@@ -323,8 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (SpecError, CapabilityError) as exc:
-        # a capability the surface type lacks is a wrong input, not a failure
+    except (SpecError, CapabilityError, OrientationError) as exc:
+        # a missing capability or a badly oriented cloud is a wrong input, not a failure
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except (SurfaceError, TracingError, np.linalg.LinAlgError) as exc:

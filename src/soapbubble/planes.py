@@ -2,11 +2,14 @@
 from the far side, reflect the cap beyond it, and find the critical level
 where the reflected cap first touches the surface from inside.
 
-All containment testing happens on a fixed probe sample of the surface, so
-the worst violation always carries a discretization caveat. The level
-resolution `tol` and the containment threshold come from the surface's
-`critical_tolerances`: the threshold is the error floor of its distance
-model, not `tol`, wherever that floor lies below it.
+As the level falls, the mirror of a sample p runs down the line p - t*omega,
+the level being p . omega - t/2, so the critical level is the highest level
+at which some sample's line first leaves the enclosed domain: a chord
+midpoint (interior tangency) or the sample itself, when its line leaves at
+once (boundary orthogonality). All of it happens on a fixed probe sample of
+the surface, so the worst violation always carries a discretization caveat.
+The tolerance `tol` and the exit threshold come from the surface's
+`critical_tolerances`.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import reflect, unit
+from .geometry import reflect, row_dots, unit
 from .intrinsic import GeodesicGraph, region_boundary
-from .surfaces import Surface, SurfaceError, quadratic
+from .surfaces import _ROUNDING, Surface, SurfaceError, quadratic
 
 INTERIOR_TANGENCY = "interior_tangency"
 BOUNDARY_ORTHOGONALITY = "boundary_orthogonality"
@@ -84,9 +87,11 @@ def _mirrored_cap(
 ) -> tuple[ContainmentCheck, np.ndarray]:
     """`reflected_cap_inside` on the samples pts, together with the signed
     distances of the mirrored cap it judged (empty for an empty cap)."""
-    cap, mirrored = _mirror_cap(omega, lam, pts)
+    omega = unit(omega)
+    cap = pts[pts @ omega > lam]
     if cap.shape[0] == 0:
         return ContainmentCheck(True, -math.inf, None, None, 0), np.empty(0)
+    mirrored = reflect(cap, omega, lam)
     sd = surface.signed_distance(mirrored)
     worst_idx = int(np.argmin(sd))
     worst = -float(sd[worst_idx])
@@ -100,32 +105,6 @@ def _mirrored_cap(
     return check, sd
 
 
-def _mirror_cap(omega: np.ndarray, lam: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The samples beyond the plane {x . omega = lam} and their mirror images."""
-    omega = unit(omega)
-    cap = pts[pts @ omega > lam]
-    return cap, reflect(cap, omega, lam)
-
-
-def _caps_contained(
-    surface: Surface, omega: np.ndarray, levels: np.ndarray, tol: float, pts: np.ndarray
-) -> np.ndarray:
-    """`reflected_cap_inside(...).inside` at each of the levels, without the
-    signed distances: the largest `protrusion` of each mirrored cap against
-    tol. The caps of all levels go through one stacked `protrusion` call,
-    which projects only the mirrored points the level function puts outside."""
-    mirrored = [_mirror_cap(omega, lam, pts)[1] for lam in levels]
-    sizes = np.array([c.shape[0] for c in mirrored])
-    ok = np.ones(sizes.size, dtype=bool)  # an empty cap is contained
-    full = sizes > 0
-    if full.any():
-        worst = np.maximum.reduceat(
-            surface.protrusion(np.concatenate(mirrored)), (np.cumsum(sizes) - sizes)[full]
-        )
-        ok[full] = worst <= tol
-    return ok
-
-
 @dataclass(frozen=True)
 class CriticalPlane:
     direction: np.ndarray
@@ -134,7 +113,7 @@ class CriticalPlane:
     case: str
     tangency_point: np.ndarray | None  # cap-side pre-image of the contact
     contact_point: np.ndarray | None   # its mirror, on/near the surface
-    contact_gap: float                 # protrusion at m, at most the containment threshold
+    contact_gap: float                 # protrusion at m
     normal_alignment: float | None     # |nu . omega| at the contact (boundary case)
     degenerate_contact: bool
     tol: float
@@ -161,72 +140,35 @@ def critical_position(
     sample_budget: int = 2000,
     seed: int = 0,
 ) -> CriticalPlane:
-    """Critical moving-planes level in the direction omega.
+    """Critical moving-planes level in the direction omega: the highest
+    level at which the mirrored cap leaves the enclosed domain, or
+    lo = -extent(-omega) if it never does. The mirror of a probe sample p
+    about level lam is p - t*omega with lam = p . omega - t/2, so this is the
+    highest level at which some sample's line first leaves; no monotonicity
+    in the level is assumed.
 
-    The single-level containment predicate is monotone for ovaloid-like
-    inputs, so a plain bisection finds the flip; a coarse verification sweep
-    above the candidate then catches non-monotone inputs (deep necks), in
-    which case the search restarts from the highest failing level. The
-    critical level is the infimum below which containment first breaks while
-    descending from the extent.
-
-    `tol` is the resolution of the level: the bisection stops once its
-    bracket is that narrow. Containment is judged against a separate
-    threshold set by the surface's distance model; `critical_tolerances`
-    gives both. Analytic surfaces (closed-form or Newton projection) use
-    min(tol, 1e-11 * diam), so the level converges to zero protrusion. A
-    point cloud's nearest-sample distance is no better than
+    A point is outside where `implicit < -threshold`, with (tol, threshold)
+    from `critical_tolerances`. An analytic surface's threshold is 0, and
+    `tol` only sets the degenerate-contact band and the embeddedness margin.
+    A point cloud's nearest-sample distance is no better than
     1.5 * spacing**2, so there the threshold is `tol` itself.
-
-    The bisection and the sweep need only the containment boolean, so they
-    ask the surface for the mirrored cap's `protrusion`, which projects only
-    the mirrored points its level function puts outside (those are the only
-    ones whose signed distance can be negative); the booleans equal
-    `reflected_cap_inside(...).inside` bit for bit. The sweep stacks the
-    mirrored caps of all its 64 levels into one `protrusion` call. The
-    contact analysis at the final level keeps the full signed distances.
     """
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
     diam = surface.diameter_hint()
-    tol, contain_tol = surface.critical_tolerances(tol)
+    tol, threshold = surface.critical_tolerances(tol)
 
     hi = extent(surface, omega, sample_budget, seed)
     lo = -extent(surface, -omega, sample_budget, seed)
-
-    def inside(lam: float) -> bool:
-        return bool(_caps_contained(surface, omega, np.array([lam]), contain_tol, pts)[0])
-
-    def bisect(a: float, b: float) -> float:
-        # inside(b) holds and inside(a) fails; shrink to width tol
-        for _ in range(90):
-            if b - a <= tol:
-                break
-            mid = 0.5 * (a + b)
-            if inside(mid):
-                b = mid
-            else:
-                a = mid
-        return b
-
-    if not inside(hi - 1e-3 * tol - 1e-9 * diam):
+    m = max(lo, _highest_exit(surface, omega, pts, lo, threshold))
+    if m >= float((pts @ omega).max()) - tol:
         raise EmbeddednessError(
             "reflected cap protrudes arbitrarily close to the extent; "
             "check orientation and embeddedness"
         )
-    if inside(lo):
-        # symmetric about the lowest level already: critical level is lo
-        m = lo
-    else:
-        m = bisect(lo, hi)
-        # verification sweep: the predicate must hold on the whole tail above m
-        sweep = np.linspace(m, hi, 65)[1:]
-        fails = sweep[~_caps_contained(surface, omega, sweep, contain_tol, pts)]
-        if fails.size:
-            m = bisect(float(fails.max()), hi)
 
     # contact analysis at the critical level, from one pass over the mirrored cap
-    check, sd = _mirrored_cap(surface, omega, m, contain_tol, pts)
+    check, sd = _mirrored_cap(surface, omega, m, threshold, pts)
     degenerate = sd.size > 0 and bool(np.mean(np.abs(sd) <= 10.0 * tol + 1e-9 * diam) > 0.25)
     spacing = diam / math.sqrt(max(sample_budget, 1))
     p0 = check.witness
@@ -249,6 +191,48 @@ def critical_position(
         degenerate_contact=degenerate,
         tol=float(tol),
     )
+
+
+# grid points per line in the exit search, the first one outside bracketing the
+# line's first exit: a finer grid catches thinner excursions between them, at
+# a cost; 16, 32 and 64 give the same levels on the test surfaces
+_EXIT_GRID = 16
+
+
+def _highest_exit(
+    surface: Surface, omega: np.ndarray, pts: np.ndarray, lo: float, threshold: float
+) -> float:
+    """Highest level p . omega - t/2 at which the line p - t*omega,
+    t in (0, 2(p . omega - lo)], of a sample p first has `implicit <
+    -threshold` (or NaN): -inf if no line does. A grid of _EXIT_GRID
+    points per line brackets each first exit, one batched bisection narrows
+    every bracket to rounding, and a line's level is taken at the contained
+    end. (A coarser stop w would leave each level up to w/2 high, and the
+    maximum over many near-equal lines, such as a sphere's chords, picks that
+    up in full.) A line whose contained end lies below another's exit end
+    cannot hold the maximum and stops early."""
+    h = pts @ omega
+    p, h = pts[h > lo], h[h > lo]
+    span = 2.0 * (h - lo)  # t of the mirror about lo
+
+    def outside(q, t):
+        return ~(surface.implicit(q - t[:, None] * omega) >= -threshold)
+
+    frac = np.arange(1, _EXIT_GRID + 1) / _EXIT_GRID
+    t = (span[:, None] * frac).ravel()
+    out = outside(np.repeat(p, _EXIT_GRID, axis=0), t).reshape(-1, _EXIT_GRID)
+    rows = out.any(axis=1)
+    k = np.argmax(out[rows], axis=1)  # the first grid point outside
+    p, h, span = p[rows], h[rows], span[rows]
+    t_in, t_out = span * (k / _EXIT_GRID), span * frac[k]
+    stop = _ROUNDING * (np.sqrt(row_dots(p, p)) + span)
+    live = np.arange(h.size)
+    while live.size:
+        mid = 0.5 * (t_in[live] + t_out[live])
+        gone = outside(p[live], mid)
+        t_out[live[gone]], t_in[live[~gone]] = mid[gone], mid[~gone]
+        live = np.flatnonzero((t_out - t_in > stop) & (h - 0.5 * t_in >= (h - 0.5 * t_out).max()))
+    return float(np.max(h - 0.5 * t_in, initial=-math.inf))
 
 
 @dataclass

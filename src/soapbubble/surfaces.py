@@ -121,7 +121,7 @@ class Surface:
     sampling. Everything is read-only after construction.
 
     The point kernels (`implicit`, `implicit_grad`, `implicit_hess`,
-    `project`, `signed_distance`, `protrusion`) are written for (m, d) rows
+    `project`, `signed_distance`) are written for (m, d) rows
     and wrapped in `rows_kernel`, so each also takes a single (d,) point and
     returns its row.
     """
@@ -172,19 +172,6 @@ class Surface:
     def signed_distance(self, P: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(P - self.project(P), axis=1)
         return np.where(self.implicit(P) >= 0.0, d, -d)
-
-    @rows_kernel
-    def protrusion(self, P: np.ndarray) -> np.ndarray:
-        """How far each point lies outside the enclosed domain, 0 inside:
-        -signed_distance where that is positive, bit for bit. The sign comes
-        from the level function, so only the rows it does not put inside
-        (NaN included) are projected."""
-        out = np.zeros(P.shape[0])
-        outside = ~(self.implicit(P) >= 0.0)
-        if outside.any():
-            Q = P[outside]
-            out[outside] = np.linalg.norm(Q - self.project(Q), axis=1)
-        return out
 
     def settle(self, P: np.ndarray) -> np.ndarray:
         """Points off the surface, such as chord interpolations, put back on
@@ -309,15 +296,15 @@ class Surface:
         return 2.0 * self.bounding_radius()
 
     def critical_tolerances(self, tol: float | None) -> tuple[float, float]:
-        """(level resolution, containment threshold) of the moving-planes
-        search for a caller's level resolution `tol`, by default 5e-10 * diam.
-        Analytic distances are accurate far below any level resolution; a
-        threshold of tol would make the bisection converge where the
-        protrusion equals tol, biasing the level low by tol / slope."""
-        diam = self.diameter_hint()
+        """(tolerance, exit threshold) of the moving-planes search for a
+        caller's tolerance `tol`, by default 5e-10 * diam. An analytic level
+        function changes sign on the surface itself, so a mirrored point
+        leaves the domain where `implicit` turns negative: the threshold is 0
+        and the exit level is found to rounding. `tol` then sets only the
+        degenerate-contact band and the embeddedness margin."""
         if tol is None:
-            tol = 5e-10 * diam
-        return tol, min(tol, 1e-11 * diam)
+            tol = 5e-10 * self.diameter_hint()
+        return tol, 0.0
 
     @property
     def component_count(self) -> int:
@@ -384,10 +371,6 @@ class Sphere(Surface):
 
     def signed_distance(self, pts):
         return self.implicit(pts)
-
-    def protrusion(self, pts):
-        # no projection: the level function is the exact signed distance
-        return np.maximum(-self.implicit(pts), 0.0)
 
     def sample_points(self, count, rng):
         u = rng.standard_normal((count, self.dim))
@@ -749,8 +732,8 @@ class PointCloud(Surface):
     nearest sample at every grid point comes from one walk along the lower
     envelope of the samples' squared-distance lines instead of a kd-tree
     query per point; the walk is exact, so the values equal `implicit` at
-    the same points bit for bit. A consistency pass rejects clouds with
-    mixed inner/outer orientation.
+    the same points bit for bit. Consistency passes reject clouds with
+    mixed inner/outer normals and clouds whose normals all point outward.
     """
 
     # projection snaps to samples, so there is nothing between them
@@ -785,13 +768,13 @@ class PointCloud(Surface):
                 "inner/outer normals are mixed (worst local agreement "
                 f"{consensus.min():.2f}); reorient the cloud"
             )
+        # divergence theorem: (x - c) . nu integrates to -dim * volume over
+        # the surface for inner normals nu, so its sum over the samples is negative
+        if not np.einsum("md,md->", self.points - self.points.mean(axis=0), self.normals) < 0.0:
+            raise OrientationError("the normals point outward; the cloud needs inner normals")
 
     def implicit(self, pts):
         return self.signed_distance(pts)
-
-    def protrusion(self, pts):
-        # one kd-tree pass: the level function is the signed distance
-        return np.maximum(-self.signed_distance(pts), 0.0)
 
     @rows_kernel
     def signed_distance(self, P):
@@ -879,11 +862,11 @@ class PointCloud(Surface):
         return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
 
     def critical_tolerances(self, tol):
-        """Containment noise sits at the scale of the nearest-sample distance
-        error, no better than 1.5 * spacing**2, and the protrusion jumps with
-        the level instead of crossing zero cleanly, so the level resolution
-        doubles as the threshold: `tol` itself, by default
-        max(1.5 * spacing**2, 1e-6 * diam)."""
+        """The level function is the nearest-sample distance, no better than
+        1.5 * spacing**2, and it jumps along a line instead of crossing zero
+        cleanly, so a mirrored point counts as outside only beyond the
+        tolerance, which doubles as the exit threshold: `tol` itself, by
+        default max(1.5 * spacing**2, 1e-6 * diam)."""
         if tol is None:
             tol = max(1.5 * self.spacing**2, 1e-6 * self.diameter_hint())
         return tol, tol

@@ -28,16 +28,23 @@ def ell_spec(tmp_path):
     return p
 
 
-@pytest.fixture()
-def cloud_spec(tmp_path):
+def _cloud_spec(tmp_path, normals_of):
+    """Spec of a 400-sample unit-sphere cloud with normals_of(u, rng) as normals."""
     rng = np.random.default_rng(0)
     u = rng.standard_normal((400, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rows = ["x,y,z,nx,ny,nz"] + [",".join(f"{v:.8f}" for v in (*p, *n)) for p, n in zip(u, -u)]
+    rows = ["x,y,z,nx,ny,nz"] + [
+        ",".join(f"{v:.8f}" for v in (*p, *n)) for p, n in zip(u, normals_of(u, rng))
+    ]
     (tmp_path / "cloud.csv").write_text("\n".join(rows) + "\n")
     spec = tmp_path / "cloud.json"
     spec.write_text(json.dumps({"type": "point_cloud", "path": "cloud.csv"}))
     return spec
+
+
+@pytest.fixture()
+def cloud_spec(tmp_path):
+    return _cloud_spec(tmp_path, lambda u, rng: -u)
 
 
 class TestSpecIO:
@@ -115,6 +122,13 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["analyze", "--surface", str(bad)]) == 2
+
+    def test_mixed_normal_cloud_exit_2(self, tmp_path, capsys):
+        # a badly oriented cloud file is a wrong input, not a numerical failure
+        spec = _cloud_spec(tmp_path, lambda u, rng: np.where(rng.random((400, 1)) < 0.5, u, -u))
+        assert main(["analyze", "--surface", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "mixed" in err
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soapbubble as sb
@@ -12,8 +12,7 @@ from soapbubble.planes import (
     BOUNDARY_ORTHOGONALITY,
     INTERIOR_TANGENCY,
     CapExtractionError,
-    _caps_contained,
-    _mirror_cap,
+    EmbeddednessError,
     critical_caps,
     critical_position,
     extent,
@@ -115,80 +114,6 @@ class TestContainment:
         ]
         first_true = states.index(True)
         assert all(states[first_true:])
-
-
-class TestContainmentScreen:
-    # the critical search asks only for the mirrored cap's protrusion, which
-    # projects just the points the level function puts outside; it must
-    # answer exactly as the full signed-distance pass does
-    @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "offset_sphere", "sphere_cloud"])
-    @given(
-        direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
-        frac=st.floats(0.0, 1.0),
-        coarse=st.booleans(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_equals_reflected_cap_inside(self, request, name, direction, frac, coarse):
-        surface = request.getfixturevalue(name)
-        w = np.array(direction)
-        assume(np.linalg.norm(w) > 0.1)
-        pts = surface.probe_points(500, 0)
-        lo, hi = -extent(surface, -w, 500, 0), extent(surface, w, 500, 0)
-        lam = lo + frac * (hi - lo)
-        tol = 1e-3 if coarse else 1e-11 * surface.diameter_hint()
-        check = reflected_cap_inside(surface, w, lam, tol, samples=pts)
-        assert _caps_contained(surface, w, np.array([lam]), tol, pts)[0] == check.inside
-        _, mirrored = _mirror_cap(w, lam, pts)
-        if mirrored.shape[0]:
-            assert surface.protrusion(mirrored).max() == max(check.worst_violation, 0.0)
-
-    @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "offset_sphere", "sphere_cloud"])
-    def test_stacked_levels_equal_one_at_a_time(self, request, name):
-        # one protrusion call over many levels' caps, empty caps among them
-        surface = request.getfixturevalue(name)
-        w = unit(np.array([0.3, -0.5, 0.8]))
-        pts = surface.probe_points(500, 0)
-        lo, hi = -extent(surface, -w, 500, 0), extent(surface, w, 500, 0)
-        levels = lo + (hi - lo) * np.array([0.5, 1.2, 0.1, 0.9, 1.5, 0.45, 0.0, 0.7, 1.01])
-        tol = 1e-3 if name == "sphere_cloud" else 1e-11 * surface.diameter_hint()
-        ok = _caps_contained(surface, w, levels, tol, pts)
-        want = [reflected_cap_inside(surface, w, lam, tol, samples=pts).inside for lam in levels]
-        assert ok.tolist() == want
-        assert ok[[1, 4, 8]].all() and not ok[[2, 6]].any()
-
-    @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "offset_sphere", "sphere_cloud"])
-    def test_protrusion_near_the_surface(self, request, name):
-        # points within rounding of the surface, on both sides
-        surface = request.getfixturevalue(name)
-        on = surface.project(surface.probe_points(200, 3))
-        centre = on.mean(axis=0)
-        scale = np.array([-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3])
-        P = (centre + (1.0 + scale[:, None, None]) * (on - centre)).reshape(-1, surface.dim)
-        expected = np.maximum(-surface.signed_distance(P), 0.0)
-        np.testing.assert_array_equal(surface.protrusion(P), expected)
-
-    def test_projects_only_rows_the_level_function_puts_outside(self):
-        class NanAtFirstRow(sb.Ellipsoid):
-            def implicit(self, P):
-                f = np.array(super().implicit(P), dtype=float)
-                f[0] = np.nan
-                return f
-
-        surface = NanAtFirstRow([1.0, 1.0, 1.1])
-        projected = []
-        project = surface.project
-        surface.project = lambda P: projected.append(np.array(P)) or project(P)
-        w = np.array([0.3, -0.2, 0.93]) / np.linalg.norm([0.3, -0.2, 0.93])
-        pts = surface.probe_points(2000, 0)
-        _, mirrored = _mirror_cap(w, -0.05, pts)
-        outside = ~(surface.implicit(mirrored) >= 0.0)
-        assert outside[0] and 1 < outside.sum() < mirrored.shape[0]
-        assert not _caps_contained(surface, w, np.array([-0.05]), 1e-9, pts)[0]
-        assert len(projected) == 1
-        np.testing.assert_array_equal(projected[0], mirrored[outside])
-        # the full pass projects every row
-        reflected_cap_inside(surface, w, -0.05, 1e-9, samples=pts)
-        np.testing.assert_array_equal(projected[1], mirrored)
 
 
 class TestCriticalPosition:
@@ -306,6 +231,73 @@ class TestCriticalPosition:
         if cp.case == BOUNDARY_ORTHOGONALITY:
             assert cp.normal_alignment is not None
             assert cp.normal_alignment < 0.3
+
+
+class TestExitLevelOracle:
+    # the level from the samples' exit levels against the one-level
+    # containment oracle on the same samples: the mirrored cap is contained
+    # tol above the level and protrudes tol below it (an analytic surface
+    # judged at threshold 0, a point cloud at its tol)
+    @staticmethod
+    def check(surface, omega, budget=2000):
+        omega = unit(np.asarray(omega, dtype=float))
+        cp = critical_position(surface, omega, sample_budget=budget)
+        tol, threshold = surface.critical_tolerances(None)
+        pts = surface.probe_points(budget, 0)
+        above = reflected_cap_inside(surface, omega, cp.level + tol, threshold, samples=pts)
+        assert above.inside, above.worst_violation
+        if cp.level - tol > -extent(surface, -omega, budget, 0):
+            below = reflected_cap_inside(surface, omega, cp.level - tol, threshold, samples=pts)
+            assert not below.inside, below.worst_violation
+
+    @given(direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    @settings(max_examples=15, deadline=None)
+    def test_ellipsoid_random_directions(self, ell_111, direction):
+        w = np.array(direction)
+        if np.linalg.norm(w) > 0.1:
+            self.check(ell_111, w)
+
+    @pytest.mark.parametrize("omega", [[0.0, 0.0, 1.0], [0.3, -0.5, 0.8], [1.0, 0.2, 0.1]])
+    def test_radial_bumpy(self, radial_bumpy, omega):
+        self.check(radial_bumpy, omega)
+
+    def test_dumbbell_along_its_axis(self):
+        self.check(sb.HarmonicRadial([(2, 0, 1.8)]), [0.0, 0.0, 1.0])
+
+    def test_fourier_curve(self):
+        self.check(sb.HarmonicRadial([(2, 0, 0.2), (3, -1, 0.1)], dim=2), [1.0, 1.0])
+
+    @pytest.mark.parametrize("omega", [[1.0, 0.0, 0.0], [0.3, -0.5, 0.8]])
+    def test_sphere_cloud(self, sphere_cloud, omega):
+        self.check(sphere_cloud, omega)
+
+    def test_sphere_cloud_levels_unbiased(self, sphere_cloud):
+        # every chord of the sphere leaves near level 0: their maximum must not
+        # pick up a bisection width or the tolerance tol
+        tol = sphere_cloud.critical_tolerances(None)[0]
+        for w in np.eye(3):
+            assert abs(critical_position(sphere_cloud, w).level) < 0.05 * tol
+
+
+class TestEmbeddedness:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inside_out_sphere_raises(self, dim):
+        # a level function positive outside: the top sample's mirror leaves
+        # at once. Sphere.signed_distance is its implicit, so it flips too
+        class InsideOut(sb.Sphere):
+            def implicit(self, P):
+                return -super().implicit(P)
+
+            def implicit_grad(self, P):
+                return -super().implicit_grad(P)
+
+            def implicit_hess(self, P):
+                return -super().implicit_hess(P)
+
+        surface = InsideOut(np.zeros(dim), 1.0)
+        assert surface.signed_distance(np.zeros(dim)) == -1.0
+        with pytest.raises(EmbeddednessError):
+            critical_position(surface, np.eye(dim)[-1])
 
 
 class TestCriticalCaps:

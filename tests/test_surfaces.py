@@ -682,6 +682,21 @@ class TestPointCloud:
         with pytest.raises(sb.OrientationError):
             sb.PointCloud(u, normals)
 
+    def test_outward_normals_rejected(self):
+        # every sample agrees with its neighbours, but all normals point out
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal((600, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        sb.PointCloud(u, -u)
+        with pytest.raises(sb.OrientationError, match="outward"):
+            sb.PointCloud(u, u)
+        th = rng.uniform(0.0, 2.0 * math.pi, 600)
+        pts = np.stack([2.0 * np.cos(th), np.sin(th)], axis=1)
+        inner = -pts / np.array([4.0, 1.0])
+        sb.PointCloud(pts, inner)
+        with pytest.raises(sb.OrientationError, match="outward"):
+            sb.PointCloud(pts, -inner)
+
     def test_two_disjoint_spheres_components(self):
         rng = np.random.default_rng(9)
         u = rng.standard_normal((1200, 3))
@@ -725,9 +740,9 @@ class TestPointCloudCapabilities:
         assert sphere_cloud.critical_tolerances(None) == (default, default)
         assert sphere_cloud.critical_tolerances(3e-4) == (3e-4, 3e-4)
         diam = ell_111.diameter_hint()
-        assert ell_111.critical_tolerances(None) == (5e-10 * diam, 1e-11 * diam)
-        assert ell_111.critical_tolerances(1e-6) == (1e-6, 1e-11 * diam)
-        assert ell_111.critical_tolerances(1e-13) == (1e-13, 1e-13)
+        assert ell_111.critical_tolerances(None) == (5e-10 * diam, 0.0)
+        assert ell_111.critical_tolerances(1e-6) == (1e-6, 0.0)
+        assert ell_111.critical_tolerances(1e-13) == (1e-13, 0.0)
 
     def test_missing_member_names_type_and_member(self, sphere_cloud):
         with pytest.raises(sb.CapabilityError, match="PointCloud does not provide implicit_grad"):
@@ -931,7 +946,7 @@ class TestOnePointParity:
         rng = np.random.default_rng(seed)
         centre = getattr(surface, "center", np.zeros(surface.dim))
         P = centre + rng.uniform(0.8, 1.25, (m, 1)) * (surface.sample_points(m, rng) - centre)
-        kernels = ["implicit", "project", "signed_distance", "protrusion"]
+        kernels = ["implicit", "project", "signed_distance"]
         if name != "cloud":
             kernels += ["implicit_grad", "implicit_hess"]
         for kernel in kernels:
