@@ -132,7 +132,7 @@ def verify_graph_bounds(
         pts[okmask], normals[okmask], offsets[okmask], radii[okmask], u[okmask]
     )
     q = pts + offsets + u[:, None] * normals
-    g = surface.implicit_grad(q)
+    g = surface.jet(q, 1)[1]
     gn = np.linalg.norm(g, axis=1)
     nu_q = g / gn[:, None]
     # graph gradient from implicit differentiation: tangential part over normal part
@@ -231,7 +231,7 @@ def slice_curvature_bounds(
         raise ValueError("slice curvature checks need a surface in R^3")
     omega = unit(omega)
     seed_pt = _slice_seed(surface, omega, level)
-    trace = trace_plane_section(surface.implicit, surface.implicit_grad, omega, level, seed_pt, step)
+    trace = trace_plane_section(surface.jet, omega, level, seed_pt, step)
     P = trace.points
     nus, kappas = surface.curvatures_batch(P)
     align = np.abs(nus @ omega)
@@ -289,7 +289,7 @@ def projected_curvature_bounds(
         raise ValueError("projected curvature checks need a surface in R^3")
     omega1, omega2 = unit(omega1), unit(omega2)
     seed_pt = _slice_seed(surface, omega1, level)
-    trace = trace_plane_section(surface.implicit, surface.implicit_grad, omega1, level, seed_pt, step)
+    trace = trace_plane_section(surface.jet, omega1, level, seed_pt, step)
     return _projected_bound_from_trace(trace, surface, omega1, omega2, tol)
 
 
@@ -337,20 +337,19 @@ def figure_projection_check(step: float = 0.02) -> dict:
     verdict; the bound is tight (equality) at the extremes of the section.
     """
 
-    def phi(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 2] - p[..., 0] ** 2 - p[..., 1] ** 2
-
-    def grad(p):
-        p = np.asarray(p, dtype=float)
-        return np.stack([-2.0 * p[..., 0], -2.0 * p[..., 1], np.ones(p.shape[:-1])], axis=-1)
+    def jet(P, order):
+        x, y, z = P.T
+        out = [z - x**2 - y**2]
+        if order >= 1:
+            out.append(np.stack([-2.0 * x, -2.0 * y, np.ones(len(P))], axis=1))
+        return out
 
     omega1 = unit(np.array([0.0, -8.0, 1.0]))
     level = 2.0 / math.sqrt(65.0)
     omega2 = np.array([0.0, 0.0, 1.0])
     y0 = 4.0 + math.sqrt(18.0)
     seed = np.array([0.0, y0, 2.0 + 8.0 * y0])
-    trace = trace_plane_section(phi, grad, omega1, level, seed, step=step)
+    trace = trace_plane_section(jet, omega1, level, seed, step=step)
     P = trace.points
 
     proj = project_to_plane(P, omega2)
@@ -360,7 +359,7 @@ def figure_projection_check(step: float = 0.02) -> dict:
     center, radius = fit_circle(proj)
 
     # in-plane unit normal of the section on the paraboloid
-    g = grad(P)
+    g = jet(P, 1)[1]
     nus = g / np.linalg.norm(g, axis=1, keepdims=True)
     nu_raw = nus - (nus @ omega1)[:, None] * omega1[None, :]
     nu_unit = nu_raw / np.linalg.norm(nu_raw, axis=1, keepdims=True)
@@ -431,7 +430,7 @@ def verify_normal_change(
     good = np.isfinite(u)
     dq = offsets + u[:, None] * normals  # q - p
     v = np.einsum("md,md->m", dq, ell)
-    g = surface.implicit_grad(pts + dq)
+    g = surface.jet(pts + dq, 1)[1]
     nu_q = g / np.linalg.norm(g, axis=1, keepdims=True)
     transversal = np.einsum("md,md->m", nu_q, ell)
     m = np.minimum(bound - np.abs(v).reshape(-1, trials), transversal.reshape(-1, trials))
@@ -523,7 +522,7 @@ def verify_normal_tilt(
     else:
         alpha = _root_along(surface, q, -nu_q, alpha_cap)
     found = np.nonzero(np.isfinite(alpha))[0]
-    g = surface.implicit_grad(q[found] - alpha[found, None] * nu_q[found])
+    g = surface.jet(q[found] - alpha[found, None] * nu_q[found], 1)[1]
     nu_hat = g / np.sqrt(row_dots(g, g))[:, None]
     diff = nu_q[found] - nu_hat
     keep = found[np.sqrt(row_dots(diff, diff)) <= alpha[found] + _TILT_MATCH_TOL]

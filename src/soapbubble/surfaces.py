@@ -115,15 +115,15 @@ def quadratic(alpha: float, beta: np.ndarray) -> Objective:
 class Surface:
     """Abstract closed embedded hypersurface in R^(n+1).
 
-    Subclasses provide a smooth level function `implicit` that is positive
+    Subclasses provide `jet`, a smooth level function phi that is positive
     inside, zero on the surface and negative outside, together with its
     first two derivatives, plus nearest-point projection and on-surface
     sampling. Everything is read-only after construction.
 
-    The point kernels (`implicit`, `implicit_grad`, `implicit_hess`,
-    `project`, `signed_distance`) are written for (m, d) rows
-    and wrapped in `rows_kernel`, so each also takes a single (d,) point and
-    returns its row.
+    `jet` takes (m, d) rows. The point kernels (`implicit`, `project`,
+    `signed_distance`) are written for rows too and wrapped in
+    `rows_kernel`, so each also takes a single (d,) point and returns its
+    row.
     """
 
     dim: int  # ambient dimension n+1
@@ -139,14 +139,14 @@ class Surface:
 
     # --- level function interface ---
 
-    def implicit(self, pts: np.ndarray) -> np.ndarray:
-        raise self._lacks("implicit")
+    def jet(self, P: np.ndarray, order: int) -> list:
+        """[phi, grad phi (m, d), hess phi (m, d, d)][: order + 1] at the
+        rows of P (m, d), computing only the orders asked for."""
+        raise self._lacks("jet")
 
-    def implicit_grad(self, pts: np.ndarray) -> np.ndarray:
-        raise self._lacks("implicit_grad")
-
-    def implicit_hess(self, pts: np.ndarray) -> np.ndarray:
-        raise self._lacks("implicit_hess")
+    @rows_kernel
+    def implicit(self, P: np.ndarray) -> np.ndarray:
+        return self.jet(P, 0)[0]
 
     def implicit_on_rays(
         self, origin: np.ndarray, directions: np.ndarray, ts: np.ndarray
@@ -208,18 +208,15 @@ class Surface:
             return np.maximum(np.where(f1 <= objective.tol, 0.0, f1), off(phi, g))
 
         x = x0.copy()
-        g = self.implicit_grad(x)
-        lam = np.einsum("md,md->m", objective.derivs(x, every)[0], g) / np.maximum(
-            np.einsum("md,md->m", g, g), 1e-300
-        )
-        for _ in range(_NEWTON_MAX_ITER):
-            g = self.implicit_grad(x)
-            h = self.implicit_hess(x)
-            phi = self.implicit(x)
+        for it in range(_NEWTON_MAX_ITER + 1):
+            phi, g, h = self.jet(x, 2)
             grad, hess = objective.derivs(x, every)
+            if it == 0:
+                gg = np.maximum(np.einsum("md,md->m", g, g), 1e-300)
+                lam = np.einsum("md,md->m", grad, g) / gg
             F1 = grad - lam[:, None] * g
             active = residual(F1, phi, g) > _NEWTON_TOL
-            if not active.any():
+            if not active.any() or it == _NEWTON_MAX_ITER:
                 break
             J = np.zeros((k, d + 1, d + 1))
             J[:, :d, :d] = hess - lam[:, None, None] * h
@@ -248,17 +245,14 @@ class Surface:
             for _ in range(10):
                 xn = xa + t[:, None] * step[:, :d]
                 ln = la + t * step[:, d]
-                gn = self.implicit_grad(xn)
-                phin = self.implicit(xn)
+                phin, gn = self.jet(xn, 1)
                 worse = residual(objective.derivs(xn, rows)[0] - ln[:, None] * gn, phin, gn) > base
                 if not worse.any():
                     break
                 t = np.where(worse, 0.5 * t, t)
             x[rows] = xa + t[:, None] * step[:, :d]
             lam[rows] = la + t * step[:, d]
-        g = self.implicit_grad(x)
-        phi = self.implicit(x)
-        resid = np.abs(objective.derivs(x, every)[0] - lam[:, None] * g).max(axis=1)
+        resid = np.abs(F1).max(axis=1)
         return x, (resid <= 1e4 * objective.tol) & (off(phi, g) <= 100.0 * _NEWTON_TOL)
 
     # --- sampling ---
@@ -317,11 +311,10 @@ class Surface:
         """(m, d) surface points -> inner normals (m, d), ascending principal
         curvatures (m, n)."""
         P = np.atleast_2d(np.asarray(pts, dtype=float))
-        g = self.implicit_grad(P)
+        _, g, hess = self.jet(P, 2)
         gn = np.linalg.norm(g, axis=1)
         nus = g / gn[:, None]
         frames = tangent_frame(nus)  # (m, n, d)
-        hess = self.implicit_hess(P)  # (m, d, d)
         shape_ops = -np.einsum("mid,mde,mje->mij", frames, hess, frames) / gn[:, None, None]
         kappas = np.sort(np.linalg.eigvalsh(shape_ops), axis=1)
         return nus, kappas
@@ -340,22 +333,17 @@ class Sphere(Surface):
         self.dim = self.center.shape[0]
 
     # R - |xi - c| is the exact signed distance
-    @rows_kernel
-    def implicit(self, P):
-        return self.radius - np.linalg.norm(P - self.center, axis=1)
-
-    @rows_kernel
-    def implicit_grad(self, P):
-        u = P - self.center
-        return -u / np.linalg.norm(u, axis=1, keepdims=True)
-
-    @rows_kernel
-    def implicit_hess(self, P):
+    def jet(self, P, order):
         u = P - self.center
         r = np.linalg.norm(u, axis=1)
-        uhat = u / r[:, None]
-        eye = np.eye(self.dim)
-        return -(eye[None] - uhat[:, :, None] * uhat[:, None, :]) / r[:, None, None]
+        out = [self.radius - r]
+        if order >= 1:
+            uhat = u / r[:, None]
+            out.append(-uhat)
+        if order >= 2:
+            eye = np.eye(self.dim)
+            out.append(-(eye[None] - uhat[:, :, None] * uhat[:, None, :]) / r[:, None, None])
+        return out
 
     @rows_kernel
     def project(self, P):
@@ -408,17 +396,14 @@ class Ellipsoid(Surface):
         self.dim = self.semi_axes.shape[0]
         self._a2 = self.semi_axes**2
 
-    @rows_kernel
-    def implicit(self, P):
-        return 1.0 - np.sum(P**2 / self._a2, axis=1)
-
-    @rows_kernel
-    def implicit_grad(self, P):
-        return -2.0 * P / self._a2
-
-    @rows_kernel
-    def implicit_hess(self, P):
-        return np.broadcast_to(np.diag(-2.0 / self._a2), (P.shape[0], self.dim, self.dim)).copy()
+    def jet(self, P, order):
+        out = [1.0 - np.sum(P**2 / self._a2, axis=1)]
+        if order >= 1:
+            out.append(-2.0 * P / self._a2)
+        if order >= 2:
+            hess = np.diag(-2.0 / self._a2)
+            out.append(np.broadcast_to(hess, (P.shape[0], self.dim, self.dim)).copy())
+        return out
 
     @rows_kernel
     def project(self, P):
@@ -439,7 +424,7 @@ class Ellipsoid(Surface):
         if self.dim == 3:
             rg = float(elliprg(*(1.0 / self._a2)))
             return 4.0 * math.pi * float(np.prod(a)) * rg, 0.0
-        raise NotImplementedError("ellipsoid area implemented for R^2 and R^3")
+        raise self._lacks(f"an area in R^{self.dim} (R^2 and R^3 only)")
 
     def bounding_radius(self):
         return float(self.semi_axes.max())
@@ -563,11 +548,10 @@ class HarmonicRadial(Surface):
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         return self._table(self._r_fn, np.atleast_2d(np.asarray(dirs, dtype=float)))[:, 0]
 
-    @rows_kernel
-    def implicit(self, P):
+    def jet(self, P, order):
         with np.errstate(all="ignore"):
-            out = self._table(self._phi_fn, P)[:, 0]
-            bad = ~np.isfinite(out)
+            phi = self._table(self._phi_fn, P)[:, 0]
+            bad = ~np.isfinite(phi)
             if bad.any():
                 # r(x/|x|) - |x| is 0/0 at the origin; along every ray it
                 # tends to r(u) > 0 there, so the origin gets the smallest
@@ -580,16 +564,13 @@ class HarmonicRadial(Surface):
                 wn = np.linalg.norm(w, axis=1)
                 vals = np.full(Q.shape[0], self._r_min)
                 vals[off] = self.radial(w / wn[:, None]) - s[:, 0] * wn
-                out[bad] = vals
+                phi[bad] = vals
+        out = [phi]
+        if order >= 1:
+            out.append(self._table(self._grad_fn, P))
+        if order >= 2:
+            out.append(self._table(self._hess_fn, P).reshape(-1, self.dim, self.dim))
         return out
-
-    @rows_kernel
-    def implicit_grad(self, P):
-        return self._table(self._grad_fn, P)
-
-    @rows_kernel
-    def implicit_hess(self, P):
-        return self._table(self._hess_fn, P).reshape(-1, self.dim, self.dim)
 
     @rows_kernel
     def project(self, P):
@@ -633,7 +614,7 @@ class HarmonicRadial(Surface):
             th = np.linspace(0.0, 2.0 * math.pi, 16 * res, endpoint=False)
             u = np.stack([np.cos(th), np.sin(th)], axis=1)
             r = self.radial(u)
-            gs = self.implicit_grad(u) + u  # grad(rtilde) = grad(phi) + grad(rho)
+            gs = self.jet(u, 1)[1] + u  # grad(rtilde) = grad(phi) + grad(rho)
             integrand = np.sqrt(r**2 + np.sum(gs**2, axis=1))
             return float(integrand.mean() * 2.0 * math.pi)
         xg, wg = np.polynomial.legendre.leggauss(res)
@@ -643,7 +624,7 @@ class HarmonicRadial(Surface):
         u = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
         flat = u.reshape(-1, 3)
         r = self.radial(flat)
-        gs = self.implicit_grad(flat) + flat
+        gs = self.jet(flat, 1)[1] + flat
         integrand = (r * np.sqrt(r**2 + np.sum(gs**2, axis=1))).reshape(TH.shape)
         return float((integrand * wg[:, None]).sum() * (2.0 * math.pi / ph.size))
 
@@ -658,6 +639,8 @@ def _harmonic_basis_expr(sp, us, l: int, m: int, dim: int):
     if dim == 2:
         ux, uy = us
         if l == 0:
+            if m < 0:
+                raise ValueError("sin(0 theta) vanishes: a degree-0 Fourier term needs m >= 0")
             return sp.Integer(1)
         zpow = sp.expand((ux + sp.I * uy) ** l)
         re, im = zpow.as_real_imag()
@@ -773,8 +756,10 @@ class PointCloud(Surface):
         if not np.einsum("md,md->", self.points - self.points.mean(axis=0), self.normals) < 0.0:
             raise OrientationError("the normals point outward; the cloud needs inner normals")
 
-    def implicit(self, pts):
-        return self.signed_distance(pts)
+    def jet(self, P, order):
+        if order >= 1:
+            raise self._lacks("the level-function gradient (jet order >= 1)")
+        return [self.signed_distance(P)]
 
     @rows_kernel
     def signed_distance(self, P):
@@ -1027,7 +1012,7 @@ def _refine_extremum(surface: Surface, seeds: np.ndarray) -> tuple[np.ndarray, .
     # surface and however sharply H bends (a dumbbell's neck), as the
     # flatness test needs. A power of two, c_r adds no rounding.
     H0, _, hess0 = differences(seeds)
-    G = np.linalg.norm(surface.implicit_grad(seeds), axis=1)
+    G = np.linalg.norm(surface.jet(seeds, 1)[1], axis=1)
     bend = np.maximum(np.abs(hess0).max(axis=(1, 2)), np.abs(H0).max() / R**2)
     c = 2.0 ** np.round(np.log2(G / bend))
 
@@ -1042,8 +1027,8 @@ def _refine_extremum(surface: Surface, seeds: np.ndarray) -> tuple[np.ndarray, .
     x, ok = surface.stationary(Objective(derivs, tol=1e-6 * G.max() * R, flat=1e-4), seeds)
     # the solve stops at |phi| <= 1e-12 and H moves with phi to first order:
     # one Newton step on phi alone puts the points on the surface to rounding
-    g = surface.implicit_grad(x)
-    x = x - (surface.implicit(x) / np.einsum("md,md->m", g, g))[:, None] * g
+    phi, g = surface.jet(x, 1)
+    x = x - (phi / np.einsum("md,md->m", g, g))[:, None] * g
     return x, surface.curvatures_batch(x)[1].mean(axis=1), ok
 
 
@@ -1208,17 +1193,17 @@ def _graph_heights_batch(surface: Surface, bases: np.ndarray, normals: np.ndarra
 
 
 def _roots_along(surface, starts, directions, lo, hi) -> np.ndarray:
-    """Roots t in [lo, hi] of g(t) = implicit(start + t*direction), batched
-    over the rows, by Newton with g' = implicit_grad . direction from where
-    the chord between the ends crosses zero. The bracket's midpoint replaces
-    a Newton step that leaves the bracket or is not at most half the row's
-    previous step. A row stops once its Newton step is within rounding or
-    its bracket cannot be halved, so it does not depend on the other rows.
-    A zero at an end is that end; a row whose ends do not straddle, or that
-    meets NaN, gives NaN."""
+    """Roots t in [lo, hi] of g(t) = phi(start + t*direction), batched over
+    the rows, by Newton with g' = grad phi . direction (one `jet` call per
+    step) from where the chord between the ends crosses zero. The bracket's
+    midpoint replaces a Newton step that leaves the bracket or is not at
+    most half the row's previous step. A row stops once its Newton step is
+    within rounding or its bracket cannot be halved, so it does not depend
+    on the other rows. A zero at an end is that end; a row whose ends do
+    not straddle, or that meets NaN, gives NaN."""
     starts, directions = np.broadcast_arrays(starts, directions)
-    g_lo, g_hi = np.split(surface.implicit(np.concatenate(
-        [starts + lo[:, None] * directions, starts + hi[:, None] * directions])), 2)
+    g_lo, g_hi = np.split(surface.jet(np.concatenate(
+        [starts + lo[:, None] * directions, starts + hi[:, None] * directions]), 0)[0], 2)
     straddle = np.sign(g_lo) * np.sign(g_hi)  # NaN where an end is NaN
     t = np.where(straddle == 0, np.where(g_lo == 0, lo, hi), math.nan)
     rows = np.nonzero(straddle < 0)[0]
@@ -1227,10 +1212,9 @@ def _roots_along(surface, starts, directions, lo, hi) -> np.ndarray:
     s_lo, prev = np.sign(g_lo), hi - lo
     tr = lo + (hi - lo) * (g_lo / (g_lo - g_hi))  # where the chord crosses zero
     while rows.size:
-        x = x0 + tr[:, None] * d
-        g = surface.implicit(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = -g / row_dots(surface.implicit_grad(x), d)
+            g, grad = surface.jet(x0 + tr[:, None] * d, 1)
+            step = -g / row_dots(grad, d)
         below = np.sign(g) == s_lo
         lo, hi = np.where(below, tr, lo), np.where(below, hi, tr)
         newton, mid = tr + step, 0.5 * (lo + hi)

@@ -78,38 +78,41 @@ class Trace:
     march_steps: int     # accepted predictor steps of the march
 
 
-def _correct(phi, grad, omega, level, P, iters=30, tol=0.0):
-    """Newton-correct each row of P (m, 3) onto {phi = 0, x . omega = level}.
+def _correct(jet, omega, level, P, iters=30, tol=0.0):
+    """Newton-correct each row of P (m, 3) onto {phi = 0, x . omega = level},
+    with phi and its gradient from one `jet(X, 1)` call per pass. Returns
+    the landed rows and the gradient at each.
 
     A step moves a row by J^T lam with J = [grad phi; omega], where lam
     solves the Gram system [[g.g, g.omega], [g.omega, omega.omega]] lam = -f
     by Cramer's rule. A row stops once both residuals, as lengths, are at
     most max(_LAND_RTOL * |x|, tol), so its result does not depend on the
     other rows. The phi residual is divided by the gradient of the pass
-    before, so a pass that only finds rows landed evaluates phi alone. A row
-    still off the section after `iters` steps raises TracingError.
+    before (on the first pass, its own). A row still off the section after
+    `iters` steps raises TracingError.
     """
     P = np.array(P, dtype=float)
+    G = np.empty_like(P)
     live = np.arange(P.shape[0])
     ww = float(omega @ omega)
-    g = np.asarray(grad(P), dtype=float)
-    gg = row_dots(g, g)
     for it in range(iters + 1):
         X = P[live]
-        f0 = np.asarray(phi(X), dtype=float)
+        f0, g = jet(X, 1)
+        if it == 0:
+            gg = row_dots(g, g)
         f1 = row_dots(X, omega) - level
         bound2 = np.maximum(_LAND_RTOL**2 * row_dots(X, X), tol * tol)
         moving = ~((f0 * f0 <= bound2 * gg) & (f1 * f1 <= bound2 * ww))
+        G[live[~moving]] = g[~moving]
         if not moving.any():
-            return P
-        live, X, f0, f1 = live[moving], X[moving], f0[moving], f1[moving]
+            return P, G
+        live, X, f0, f1, g = live[moving], X[moving], f0[moving], f1[moving], g[moving]
         if it == iters:
             i = int(live[0])
             raise TracingError(
                 f"row {i} at {P[i]} did not land on the section within {iters} Newton "
                 f"steps: |phi| = {abs(f0[0]):.3g}, |x.omega - level| = {abs(f1[0]):.3g}"
             )
-        g = np.asarray(grad(X), dtype=float) if it else g[moving]
         gg, gw = row_dots(g, g), row_dots(g, omega)
         det = gg * ww - gw * gw
         if np.any(det <= 0.0):
@@ -133,8 +136,7 @@ def _cross(a, b):
 
 
 def trace_plane_section(
-    phi,
-    grad,
+    jet,
     omega: np.ndarray,
     level: float,
     seed_point: np.ndarray,
@@ -142,37 +144,37 @@ def trace_plane_section(
 ) -> Trace:
     """Trace the closed intersection curve of {phi = 0} with the hyperplane
     {x . omega = level}, starting near seed_point, as points evenly spaced
-    `step` apart in arclength."""
+    `step` apart in arclength. `jet(X, order)` gives [phi, grad phi][: order
+    + 1] at the rows of X, as `Surface.jet` does."""
     omega = unit(np.asarray(omega, dtype=float))
 
     def land(P, tol):
-        return _correct(phi, grad, omega, level, P, tol=tol)
+        return _correct(jet, omega, level, P, tol=tol)
+
+    def land_one(p, tol):
+        # the landed point and the unit tangent of the section there
+        P, G = land(p[None], tol)
+        t = _cross(G[0], omega)
+        n = np.linalg.norm(t)
+        if n < 1e-12 * max(np.linalg.norm(G[0]), 1.0):
+            raise TangentialSliceError(f"tangential slice at {P[0]}")
+        return P[0], t / n
 
     try:
-        p0 = land(np.asarray(seed_point, dtype=float)[None], _MARCH_RTOL * step)[0]
+        p0, t0 = land_one(np.asarray(seed_point, dtype=float), _MARCH_RTOL * step)
     except TangentialSliceError:
         raise
     except TracingError as exc:
         raise TracingError(f"could not land the seed on the section: {exc}") from exc
 
-    def tangent(p):
-        g = np.asarray(grad(p), dtype=float)
-        t = _cross(g, omega)
-        n = np.linalg.norm(t)
-        if n < 1e-12 * max(np.linalg.norm(g), 1.0):
-            raise TangentialSliceError(f"tangential slice at {p}")
-        return t / n
-
-    pts = [p0]
-    t0 = t_prev = tangent(p0)
+    pts, t_prev = [p0], t0
     h = step
     h_max = _MARCH_GROWTH * step
     travelled = 0.0
     bend = 0.0  # the largest turn per unit length of an accepted step
     for _ in range(_MAX_STEPS):
         p = pts[-1]
-        cand = land((p + h * t_prev)[None], _MARCH_RTOL * h)[0]
-        t_new = tangent(cand)
+        cand, t_new = land_one(p + h * t_prev, _MARCH_RTOL * h)
         turn = math.acos(float(np.clip(t_prev @ t_new, -1.0, 1.0)))
         if turn > 0.35 and h > step / 64.0:
             h *= 0.5
@@ -186,8 +188,8 @@ def trace_plane_section(
             sub = step
             while bend * sub > 0.35 and sub > step / 64.0:
                 sub *= 0.5
-            fine = _resample_closed(polyline, lambda P: land(P, tol), sub)
-            points = _resample_closed(fine, lambda P: land(P, tol), step)
+            fine = _resample_closed(polyline, lambda P: land(P, tol)[0], sub)
+            points = _resample_closed(fine, lambda P: land(P, tol)[0], step)
             return Trace(points=points, closed=True, step=step, march_steps=len(pts))
         pts.append(cand)
         travelled += float(np.linalg.norm(cand - p))

@@ -312,12 +312,12 @@ def ray_hits_one_block(surface, origin, directions, t_max, resolution=2048):
 
 def bisect_along_full(surface, starts, directions, lo, hi, phi_lo, steps):
     """Midpoints of the brackets [lo, hi] of the rows' lines start +
-    t*direction after `steps` bisections of the sign of `implicit`; phi_lo
-    is `implicit` at t = lo. The line searches ran this before
+    t*direction after `steps` bisections of the sign of phi; phi_lo is phi
+    at t = lo. The line searches ran this before
     `surfaces._roots_along`."""
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        phi_mid = surface.implicit(starts + mid[:, None] * directions)
+        phi_mid = surface.jet(starts + mid[:, None] * directions, 0)[0]
         same = np.sign(phi_mid) == np.sign(phi_lo)
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         phi_lo = np.where(same, phi_mid, phi_lo)
@@ -327,8 +327,8 @@ def bisect_along_full(surface, starts, directions, lo, hi, phi_lo, steps):
 def roots_along_bisection(surface, starts, directions, lo, hi):
     """`surfaces._roots_along` by 100 steps of `bisect_along_full`: NaN where
     the bracket's ends do not straddle the surface or one of them is NaN."""
-    phi_lo = surface.implicit(starts + lo[:, None] * directions)
-    phi_hi = surface.implicit(starts + hi[:, None] * directions)
+    phi_lo = surface.jet(starts + lo[:, None] * directions, 0)[0]
+    phi_hi = surface.jet(starts + hi[:, None] * directions, 0)[0]
     t = bisect_along_full(surface, starts, directions, lo, hi, phi_lo, 100)
     return np.where(np.sign(phi_lo) * np.sign(phi_hi) <= 0, t, math.nan)
 
@@ -367,15 +367,13 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
     def run(x0, targets):
         k = targets.shape[0]
         x = x0.copy()
-        g = surface.implicit_grad(x)
+        g = surface.jet(x, 1)[1]
         lam = np.einsum("md,md->m", x - targets, g) / np.maximum(
             np.einsum("md,md->m", g, g), 1e-300
         )
         active = np.ones(k, dtype=bool)
         for _ in range(80):
-            g = surface.implicit_grad(x)
-            h = surface.implicit_hess(x)
-            phi = surface.implicit(x)
+            phi, g, h = surface.jet(x, 2)
             F1 = x - targets - lam[:, None] * g
             res = np.maximum(np.abs(F1).max(axis=1), off(phi, g))
             active = res > 1e-12
@@ -396,8 +394,7 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
             for _ in range(10):
                 xn = xa + t[:, None] * step[:, :d]
                 ln = la + t * step[:, d]
-                gn = surface.implicit_grad(xn)
-                phin = surface.implicit(xn)
+                phin, gn = surface.jet(xn, 1)
                 Fn = xn - targets[active] - ln[:, None] * gn
                 worse = np.maximum(np.abs(Fn).max(axis=1), off(phin, gn)) > base
                 if not worse.any():
@@ -405,8 +402,7 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
                 t = np.where(worse, 0.5 * t, t)
             x[active] = xa + t[:, None] * step[:, :d]
             lam[active] = la + t * step[:, d]
-        g = surface.implicit_grad(x)
-        phi = surface.implicit(x)
+        phi, g = surface.jet(x, 1)
         ok = (np.abs(x - targets - lam[:, None] * g).max(axis=1) <= 1e-8) & (
             off(phi, g) <= 1e-10
         )
@@ -433,18 +429,18 @@ def project_newton_loop(surface, P: np.ndarray, seeds: np.ndarray) -> np.ndarray
 # the reference for the coarse march and its two resamples
 
 
-def _correct_fixed_tol(phi, grad, omega, level, P, iters=30, ftol=1e-13):
+def _correct_fixed_tol(jet, omega, level, P, iters=30, ftol=1e-13):
     """Newton on {phi = 0, x . omega = level}, row by row, stopping a row once
     both residuals are below the absolute `ftol` (or after `iters` steps)."""
     P = np.array(P, dtype=float)
     for i in range(P.shape[0]):
         x = P[i]
         for _ in range(iters):
-            f0 = float(phi(x[None])[0])
+            f0 = float(jet(x[None], 0)[0][0])
             f1 = float(x @ omega) - level
             if max(abs(f0), abs(f1)) < ftol:
                 break
-            g = np.asarray(grad(x[None]), dtype=float)[0]
+            g = jet(x[None], 1)[1][0]
             gg, gw, ww = float(g @ g), float(g @ omega), float(omega @ omega)
             det = gg * ww - gw * gw
             if det <= 0.0:
@@ -454,7 +450,7 @@ def _correct_fixed_tol(phi, grad, omega, level, P, iters=30, ftol=1e-13):
     return P
 
 
-def trace_plane_section_fine(phi, grad, omega, level, seed_point, step=0.02):
+def trace_plane_section_fine(jet, omega, level, seed_point, step=0.02):
     """Points of the closed section {phi = 0, x . omega = level} through the
     seed's component: a predictor-corrector march whose step never exceeds
     the output spacing `step` (halved while a step turns the tangent by more
@@ -465,10 +461,10 @@ def trace_plane_section_fine(phi, grad, omega, level, seed_point, step=0.02):
     omega = omega / np.linalg.norm(omega)
 
     def land(P):
-        return _correct_fixed_tol(phi, grad, omega, level, P)
+        return _correct_fixed_tol(jet, omega, level, P)
 
     def tangent(p):
-        t = np.cross(np.asarray(grad(p[None]), dtype=float)[0], omega)
+        t = np.cross(jet(p[None], 1)[1][0], omega)
         return t / np.linalg.norm(t)
 
     p0 = land(np.asarray(seed_point, dtype=float)[None])[0]

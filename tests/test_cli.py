@@ -80,6 +80,11 @@ class TestSpecIO:
             surface_from_dict({"type": "sphere", "center": [0, 0, 0]})
         with pytest.raises(SpecError):
             surface_from_dict([1, 2, 3])
+        # sin(0 theta) is 0: a degree-0 sine term would add to the radius
+        with pytest.raises(SpecError, match="m >= 0"):
+            surface_from_dict(
+                {"type": "radial_graph", "basis": "fourier", "coeffs": [[0, -1, 0.5]]}
+            )
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(SpecError):
@@ -122,6 +127,14 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["analyze", "--surface", str(bad)]) == 2
+
+    def test_ellipsoid_without_area_exit_2(self, tmp_path, capsys):
+        # the ellipsoid's area has a closed form in R^2 and R^3 only
+        spec = tmp_path / "ell4.json"
+        spec.write_text(json.dumps({"type": "ellipsoid", "semi_axes": [1, 1, 1.1, 1.2]}))
+        assert main(["analyze", "--surface", str(spec), "--samples", "300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Ellipsoid does not provide an area in R^4" in err
 
     def test_mixed_normal_cloud_exit_2(self, tmp_path, capsys):
         # a badly oriented cloud file is a wrong input, not a numerical failure
@@ -254,7 +267,8 @@ class TestVerifyCmd:
         # a point cloud has no level-function gradient: an input error, no traceback
         assert main(["verify", check, "--surface", str(cloud_spec)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and "implicit_grad" in err
+        assert err.startswith("input error:")
+        assert "PointCloud does not provide the level-function gradient" in err
 
 
 class TestMovingPlaneCmd:

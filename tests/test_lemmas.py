@@ -86,10 +86,7 @@ class TestSliceCurvature:
         # slice of the unit sphere at height 1/2: circle of radius sqrt(3)/2
         v = slice_curvature_bounds(unit_sphere, np.array([0.0, 0, 1.0]), 0.5, step=0.02)
         assert v.violations == 0
-        tr = trace_plane_section(
-            unit_sphere.implicit, unit_sphere.implicit_grad, [0, 0, 1.0], 0.5, [1.0, 0, 0.5],
-            step=0.02,
-        )
+        tr = trace_plane_section(unit_sphere.jet, [0, 0, 1.0], 0.5, [1.0, 0, 0.5], step=0.02)
         k = curve_curvatures(tr.points)
         assert k.mean() == pytest.approx(1 / math.sqrt(0.75), abs=1e-9)
         assert k.max() - k.min() < 1e-6
@@ -109,8 +106,7 @@ class TestSliceCurvature:
     def test_curvature_constant_along_sphere_slices(self, unit_sphere):
         for level in (0.0, 0.3, -0.6):
             tr = trace_plane_section(
-                unit_sphere.implicit, unit_sphere.implicit_grad,
-                [0, 0, 1.0], level, [math.sqrt(1 - level**2), 0, level], step=0.01,
+                unit_sphere.jet, [0, 0, 1.0], level, [math.sqrt(1 - level**2), 0, level], step=0.01
             )
             k = curve_curvatures(tr.points)
             assert k.max() - k.min() < 1e-6
@@ -131,12 +127,13 @@ class TestBatchedCorrector:
         level = rng.uniform(*np.quantile(h, [0.2, 0.8]))
         near = pts[np.argsort(np.abs(h - level))[:m]]
         rough = near + (level - near @ w)[:, None] * w + 0.02 * rng.standard_normal((m, 3))
-        phi, grad = surface.implicit, surface.implicit_grad
-        landed = _correct(phi, grad, w, level, rough)
+        landed, grads = _correct(surface.jet, w, level, rough)
         for i in range(m):
-            alone = _correct(phi, grad, w, level, rough[i : i + 1])
+            alone, grad = _correct(surface.jet, w, level, rough[i : i + 1])
             np.testing.assert_array_equal(alone[0], landed[i])
-        assert np.abs(phi(landed)).max() < 1e-13
+            np.testing.assert_array_equal(grad[0], grads[i])
+        np.testing.assert_array_equal(grads, surface.jet(landed, 1)[1])
+        assert np.abs(surface.implicit(landed)).max() < 1e-13
         assert np.abs(row_dots(landed, w) - level).max() < 1e-13
 
     def test_parallel_gradients_rejected(self, unit_sphere):
@@ -144,7 +141,7 @@ class TestBatchedCorrector:
         rough = np.array([[0.6, 0.0, 0.1], [0.0, 0.0, 1.5]])
         w = np.array([0.0, 0.0, 1.0])
         with pytest.raises(TangentialSliceError):
-            _correct(unit_sphere.implicit, unit_sphere.implicit_grad, w, 1.0, rough)
+            _correct(unit_sphere.jet, w, 1.0, rough)
 
 
 class TestProjectedCurvature:
@@ -153,9 +150,7 @@ class TestProjectedCurvature:
         w = np.array([0.0, 0, 1.0])
         v = projected_curvature_bounds(ell_111, w, 0.25, w, step=0.02, tol=1e-6)
         assert v.violations == 0
-        tr = trace_plane_section(
-            ell_111.implicit, ell_111.implicit_grad, w, 0.25, [0.9, 0, 0.25], step=0.02
-        )
+        tr = trace_plane_section(ell_111.jet, w, 0.25, [0.9, 0, 0.25], step=0.02)
         from soapbubble.tracing import project_to_plane
 
         k_src = curve_curvatures(tr.points)

@@ -175,14 +175,8 @@ class TestCriticalPosition:
         t = np.array([0.2, -0.1, 0.4])
 
         class Shifted(sb.Ellipsoid):
-            def implicit(self, pts):
-                return super().implicit(np.asarray(pts, dtype=float) - t)
-
-            def implicit_grad(self, pts):
-                return super().implicit_grad(np.asarray(pts, dtype=float) - t)
-
-            def implicit_hess(self, pts):
-                return super().implicit_hess(np.asarray(pts, dtype=float) - t)
+            def jet(self, P, order):
+                return super().jet(P - t, order)
 
             def project(self, pts):
                 return super().project(np.asarray(pts, dtype=float) - t) + t
@@ -204,15 +198,13 @@ class TestCriticalPosition:
         base = critical_position(sb.Ellipsoid([1, 1, 1.1]), w, tol=1e-8)
 
         class Rotated(sb.Ellipsoid):
-            def implicit(self, pts):
-                return super().implicit(np.asarray(pts, dtype=float) @ R)
-
-            def implicit_grad(self, pts):
-                return super().implicit_grad(np.asarray(pts, dtype=float) @ R) @ R.T
-
-            def implicit_hess(self, pts):
-                h = super().implicit_hess(np.asarray(pts, dtype=float) @ R)
-                return np.einsum("ia,...ab,jb->...ij", R, h, R)
+            def jet(self, P, order):
+                out = super().jet(P @ R, order)
+                if order >= 1:
+                    out[1] = out[1] @ R.T
+                if order >= 2:
+                    out[2] = np.einsum("ia,...ab,jb->...ij", R, out[2], R)
+                return out
 
             def project(self, pts):
                 return super().project(np.asarray(pts, dtype=float) @ R) @ R.T
@@ -285,14 +277,8 @@ class TestEmbeddedness:
         # a level function positive outside: the top sample's mirror leaves
         # at once. Sphere.signed_distance is its implicit, so it flips too
         class InsideOut(sb.Sphere):
-            def implicit(self, P):
-                return -super().implicit(P)
-
-            def implicit_grad(self, P):
-                return -super().implicit_grad(P)
-
-            def implicit_hess(self, P):
-                return -super().implicit_hess(P)
+            def jet(self, P, order):
+                return [-a for a in super().jet(P, order)]
 
         surface = InsideOut(np.zeros(dim), 1.0)
         assert surface.signed_distance(np.zeros(dim)) == -1.0

@@ -181,7 +181,10 @@ class TestOscillation:
 
 class TestSignedDistance:
     def test_sphere_trivial_values(self, unit_sphere):
-        assert unit_sphere.signed_distance([0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
+        # phi at the centre computes no gradient, so it does not divide by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert unit_sphere.signed_distance([0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
         assert unit_sphere.signed_distance([3.0, 0.0, 0.0]) == pytest.approx(-2.0, abs=1e-14)
 
     def test_ellipsoid_above_pole(self, ell_111):
@@ -241,6 +244,13 @@ class TestHarmonicRadial:
                 rows = surf.implicit(P)
             np.testing.assert_array_equal(rows, surf.radial(np.eye(dim)[0])[0])
 
+    def test_degree0_sine_term_rejected(self):
+        # README: m < 0 means sin(l theta), and sin(0 theta) = 0
+        with pytest.raises(ValueError, match="m >= 0"):
+            sb.HarmonicRadial([(0, -1, 0.5)], dim=2)
+        const = sb.HarmonicRadial([(0, 0, 0.5)], dim=2)
+        assert const.radial(np.array([[0.6, 0.8]]))[0] == pytest.approx(1.5, abs=1e-15)
+
     def test_positivity_guard_is_scale_free(self):
         # a sphere of radius 1e-3 and a small bump on it are surfaces
         u = np.random.default_rng(3).standard_normal((50, 3))
@@ -277,6 +287,54 @@ class TestHarmonicRadial:
         assert np.abs(surf.implicit(X)).max() <= 2e-12 * s
         top = sb.extent(surf, np.array([0.0, 0.0, 1.0]))
         assert top == pytest.approx(1.1319351028347675 * s, rel=1e-15)
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_surface(name: str) -> sb.Surface:
+    return {
+        "sphere2": lambda: sb.Sphere([0.3, -0.2], 1.2),
+        "sphere3": lambda: sb.Sphere([0.3, -0.2, 0.5], 1.2),
+        "ellipsoid2": lambda: sb.Ellipsoid([1.0, 0.6]),
+        "ellipsoid3": lambda: sb.Ellipsoid([1.0, 1.0, 1.1]),
+        "ellipsoid4": lambda: sb.Ellipsoid([1.0, 1.0, 1.1, 1.2]),
+        "harmonic": lambda: sb.HarmonicRadial([(2, 0, 0.1), (3, 1, 0.05), (4, -2, 0.03)]),
+        "fourier": lambda: sb.HarmonicRadial([(2, 0, 0.2), (3, -1, 0.1)], dim=2),
+    }[name]()
+
+
+class TestJet:
+    # jet(P, order) gives [phi, grad phi, hess phi][: order + 1] at points
+    # 0.8-1.25 times off the surface
+    NAMES = ["sphere2", "sphere3", "ellipsoid2", "ellipsoid3", "ellipsoid4", "harmonic", "fourier"]
+
+    @staticmethod
+    def _points(surface, seed=5, m=40):
+        rng = np.random.default_rng(seed)
+        centre = getattr(surface, "center", np.zeros(surface.dim))
+        return centre + rng.uniform(0.8, 1.25, (m, 1)) * (surface.sample_points(m, rng) - centre)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_lower_orders_are_prefixes(self, name):
+        surface = _jet_surface(name)
+        P = self._points(surface)
+        full, one, zero = surface.jet(P, 2), surface.jet(P, 1), surface.jet(P, 0)
+        assert (len(full), len(one), len(zero)) == (3, 2, 1)
+        for a, b in zip(full, one):
+            assert a.tobytes() == b.tobytes()
+        assert one[0].tobytes() == zero[0].tobytes() == surface.implicit(P).tobytes()
+        assert full[1].shape == P.shape and full[2].shape == (len(P), surface.dim, surface.dim)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_derivatives_match_central_differences(self, name):
+        surface = _jet_surface(name)
+        P = self._points(surface)
+        _, grad, hess = surface.jet(P, 2)
+        h = 1e-5 * surface.bounding_radius()
+        steps = [(surface.jet(P + e, 1), surface.jet(P - e, 1)) for e in h * np.eye(surface.dim)]
+        dphi = np.stack([(p[0] - m[0]) / (2 * h) for p, m in steps], axis=1)
+        dgrad = np.stack([(p[1] - m[1]) / (2 * h) for p, m in steps], axis=1)
+        assert np.abs(dphi - grad).max() <= 1e-7 * np.abs(grad).max()
+        assert np.abs(dgrad - hess).max() <= 1e-7 * np.abs(hess).max()
 
 
 @st.composite
@@ -332,7 +390,7 @@ class TestEllipsoidProjection:
         # x - q is along the normal at q; the floor max(a) is the scale of
         # the rounding in q, which a near point's tiny offset cannot resolve
         v = P - Q
-        g = ell.implicit_grad(Q)
+        g = ell.jet(Q, 1)[1]
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         resid = np.linalg.norm(v - np.einsum("md,md->m", v, g)[:, None] * g, axis=1)
         scale = np.maximum(np.linalg.norm(v, axis=1), ell.semi_axes.max())
@@ -544,8 +602,10 @@ class TestLocalGraph:
         # a unit sphere whose level function is NaN below z = -1.045: the
         # bracket's lower end lies there, so the height is unknown
         class NanBelow(sb.Sphere):
-            def implicit(self, P):
-                return np.where(P[:, 2] < -1.045, math.nan, super().implicit(P))
+            def jet(self, P, order):
+                out = super().jet(P, order)
+                out[0] = np.where(P[:, 2] < -1.045, math.nan, out[0])
+                return out
 
         p, nu, off = np.array([[0.0, 0, -1]]), np.array([[0.0, 0, 1]]), np.array([[0.3, 0, 0]])
         u = _graph_heights_batch(unit_sphere, p, nu, off, 1.0)
@@ -559,18 +619,15 @@ class TestLocalGraph:
         assert np.isnan(u[0])
 
 
-class _CountingImplicit:
-    """A surface whose `implicit` calls are counted."""
+class _CountingJet:
+    """A surface whose `jet` calls are counted."""
 
     def __init__(self, surface):
         self.surface, self.calls = surface, 0
 
-    def implicit(self, pts):
+    def jet(self, P, order):
         self.calls += 1
-        return self.surface.implicit(pts)
-
-    def implicit_grad(self, pts):
-        return self.surface.implicit_grad(pts)
+        return self.surface.jet(P, order)
 
 
 class _SteepStep:
@@ -578,14 +635,13 @@ class _SteepStep:
     from far off its root z = 0.3."""
 
     @staticmethod
-    def implicit(P):
-        return -np.arctan(20.0 * (P[:, 2] - 0.3))
-
-    @staticmethod
-    def implicit_grad(P):
-        g = np.zeros_like(P)
-        g[:, 2] = -20.0 / (1.0 + (20.0 * (P[:, 2] - 0.3)) ** 2)
-        return g
+    def jet(P, order):
+        out = [-np.arctan(20.0 * (P[:, 2] - 0.3))]
+        if order >= 1:
+            g = np.zeros_like(P)
+            g[:, 2] = -20.0 / (1.0 + (20.0 * (P[:, 2] - 0.3)) ** 2)
+            out.append(g)
+        return out
 
 
 class TestRootsAlong:
@@ -634,10 +690,10 @@ class TestRootsAlong:
         start, up = np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]])
         lo, hi = np.array([-1.0]), np.array([1.0])
         # the first Newton step, from where the chord crosses zero, leaves [-1, 1]
-        g = _SteepStep.implicit(np.array([[0, 0, -1.0], [0, 0, 1.0]]))
+        g = _SteepStep.jet(np.array([[0, 0, -1.0], [0, 0, 1.0]]), 0)[0]
         t0 = -1.0 + 2.0 * g[0] / (g[0] - g[1])
-        x0 = np.array([[0.0, 0.0, t0]])
-        assert t0 - _SteepStep.implicit(x0)[0] / _SteepStep.implicit_grad(x0)[0, 2] > hi[0]
+        phi, grad = _SteepStep.jet(np.array([[0.0, 0.0, t0]]), 1)
+        assert t0 - phi[0] / grad[0, 2] > hi[0]
         t = _roots_along(_SteepStep, start, up, lo, hi)
         assert t[0] == pytest.approx(0.3, abs=1e-15)
         want = roots_along_bisection(_SteepStep, start, up, lo, hi)
@@ -645,7 +701,7 @@ class TestRootsAlong:
 
     def test_level_evaluations_per_row(self, ell_112):
         # graph-height brackets about tangent-plane offsets, one row at a time:
-        # the median row takes at most 8 `implicit` calls
+        # the median row takes at most 8 `jet` calls
         rng = np.random.default_rng(3)
         feet = ell_112.probe_points(400, 0)
         normals, _ = ell_112.curvatures_batch(feet)
@@ -653,7 +709,7 @@ class TestRootsAlong:
         h = np.full(1, 0.5)
         calls = []
         for i in range(feet.shape[0]):
-            counted = _CountingImplicit(ell_112)
+            counted = _CountingJet(ell_112)
             t = _roots_along(counted, feet[i : i + 1], normals[i : i + 1], -h, h)
             assert np.isfinite(t).all()
             calls.append(counted.calls)
@@ -745,8 +801,9 @@ class TestPointCloudCapabilities:
         assert ell_111.critical_tolerances(1e-13) == (1e-13, 0.0)
 
     def test_missing_member_names_type_and_member(self, sphere_cloud):
-        with pytest.raises(sb.CapabilityError, match="PointCloud does not provide implicit_grad"):
-            sphere_cloud.implicit_grad(sphere_cloud.points[:3])
+        missing = "PointCloud does not provide the level-function gradient"
+        with pytest.raises(sb.CapabilityError, match=missing):
+            sphere_cloud.jet(sphere_cloud.points[:3], 1)
         assert issubclass(sb.CapabilityError, NotImplementedError)
         assert issubclass(sb.CapabilityError, sb.SurfaceError)
 
@@ -946,10 +1003,7 @@ class TestOnePointParity:
         rng = np.random.default_rng(seed)
         centre = getattr(surface, "center", np.zeros(surface.dim))
         P = centre + rng.uniform(0.8, 1.25, (m, 1)) * (surface.sample_points(m, rng) - centre)
-        kernels = ["implicit", "project", "signed_distance"]
-        if name != "cloud":
-            kernels += ["implicit_grad", "implicit_hess"]
-        for kernel in kernels:
+        for kernel in ["implicit", "project", "signed_distance"]:
             rows = getattr(surface, kernel)(P)
             for p, row in zip(P, rows):
                 np.testing.assert_array_equal(getattr(surface, kernel)(p), row)

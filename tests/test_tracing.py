@@ -74,9 +74,8 @@ NECK_LENGTH_RTOL = {"neck0.05": 2e-7}
 )
 def test_coarse_march_matches_fine_march(request, name):
     surface, w, level, seed, step = _section(request, name)
-    phi, grad = surface.implicit, surface.implicit_grad
-    trace = trace_plane_section(phi, grad, w, level, seed, step)
-    fine = trace_plane_section_fine(phi, grad, w, level, seed, step)
+    trace = trace_plane_section(surface.jet, w, level, seed, step)
+    fine = trace_plane_section_fine(surface.jet, w, level, seed, step)
     P = trace.points
     assert trace.closed
     assert len(P) == len(fine)
@@ -99,9 +98,8 @@ def test_thin_section_traced_once_round():
     surface = sb.Ellipsoid([1.0, 1.0, 0.04])
     w, step = np.array([1.0, 0, 0]), 0.01
     seed = _slice_seed(surface, w, 0.5)
-    phi, grad = surface.implicit, surface.implicit_grad
-    trace = trace_plane_section(phi, grad, w, 0.5, seed, step)
-    fine = trace_plane_section_fine(phi, grad, w, 0.5, seed, step)
+    trace = trace_plane_section(surface.jet, w, 0.5, seed, step)
+    fine = trace_plane_section_fine(surface.jet, w, 0.5, seed, step)
     P = trace.points
     assert trace.closed
     assert len(P) == len(fine)
@@ -124,7 +122,7 @@ def test_section_through_origin_lands(seed):
     c = 1.0 / 3.0
     surface = sb.Sphere([c, 0.0, 0.0], c)
     w, step = np.array([0.0, 0, 1.0]), 0.01 * c
-    trace = trace_plane_section(surface.implicit, surface.implicit_grad, w, 0.0, np.array(seed), step)
+    trace = trace_plane_section(surface.jet, w, 0.0, np.array(seed), step)
     P = trace.points
     assert len(P) == round(2 * math.pi * c / step)
     np.testing.assert_allclose(np.linalg.norm(P - surface.center, axis=1), c, rtol=0, atol=1e-15)
@@ -134,8 +132,8 @@ def test_section_through_origin_lands(seed):
 def test_trace_is_scale_covariant(ell_112):
     big = sb.Ellipsoid([1e3, 1e3, 2e3])
     w, level, seed = _battery_section(ell_112, 1)
-    unit_trace = trace_plane_section(ell_112.implicit, ell_112.implicit_grad, w, level, seed, 0.015)
-    big_trace = trace_plane_section(big.implicit, big.implicit_grad, w, 1e3 * level, 1e3 * seed, 15.0)
+    unit_trace = trace_plane_section(ell_112.jet, w, level, seed, 0.015)
+    big_trace = trace_plane_section(big.jet, w, 1e3 * level, 1e3 * seed, 15.0)
     assert len(big_trace.points) == len(unit_trace.points)
     assert big_trace.march_steps == unit_trace.march_steps
     np.testing.assert_allclose(big_trace.points, 1e3 * unit_trace.points, rtol=0, atol=1e-12 * 2e3)
@@ -148,21 +146,21 @@ def test_large_harmonic_section_lands(base_radius):
     surface = sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)], base_radius=base_radius)
     w = np.array([0.0, 0, 1.0])
     seed = _slice_seed(surface, w, 0.0)
-    trace = trace_plane_section(surface.implicit, surface.implicit_grad, w, 0.0, seed, 0.05 * base_radius)
+    trace = trace_plane_section(surface.jet, w, 0.0, seed, 0.05 * base_radius)
     P = trace.points
     r = np.linalg.norm(P, axis=1)
-    gnorm = np.linalg.norm(surface.implicit_grad(P), axis=1)
-    assert np.all(np.abs(surface.implicit(P)) <= 1e-14 * r * gnorm)
+    phi, grad = surface.jet(P, 1)
+    assert np.all(np.abs(phi) <= 1e-14 * r * np.linalg.norm(grad, axis=1))
     assert np.all(np.abs(P @ w) <= 1e-14 * r)
 
 
 def test_unlanded_row_raises_naming_it(unit_sphere):
     w = np.array([0.0, 0, 1.0])
     rough = np.array([[math.sqrt(0.75), 0.0, 0.5], [1.3, 0.2, 0.7]])
-    landed = _correct(unit_sphere.implicit, unit_sphere.implicit_grad, w, 0.5, rough[:1], iters=1)
+    landed, _ = _correct(unit_sphere.jet, w, 0.5, rough[:1], iters=1)
     np.testing.assert_array_equal(landed, rough[:1])
     with pytest.raises(TracingError, match="row 1 "):
-        _correct(unit_sphere.implicit, unit_sphere.implicit_grad, w, 0.5, rough, iters=1)
+        _correct(unit_sphere.jet, w, 0.5, rough, iters=1)
 
 
 def test_march_steps_reported_and_repeatable(ell_112):
