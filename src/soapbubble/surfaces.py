@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from typing import Callable
 
 import numpy as np
@@ -493,43 +493,52 @@ def _ellipsoid_nearest(P: np.ndarray, a: np.ndarray) -> np.ndarray:
 class HarmonicRadial(Surface):
     """Star-shaped surface r(u)*u with r given by a finite harmonic table.
 
-    Entries are (l, m, coeff). In R^3 the basis is the real orthonormal
-    spherical harmonics (Condon-Shortley phase); in R^2 plain Fourier terms:
-    m >= 0 means cos(l*theta), m < 0 means sin(l*theta). The radial function
-    is r = base_radius + sum(coeff * basis) and must stay positive, above
-    1e-3 of its largest value whatever the scale.
-    The level function, gradient and Hessian are generated symbolically at
-    construction, so curvatures are exact.
+    Entries are (l, m, coeff) with integers l and m. In R^3 the basis is the
+    real orthonormal spherical harmonics (Condon-Shortley phase); in R^2
+    plain Fourier terms: m >= 0 means cos(l*theta), m < 0 means
+    sin(l*theta). The radial function is r = base_radius + sum(coeff * basis)
+    and must stay positive, above 1e-3 of its largest value whatever the
+    scale. On unit vectors r = Re sum_k (u_0 + i*u_1)^k Q_k(u_2): in R^3
+    Q_k gathers coeff * N_lm * (-1)^k * d^k P_l/dz^k over the terms with
+    |m| = k, in R^2 it is the coeff with l = k, each times -i for m < 0
+    (Im z = Re(-i*z)). So phi = r(x/|x|) - |x| and its first two derivatives
+    are exact, by the chain rule through u = x/|x|.
     """
 
     def __init__(self, coeffs, base_radius: float = 1.0, dim: int = 3):
-        import sympy as sp
-
         if dim not in (2, 3):
             raise ValueError("radial surfaces supported in R^2 and R^3 only")
         self.dim = dim
         self.base_radius = float(base_radius)
-        self.coeffs = [(int(l), int(m), float(v)) for (l, m, v) in coeffs]
-
-        xs = sp.symbols(f"x0:{dim}", real=True)
-        rho = sp.sqrt(sum(x**2 for x in xs))
-        us = [x / rho for x in xs]
-        r_expr = sp.Float(self.base_radius)
-        for l, m, v in self.coeffs:
-            r_expr += v * _harmonic_basis_expr(sp, us, l, m, dim)
-        phi = r_expr - rho
-
-        grad = [sp.diff(phi, x) for x in xs]
-        hess = [sp.diff(g, x) for g in grad for x in xs]
-        # one function per derivative order, sharing common subexpressions;
-        # each returns a list of columns
-        self._r_fn, self._phi_fn, self._grad_fn, self._hess_fn = (
-            sp.lambdify(xs, table, "numpy", cse=True)
-            for table in ([r_expr], [phi], grad, hess)
-        )
+        self.coeffs = []
+        terms = [(0, np.array([self.base_radius]))]  # (k, coefficients of Q_k)
+        for l, m, v in coeffs:
+            if not all(type(i) is int or isinstance(i, np.integer) for i in (l, m)) or l < 0:
+                raise ValueError(f"(l, m) must be integers with l >= 0, got ({l!r}, {m!r})")
+            l, m, v = int(l), int(m), float(v)
+            self.coeffs.append((l, m, v))
+            if dim == 2 and l == 0 and m < 0:
+                raise ValueError("sin(0 theta) vanishes: a degree-0 Fourier term needs m >= 0")
+            k, q = l, np.ones(1)
+            if dim == 3:
+                if abs(m) > l:
+                    raise ValueError("|m| must not exceed l")
+                k, leg = abs(m), np.polynomial.legendre
+                norm = (2 * l + 1) / ((2 if k else 4) * math.pi * math.perm(l + k, 2 * k))
+                q = (-1) ** k * math.sqrt(norm) * leg.leg2poly(leg.legder([0] * l + [1], k))
+            terms.append((k, (v if m >= 0 else -1j * v) * q))
+        # table[k, j] is the coefficient of w^k z^j
+        table = np.zeros((max(k for k, _ in terms) + 1, max(q.size for _, q in terms)), complex)
+        for k, q in terms:
+            table[k, : q.size] += q
+        der = np.polynomial.polynomial.polyder
+        # the tables of d^a/dw^a d^b/dz^b for a + b <= 2
+        self._tables = {
+            (a, b): der(der(table, a, axis=0), b, axis=1) for a in range(3) for b in range(3 - a)
+        }
 
         self._r_min, self._r_max = self._radial_range()
-        if self._r_min <= 1e-3 * self._r_max:
+        if not self._r_min > 1e-3 * self._r_max:
             raise ValueError(f"radial function reaches {self._r_min:.4g}; must stay positive")
 
     def _radial_range(self) -> tuple[float, float]:
@@ -539,37 +548,58 @@ class HarmonicRadial(Surface):
         r = self.radial(u)
         return float(r.min()), float(r.max())
 
-    @staticmethod
-    def _table(fn, P: np.ndarray) -> np.ndarray:
-        """A lambdified table evaluated on the rows of P, as (m, entries)."""
-        m = P.shape[0]
-        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in fn(*P.T)], axis=1)
+    def _series(self, u: np.ndarray):
+        """Re sum table[k, j] w^k z^j at the unit rows u as a function of the
+        table, in real arithmetic with w^k built one power at a time."""
+        polyval = np.polynomial.polynomial.polyval
+        z = u[:, 2] if self.dim == 3 else 0.0
+        powers = [(1.0, 0.0), (u[:, 0], u[:, 1])]  # (Re w^k, Im w^k)
+        while len(powers) < len(self._tables[0, 0]):
+            (c, s), (x, y) = powers[-1], powers[1]
+            powers.append((c * x - s * y, c * y + s * x))
+
+        def real_part(table):
+            out = np.zeros(len(u))
+            for (c, s), q in zip(powers, table):
+                if q.real.any():
+                    out = out + c * polyval(z, q.real)
+                if q.imag.any():
+                    out = out - s * polyval(z, q.imag)
+            return out
+
+        return real_part
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        return self._table(self._r_fn, np.atleast_2d(np.asarray(dirs, dtype=float)))[:, 0]
+        return self._series(np.atleast_2d(np.asarray(dirs, dtype=float)))(self._tables[0, 0])
 
     def jet(self, P, order):
+        t, d = self._tables, self.dim
         with np.errstate(all="ignore"):
-            phi = self._table(self._phi_fn, P)[:, 0]
-            bad = ~np.isfinite(phi)
-            if bad.any():
-                # r(x/|x|) - |x| is 0/0 at the origin; along every ray it
-                # tends to r(u) > 0 there, so the origin gets the smallest
-                # sampled radius. Near it |x|^2 underflows, so those rows
-                # form u after scaling by max |x_i|.
-                Q = P[bad]
-                off = Q.any(axis=1)
-                s = np.abs(Q[off]).max(axis=1, keepdims=True)
-                w = Q[off] / s
-                wn = np.linalg.norm(w, axis=1)
-                vals = np.full(Q.shape[0], self._r_min)
-                vals[off] = self.radial(w / wn[:, None]) - s[:, 0] * wn
-                phi[bad] = vals
-        out = [phi]
-        if order >= 1:
-            out.append(self._table(self._grad_fn, P))
-        if order >= 2:
-            out.append(self._table(self._hess_fn, P).reshape(-1, self.dim, self.dim))
+            # u is formed after scaling by max |x_i|, so |x|^2 cannot underflow.
+            # At the origin phi is 0/0; along every ray it tends to r(u) > 0
+            # there, so the origin gets the smallest sampled radius
+            s = reduce(np.maximum, np.abs(P.T))
+            v = P / s[:, None]
+            norm = np.sqrt(sum(c * c for c in v.T))
+            u, rho = v / norm[:, None], s * norm
+            re = self._series(u)
+            out = [np.where(s == 0.0, self._r_min, re(t[0, 0]) - rho)]
+            if order >= 1:
+                # r's gradient g in u, from d/du_0 = d/dw and d/du_1 = i d/dw
+                g = np.stack([re(t[1, 0]), re(1j * t[1, 0]), re(t[0, 1])], axis=1)[:, :d]
+                ug = (u * g).sum(axis=1)
+                tang = g - ug[:, None] * u
+                out.append(tang / rho[:, None] - u)
+            if order >= 2:
+                ww, iww, wz, iwz = (re(f * t[ab]) for ab in ((2, 0), (1, 1)) for f in (1, 1j))
+                rows = [[ww, iww, wz], [iww, -ww, iwz], [wz, iwz, re(t[0, 2])]]
+                h = np.stack([np.stack(row, axis=1) for row in rows], axis=1)[:, :d, :d]
+                proj = np.eye(d) - u[:, :, None] * u[:, None, :]
+                tu = tang[:, :, None] * u[:, None, :]
+                # (P h P - (u.g) P - t u^T - u t^T) / |x|^2 - P / |x|, with
+                # P = I - u u^T and t = P g
+                curv = proj @ h @ proj - ug[:, None, None] * proj - tu - tu.transpose(0, 2, 1)
+                out.append(curv / (rho**2)[:, None, None] - proj / rho[:, None, None])
         return out
 
     @rows_kernel
@@ -630,37 +660,6 @@ class HarmonicRadial(Surface):
 
     def bounding_radius(self):
         return self._r_max
-
-
-def _harmonic_basis_expr(sp, us, l: int, m: int, dim: int):
-    """Polynomial form of one basis function evaluated on unit directions."""
-    if l < 0:
-        raise ValueError("degree l must be non-negative")
-    if dim == 2:
-        ux, uy = us
-        if l == 0:
-            if m < 0:
-                raise ValueError("sin(0 theta) vanishes: a degree-0 Fourier term needs m >= 0")
-            return sp.Integer(1)
-        zpow = sp.expand((ux + sp.I * uy) ** l)
-        re, im = zpow.as_real_imag()
-        return re if m >= 0 else im
-    ux, uy, uz = us
-    if abs(m) > l:
-        raise ValueError("|m| must not exceed l")
-    t = sp.Symbol("_t", real=True)
-    if m == 0:
-        norm = sp.sqrt((2 * l + 1) / (4 * sp.pi))
-        return norm * sp.legendre(l, t).subs(t, uz)
-    ma = abs(m)
-    dleg = sp.diff(sp.legendre(l, t), t, ma).subs(t, uz)
-    norm = sp.sqrt(2) * sp.sqrt(
-        (2 * l + 1) / (4 * sp.pi) * sp.factorial(l - ma) / sp.factorial(l + ma)
-    )
-    zpow = sp.expand((ux + sp.I * uy) ** ma)
-    re, im = zpow.as_real_imag()
-    azim = re if m > 0 else im
-    return (-1) ** ma * norm * dleg * azim
 
 
 def _project_newton(surface: HarmonicRadial, P: np.ndarray, seeds: np.ndarray) -> np.ndarray:

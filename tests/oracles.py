@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: curvature
 comes from symbolic first/second fundamental forms of explicit
-parametrizations, lengths and areas from direct quadrature, and searches
+parametrizations, harmonic radial functions and their level functions'
+derivatives from sympy, lengths and areas from direct quadrature, and searches
 from brute-force scans.
 """
 
@@ -12,6 +13,74 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+
+def _harmonic_basis_expr(sp, us, l: int, m: int, dim: int):
+    """Polynomial form of one basis function evaluated on unit directions."""
+    if l < 0:
+        raise ValueError("degree l must be non-negative")
+    if dim == 2:
+        ux, uy = us
+        if l == 0:
+            if m < 0:
+                raise ValueError("sin(0 theta) vanishes: a degree-0 Fourier term needs m >= 0")
+            return sp.Integer(1)
+        zpow = sp.expand((ux + sp.I * uy) ** l)
+        re, im = zpow.as_real_imag()
+        return re if m >= 0 else im
+    ux, uy, uz = us
+    if abs(m) > l:
+        raise ValueError("|m| must not exceed l")
+    t = sp.Symbol("_t", real=True)
+    if m == 0:
+        norm = sp.sqrt((2 * l + 1) / (4 * sp.pi))
+        return norm * sp.legendre(l, t).subs(t, uz)
+    ma = abs(m)
+    dleg = sp.diff(sp.legendre(l, t), t, ma).subs(t, uz)
+    norm = sp.sqrt(2) * sp.sqrt(
+        (2 * l + 1) / (4 * sp.pi) * sp.factorial(l - ma) / sp.factorial(l + ma)
+    )
+    zpow = sp.expand((ux + sp.I * uy) ** ma)
+    re, im = zpow.as_real_imag()
+    azim = re if m > 0 else im
+    return (-1) ** ma * norm * dleg * azim
+
+
+def harmonic_basis(l: int, m: int, dim: int):
+    """One HarmonicRadial basis function of unit directions, from its sympy
+    polynomial form lambdified without differentiation: u (k, dim) -> (k,)."""
+    import sympy as sp
+
+    us = sp.symbols(f"u0:{dim}", real=True)
+    fn = sp.lambdify(us, _harmonic_basis_expr(sp, us, l, m, dim), "numpy")
+    return lambda u: np.broadcast_to(np.asarray(fn(*u.T), dtype=float), u.shape[:1])
+
+
+def harmonic_jet_sympy(coeffs, dim: int, base_radius: float = 1.0):
+    """[phi, grad phi, hess phi] of a HarmonicRadial level function
+    phi = r(x/|x|) - |x|, differentiated by sympy and lambdified:
+    P (k, dim) -> [(k,), (k, dim), (k, dim, dim)]."""
+    import sympy as sp
+
+    xs = sp.symbols(f"x0:{dim}", real=True)
+    rho = sp.sqrt(sum(x**2 for x in xs))
+    us = [x / rho for x in xs]
+    phi = sp.Float(base_radius) - rho
+    for l, m, v in coeffs:
+        phi += v * _harmonic_basis_expr(sp, us, l, m, dim)
+    grad = [sp.diff(phi, x) for x in xs]
+    tables = ([phi], grad, [sp.diff(g, x) for g in grad for x in xs])
+    fns = [sp.lambdify(xs, table, "numpy", cse=True) for table in tables]
+
+    def jet(P):
+        k = P.shape[0]
+        cols = [
+            np.stack([np.broadcast_to(np.asarray(v, dtype=float), (k,)) for v in fn(*P.T)], axis=1)
+            for fn in fns
+        ]
+        return [cols[0][:, 0], cols[1], cols[2].reshape(k, dim, dim)]
+
+    return jet
 
 
 @lru_cache(maxsize=None)

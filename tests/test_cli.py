@@ -85,6 +85,13 @@ class TestSpecIO:
             surface_from_dict(
                 {"type": "radial_graph", "basis": "fourier", "coeffs": [[0, -1, 0.5]]}
             )
+        # a degree or order is an integer: 2.5 is not read as 2, nor true as 1
+        for coeffs in ([[2.5, 0, 0.1]], [[True, 0, 0.1]]):
+            with pytest.raises(SpecError, match="must be integers"):
+                surface_from_dict({"type": "radial_graph", "coeffs": coeffs})
+        # a NaN coefficient fails the positivity guard when the surface is built
+        with pytest.raises(SpecError, match="must stay positive"):
+            surface_from_dict({"type": "radial_graph", "coeffs": [[2, 0, float("nan")]]})
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(SpecError):

@@ -21,6 +21,8 @@ from .oracles import (
     ellipsoid_mean_curvature,
     ellipsoid_osc,
     ellipse_perimeter_brute,
+    harmonic_basis,
+    harmonic_jet_sympy,
     project_newton_loop,
     quadric_fit_loop,
     roots_along_bisection,
@@ -244,6 +246,20 @@ class TestHarmonicRadial:
                 rows = surf.implicit(P)
             np.testing.assert_array_equal(rows, surf.radial(np.eye(dim)[0])[0])
 
+    def test_radial_matches_sympy_basis(self):
+        # every basis function with l <= 8, each m in R^3 and both parities
+        # in R^2, against its sympy polynomial; the monomial form of P_8 has
+        # coefficients up to 50, so both sides round to a few 1e-14
+        rng = np.random.default_rng(4)
+        for dim, orders in ((3, lambda l: range(-l, l + 1)), (2, lambda l: (0, -1) if l else (0,))):
+            u = rng.standard_normal((200, dim))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            for l in range(9):
+                for m in orders(l):
+                    basis = harmonic_basis(l, m, dim)(u)
+                    radial = sb.HarmonicRadial([(l, m, 1.0)], base_radius=3.0, dim=dim).radial(u)
+                    assert np.abs(radial - (3.0 + basis)).max() <= 1e-13 * np.abs(basis).max()
+
     def test_degree0_sine_term_rejected(self):
         # README: m < 0 means sin(l theta), and sin(0 theta) = 0
         with pytest.raises(ValueError, match="m >= 0"):
@@ -335,6 +351,17 @@ class TestJet:
         dgrad = np.stack([(p[1] - m[1]) / (2 * h) for p, m in steps], axis=1)
         assert np.abs(dphi - grad).max() <= 1e-7 * np.abs(grad).max()
         assert np.abs(dgrad - hess).max() <= 1e-7 * np.abs(hess).max()
+
+
+    @pytest.mark.parametrize("name", ["harmonic", "fourier"])
+    def test_harmonic_jet_matches_sympy(self, name):
+        # the polynomial form's chain rule against sympy's derivatives of
+        # phi = r(x/|x|) - |x|
+        surface = _jet_surface(name)
+        P = self._points(surface)
+        oracle = harmonic_jet_sympy(surface.coeffs, surface.dim, surface.base_radius)
+        for got, want in zip(surface.jet(P, 2), oracle(P)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @st.composite
