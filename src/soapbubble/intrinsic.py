@@ -19,12 +19,12 @@ from scipy.spatial import cKDTree
 
 from .constants import compute_constants
 from .geometry import resample_polyline, row_dots
-from .surfaces import Surface, touching_radius
+from .surfaces import Surface, SurfaceError, touching_radius
 
 logger = logging.getLogger(__name__)
 
 
-class GraphConnectivityError(Exception):
+class GraphConnectivityError(SurfaceError):
     """Sample graph split into more components than the surface has (raise k)."""
 
 

@@ -510,12 +510,16 @@ class HarmonicRadial(Surface):
             raise ValueError("radial surfaces supported in R^2 and R^3 only")
         self.dim = dim
         self.base_radius = float(base_radius)
+        if not math.isfinite(self.base_radius):
+            raise ValueError(f"base_radius must be finite, got {self.base_radius}")
         self.coeffs = []
         terms = [(0, np.array([self.base_radius]))]  # (k, coefficients of Q_k)
         for l, m, v in coeffs:
             if not all(type(i) is int or isinstance(i, np.integer) for i in (l, m)) or l < 0:
                 raise ValueError(f"(l, m) must be integers with l >= 0, got ({l!r}, {m!r})")
             l, m, v = int(l), int(m), float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"the ({l}, {m}) coefficient must be finite, got {v}")
             self.coeffs.append((l, m, v))
             if dim == 2 and l == 0 and m < 0:
                 raise ValueError("sin(0 theta) vanishes: a degree-0 Fourier term needs m >= 0")
@@ -604,7 +608,14 @@ class HarmonicRadial(Surface):
 
     @rows_kernel
     def project(self, P):
-        return _project_newton(self, P, self._projection_seeds(P))
+        """Nearest points: one `stationary` solve with alpha = 1, beta = -P
+        from the nearest dense sample. A row that does not converge raises
+        ProjectionError; near the medial axis (a near-sphere's centre) rows
+        can fail, so inside tests read `implicit` instead."""
+        x, ok = self.stationary(quadratic(1.0, -P), self._projection_seeds(P))
+        if not ok.all():
+            raise ProjectionError(f"projection failed for {int((~ok).sum())} of {len(P)} points")
+        return x
 
     def _projection_seeds(self, P: np.ndarray) -> np.ndarray:
         # seed from the nearest point of a cached dense sampling so Newton
@@ -660,42 +671,6 @@ class HarmonicRadial(Surface):
 
     def bounding_radius(self):
         return self._r_max
-
-
-def _project_newton(surface: HarmonicRadial, P: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Nearest points: `Surface.stationary` with alpha = 1, beta = -P from the
-    supplied on-surface seeds, then up to four multistart rounds from
-    jittered radial casts for the rows that did not converge. Raises
-    ProjectionError if any row is left."""
-    P = np.asarray(P, dtype=float)
-    m, d = P.shape
-
-    def seed_for(Q, jitter):
-        u = Q.copy()
-        nrm = np.linalg.norm(u, axis=1, keepdims=True)
-        tiny = nrm[:, 0] < 1e-12
-        if tiny.any():
-            u[tiny] = 0.0
-            u[tiny, 0] = 1.0
-            nrm = np.linalg.norm(u, axis=1, keepdims=True)
-        u = u / nrm + jitter
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        return u * surface.radial(u)[:, None]
-
-    x, ok = surface.stationary(quadratic(1.0, -P), seeds)
-    if not ok.all():
-        rng = np.random.default_rng(7)
-        for _ in range(4):
-            bad = ~ok
-            jitter = 0.35 * rng.standard_normal((int(bad.sum()), d))
-            xb, okb = surface.stationary(quadratic(1.0, -P[bad]), seed_for(P[bad], jitter))
-            x[bad] = np.where(okb[:, None], xb, x[bad])
-            ok[bad] |= okb
-            if ok.all():
-                break
-    if not ok.all():
-        raise ProjectionError(f"projection failed for {int((~ok).sum())} of {m} points")
-    return x
 
 
 # ---------------------------------------------------------------------------

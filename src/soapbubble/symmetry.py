@@ -188,10 +188,13 @@ def radial_map_check(
 
     Checks (a) outward-ray transversality with the annulus-normal margin
     (radial direction dotted with the inner normal at most -1 + (r_e-r_i)/rho)
-    and (b) that rays from the center meet the surface exactly once.
+    and (b) that rays from the center meet the surface exactly once. Whether
+    the center lies inside is the sign of `implicit`; it is not projected,
+    since a near-sphere's center sits near the medial axis, where its
+    nearest points form an almost degenerate ring.
     """
     center = np.asarray(center, dtype=float)
-    if float(surface.signed_distance(center)) <= 0.0:
+    if float(surface.implicit(center)) <= 0.0:
         raise ValueError("center must lie strictly inside the enclosed domain")
     if rho is None:
         rho = touching_radius(surface, sample_budget, seed)

@@ -89,8 +89,8 @@ class TestSpecIO:
         for coeffs in ([[2.5, 0, 0.1]], [[True, 0, 0.1]]):
             with pytest.raises(SpecError, match="must be integers"):
                 surface_from_dict({"type": "radial_graph", "coeffs": coeffs})
-        # a NaN coefficient fails the positivity guard when the surface is built
-        with pytest.raises(SpecError, match="must stay positive"):
+        # a NaN coefficient is rejected before the surface is built
+        with pytest.raises(SpecError, match="must be finite"):
             surface_from_dict({"type": "radial_graph", "coeffs": [[2, 0, float("nan")]]})
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -268,6 +268,21 @@ class TestVerifyCmd:
         assert main(["verify", "slice-curvature", "--surface", str(sphere_spec),
                      "--direction", "0,0,1", "--level", "1.49"]) == 3
 
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "ellipsoid", "semi_axes": [1.0, 1.2]},
+            {"type": "radial_graph", "basis": "fourier", "coeffs": [[2, 0, 0.2], [3, -1, 0.1]]},
+        ],
+    )
+    def test_split_graph_exit_3(self, spec, tmp_path, capsys):
+        # the 8-nearest-neighbour graph on a curve's samples splits: a
+        # numerical failure, no traceback
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify", "normal-tilt", "--surface", str(path)]) == 3
+        assert "sample graph split into 2 components" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check", ["normal-tilt", "graph-bounds"])
     def test_cloud_without_gradient_exit_2(self, cloud_spec, check, capsys):

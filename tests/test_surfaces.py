@@ -293,6 +293,28 @@ class TestHarmonicRadial:
         expected = project_newton_loop(radial_bumpy, P, radial_bumpy._projection_seeds(P))
         np.testing.assert_array_equal(radial_bumpy.project(P), expected)
 
+    def test_projection_near_medial_axis_raises(self):
+        # near the North star's centre the nearest points form an almost
+        # degenerate ring; an unconverged solve is an error, not whatever
+        # stationary point of the distance another seed reaches (the
+        # farthest point, 1.0946 away, where the nearest sample is 0.9404)
+        surf = sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)])
+        with pytest.raises(sb.ProjectionError, match="1 of 1 points"):
+            surf.project(np.array([[1e-6, 0.0, 0.0373]]))
+
+    @pytest.mark.parametrize(
+        "coeffs, base, bad",
+        [
+            ([(2, 0, math.inf)], 1.0, "coefficient"),
+            ([(2, 0, math.nan)], 1.0, "coefficient"),
+            ([(2, 0, 0.1)], math.inf, "base_radius"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, coeffs, base, bad):
+        # rejected before the table is built, so no RuntimeWarning comes first
+        with pytest.raises(ValueError, match=f"{bad} must be finite"):
+            sb.HarmonicRadial(coeffs, base_radius=base)
+
     @pytest.mark.parametrize("s", [1e-3, 1.0, 1e4, 1e6])
     def test_newton_stop_is_scale_free(self, s):
         # phi = r - |x| is a length, so the solver's stop rule must scale

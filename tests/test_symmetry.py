@@ -182,6 +182,28 @@ class TestRadialMap:
         with pytest.raises(ValueError):
             radial_map_check(unit_sphere, np.array([2.0, 0, 0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["north_star", "ell_111", "sphere_cloud"])
+    def test_center_is_never_projected(self, name, request, monkeypatch):
+        # whether the center lies inside is read from the level function: a
+        # near-sphere's center sits near the medial axis, where projection
+        # has no well-posed answer
+        surf = (
+            sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)])
+            if name == "north_star"
+            else request.getfixturevalue(name)
+        )
+        center = np.array([1e-6, 0.0, 0.0373])
+        args = dict(rho=0.5, n_rays=300, sample_budget=500)
+        expected = radial_map_check(surf, center, 0.9, 1.1, **args)
+
+        def refuse(P):
+            raise AssertionError("radial_map_check projected a point")
+
+        monkeypatch.setattr(surf, "project", refuse)
+        assert radial_map_check(surf, center, 0.9, 1.1, **args) == expected
+        with pytest.raises(ValueError, match="strictly inside"):
+            radial_map_check(surf, np.array([3.0, 0.0, 0.0]), 0.9, 1.1, **args)
+
 
 def _circle_cloud(count: int, seed: int) -> sb.PointCloud:
     th = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, count))
