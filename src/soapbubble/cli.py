@@ -226,6 +226,8 @@ def cmd_verify(args) -> int:
     if name not in VERIFY_CHECKS:
         known = ", ".join(sorted(VERIFY_CHECKS) + sorted(VERIFY_ALIASES))
         raise SpecError(f"unknown check {args.check!r}; known: {known}")
+    if args.trials < 1:
+        raise SpecError(f"--trials must be at least 1, got {args.trials}")
 
     verdicts: list[lemmas.LemmaVerdict] = []
     extra: dict = {}

@@ -66,8 +66,7 @@ def build_geodesic_graph(
         raise ValueError("node_budget must be at least 100")
     if k < 6:
         raise ValueError("k must be at least 6")
-    pts = surface.probe_points(node_budget, seed)
-    normals, _ = surface.curvatures_batch(pts)
+    pts, normals, _ = surface.probe_geometry(node_budget, seed)
     m = pts.shape[0]
     tree = cKDTree(pts)
     dist, idx = tree.query(pts, k=min(k + 1, m))
@@ -159,10 +158,6 @@ class Chain:
     full_arcs: int                # arcs of length exactly delta
     length_budget: float          # admissible chain length for this delta
     bound_ok: bool
-
-    @property
-    def n(self) -> int:
-        return self.full_arcs
 
     def to_dict(self) -> dict:
         return {

@@ -111,13 +111,14 @@ def verify_graph_bounds(
     the touching-ball scale: |u| <= rho - sqrt(rho^2-|x|^2),
     |grad u| <= |x|/sqrt(rho^2-|x|^2), nu_p.nu_q >= sqrt(rho^2-|x|^2)/rho
     and |nu_p - nu_q| <= sqrt(2)|x|/rho."""
+    if rho is not None and not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     rng = np.random.default_rng(seed)
     true_rho = touching_radius(surface)
     if rho is None:
         rho = true_rho
-    pts = surface.probe_points(trials, seed)
+    pts, normals, _ = surface.probe_geometry(trials, seed)
     trials = pts.shape[0]  # a point cloud has no more samples than its own
-    normals, _ = surface.curvatures_batch(pts)
     frames = tangent_frame(normals)
     dirs = rng.standard_normal((trials, surface.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -399,9 +400,8 @@ def verify_normal_change(
     rng = np.random.default_rng(seed)
     rho = touching_radius(surface)
     r = 0.8 * rho
-    pts = surface.probe_points(trials, seed)
+    pts, normals, _ = surface.probe_geometry(trials, seed)
     trials = pts.shape[0]  # a point cloud has no more samples than its own
-    normals, _ = surface.curvatures_batch(pts)
     frames_full = tangent_frame(normals)
 
     eps = rng.uniform(*eps_range, size=trials)
@@ -502,6 +502,8 @@ def verify_normal_tilt(
     the reflected cap with a surface match q_hat = q - alpha*nu_q whose
     normals differ by at most alpha, the alignment nu_q.omega lies in
     [0, sqrt(8 delta^2/rho^2 + alpha/2)], provided alpha + 2 delta < rho."""
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     rho = touching_radius(surface)
     if delta is None:
         delta = rho / 8.0

@@ -118,7 +118,8 @@ class Surface:
     Subclasses provide `jet`, a smooth level function phi that is positive
     inside, zero on the surface and negative outside, together with its
     first two derivatives, plus nearest-point projection and on-surface
-    sampling. Everything is read-only after construction.
+    sampling. Everything is read-only after construction; what `_memo`
+    keeps depends only on its key.
 
     `jet` takes (m, d) rows. The point kernels (`implicit`, `project`,
     `signed_distance`) are written for rows too and wrapped in
@@ -260,24 +261,42 @@ class Surface:
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
         raise self._lacks("sample_points")
 
+    def _memo(self, key: tuple, make: Callable[[], object]) -> object:
+        """make(), computed once per surface and key. Every caller shares
+        the result, so its arrays are made read-only."""
+        memo = self.__dict__.setdefault("_memo_table", {})
+        if key not in memo:
+            value = make()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            memo[key] = value
+        return memo[key]
+
     def probe_points(self, budget: int, seed: int = 0) -> np.ndarray:
-        """Deterministic cached sample set used by batch operations. Every
-        caller gets the same array, so it is read-only."""
-        key = (int(budget), int(seed))
-        cache = getattr(self, "_probe_cache", None)
-        if cache is None:
-            cache = {}
-            self._probe_cache = cache
-        if key not in cache:
-            rng = np.random.default_rng(seed)
-            cache[key] = self.sample_points(budget, rng)
-            cache[key].setflags(write=False)
-        return cache[key]
+        """The sample set of batch operations: `sample_points(budget)` from
+        `default_rng(seed)`, memoised per (budget, seed) and read-only."""
+        budget, seed = int(budget), int(seed)
+        return self._memo(
+            ("probe", budget, seed), lambda: self.sample_points(budget, np.random.default_rng(seed))
+        )
+
+    def probe_geometry(self, budget: int, seed: int = 0) -> tuple[np.ndarray, ...]:
+        """(points, inner normals, principal curvatures) of
+        `probe_points(budget, seed)`, from one `curvatures_batch` call,
+        memoised per (budget, seed) and read-only."""
+        budget, seed = int(budget), int(seed)
+
+        def make():
+            pts = self.probe_points(budget, seed)
+            return (pts, *self.curvatures_batch(pts))
+
+        return self._memo(("geometry", budget, seed), make)
 
     # --- area ---
 
     def area_estimate(self) -> tuple[float, float]:
-        """(area, relative error estimate); cached."""
+        """(area, relative error estimate); memoised where it is not a closed form."""
         raise self._lacks("area_estimate")
 
     def bounding_radius(self) -> float:
@@ -366,14 +385,9 @@ class Sphere(Surface):
         return self.center + self.radius * u
 
     def area_estimate(self):
-        if self.dim == 2:
-            return 2.0 * math.pi * self.radius, 0.0
-        if self.dim == 3:
-            return 4.0 * math.pi * self.radius**2, 0.0
         # measure of the (d-1)-sphere of radius R
         d = self.dim
-        a = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) * self.radius ** (d - 1)
-        return a, 0.0
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) * self.radius ** (d - 1), 0.0
 
     def bounding_radius(self):
         return self.radius
@@ -618,20 +632,14 @@ class HarmonicRadial(Surface):
         return x
 
     def _projection_seeds(self, P: np.ndarray) -> np.ndarray:
-        # seed from the nearest point of a cached dense sampling so Newton
+        # seed from the nearest point of a memoised dense sampling so Newton
         # refines the global nearest branch, not just a stationary one
-        cache = getattr(self, "_seed_cache", None)
-        if cache is None:
-            rng = np.random.default_rng(99)
-            count = 16384 if self.dim == 3 else 2048
-            u = rng.standard_normal((count, self.dim))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            dense = u * self.radial(u)[:, None]
-            cache = (dense, cKDTree(dense))
-            self._seed_cache = cache
-        dense, tree = cache
-        _, idx = tree.query(P)
-        return dense[idx]
+        def make():
+            dense = self.sample_points(16384 if self.dim == 3 else 2048, np.random.default_rng(99))
+            return dense, cKDTree(dense)
+
+        dense, tree = self._memo(("seeds",), make)
+        return dense[tree.query(P)[1]]
 
     def sample_points(self, count, rng):
         u = rng.standard_normal((count, self.dim))
@@ -639,14 +647,11 @@ class HarmonicRadial(Surface):
         return u * self.radial(u)[:, None]
 
     def area_estimate(self):
-        cached = getattr(self, "_area_cache", None)
-        if cached is None:
-            coarse = self._area_quadrature(128)
-            fine = self._area_quadrature(256)
-            rel = abs(fine - coarse) / fine if fine else 0.0
-            cached = (fine, rel)
-            self._area_cache = cached
-        return cached
+        def make():
+            coarse, fine = self._area_quadrature(128), self._area_quadrature(256)
+            return fine, abs(fine - coarse) / fine if fine else 0.0
+
+        return self._memo(("area",), make)
 
     def _area_quadrature(self, res: int) -> float:
         # dA = r^(n-1) * sqrt(r^2 + |grad_S r|^2) dsigma over unit directions;
@@ -863,9 +868,9 @@ class PointCloud(Surface):
         return self.points[np.sort(idx)]
 
     def area_estimate(self):
-        cached = getattr(self, "_area_cache", None)
-        if cached is not None:
-            return cached
+        return self._memo(("area",), self._cell_area)
+
+    def _cell_area(self) -> tuple[float, float]:
         idx = self._knn[:, 1 : 8 if self.dim == 2 else self.k + 1]
         frames = tangent_frame(self.normals)
         if self.dim == 2:
@@ -889,9 +894,7 @@ class PointCloud(Surface):
             offs = self.points[idx] - self.points[:, None, :]
             cells = _voronoi_cell_areas(np.matmul(offs, np.swapaxes(frames, 1, 2)))
         # a running sum in sample order
-        cached = (float(np.cumsum(cells)[-1]), 0.05)
-        self._area_cache = cached
-        return cached
+        return float(np.cumsum(cells)[-1]), 0.05
 
     def component_labels(self) -> np.ndarray:
         """Connected components of the k-NN adjacency of the raw points."""
@@ -1016,8 +1019,7 @@ def mean_curvature_oscillation(
     sample only if it converged and moved H outwards."""
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
-    pts = surface.probe_points(sample_budget, seed)
-    _, kappas = surface.curvatures_batch(pts)
+    pts, _, kappas = surface.probe_geometry(sample_budget, seed)
     hs = kappas.mean(axis=1)
     order = np.argsort(hs)
     min_h, max_h = float(hs[order[0]]), float(hs[order[-1]])
@@ -1091,8 +1093,7 @@ def estimate_touching_radius(
     """
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
-    pts = surface.probe_points(sample_budget, seed)
-    normals, kappas = surface.curvatures_batch(pts)
+    pts, normals, kappas = surface.probe_geometry(sample_budget, seed)
     kmax = float(np.abs(kappas).max())
     curv_bound = 1.0 / kmax if kmax > 0 else math.inf
 
@@ -1137,13 +1138,11 @@ def estimate_touching_radius(
 
 
 def touching_radius(surface: Surface, sample_budget: int = 2000, seed: int = 0) -> float:
-    """estimate_touching_radius, cached per (sample_budget, seed) like
-    `Surface.probe_points`."""
+    """estimate_touching_radius, memoised on the surface per
+    (sample_budget, seed) like `Surface.probe_geometry`, whose normals and
+    curvatures it reads."""
     key = (int(sample_budget), int(seed))
-    cache = surface.__dict__.setdefault("_rho_cache", {})
-    if key not in cache:
-        cache[key] = estimate_touching_radius(surface, sample_budget, seed)
-    return cache[key]
+    return surface._memo(("rho",) + key, lambda: estimate_touching_radius(surface, *key))
 
 
 # `_graph_heights_batch` brackets each height by the touching-ball bound

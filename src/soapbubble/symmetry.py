@@ -163,13 +163,12 @@ def _radial_normal_dots(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(probe points, their unit radial directions from the center dotted
     with the inner normals, the annulus-normal bound -1 + (r_e - r_i)/rho),
-    from one `curvatures_batch` call; the radial-map check and the
+    from `Surface.probe_geometry`; the radial-map check and the
     annulus-normal lemma each judge the dots against the bound with their
     own tolerance."""
-    pts = surface.probe_points(sample_budget, seed)
+    pts, normals, _ = surface.probe_geometry(sample_budget, seed)
     rel = pts - center
     rad = rel / np.linalg.norm(rel, axis=1, keepdims=True)
-    normals, _ = surface.curvatures_batch(pts)
     return pts, np.einsum("md,md->m", rad, normals), -1.0 + (r_e - r_i) / rho
 
 

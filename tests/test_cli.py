@@ -269,6 +269,24 @@ class TestVerifyCmd:
                      "--direction", "0,0,1", "--level", "1.49"]) == 3
 
 
+    @pytest.mark.parametrize("check", ["graph-bounds", "annulus-normal", "normal-change"])
+    def test_zero_trials_exit_2(self, check, capsys):
+        # a check that draws no trials checks nothing: an input error, not a pass
+        assert main(["verify", check, "--trials", "0"]) == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["0", "nan", "-1", "inf"])
+    def test_graph_bounds_bad_rho_exit_2(self, rho, capsys):
+        # rho = 0 made NaN margins, which count as no violation
+        assert main(["verify", "graph-bounds", "--trials", "200", "--rho", rho]) == 2
+        assert "rho must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["-1", "0"])
+    def test_normal_tilt_bad_delta_exit_2(self, delta, capsys):
+        # a band of width <= 0 holds no point, so nothing would be checked
+        assert main(["verify", "normal-tilt", "--delta", delta]) == 2
+        assert "delta must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -585,6 +585,11 @@ class TestTouchingRadius:
         assert at_seed0 == sb.estimate_touching_radius(sb.Ellipsoid([1.0, 1.0, 2.0]), seed=0)
         assert at_seed3 == sb.estimate_touching_radius(sb.Ellipsoid([1.0, 1.0, 2.0]), seed=3)
         assert sb.touching_radius(ell, seed=3) == at_seed3
+        # so must the probe geometry that the estimate reads
+        fresh = sb.Ellipsoid([1.0, 1.0, 2.0])
+        for got, want in zip(ell.probe_geometry(2000, 0), fresh.probe_geometry(2000, 0)):
+            np.testing.assert_array_equal(got, want)
+        assert ell.probe_geometry(2000, 3)[0] is ell.probe_points(2000, 3)
 
 
 class TestArea:
@@ -612,6 +617,35 @@ class TestArea:
         area, rel_err = sb.Ellipsoid(axes).area_estimate()
         assert area == pytest.approx(ellipsoid_area_elliprg(axes), rel=1e-14)
         assert rel_err == 0.0
+
+    @pytest.mark.parametrize("radius", [1e-9, 0.3, 1.0, 2.5, 7.0, 1e9])
+    def test_sphere_closed_form(self, radius):
+        # the (d-1)-sphere measure is 2 pi R and 4 pi R^2 exactly
+        assert sb.Sphere([0.0, 0.0], radius).area_estimate() == (2.0 * math.pi * radius, 0.0)
+        assert sb.Sphere([0.0, 0.0, 0.0], radius).area_estimate() == (
+            4.0 * math.pi * radius**2, 0.0
+        )
+
+
+class TestProbeGeometry:
+    @pytest.mark.parametrize("name", ["unit_sphere", "ell_111", "radial_bumpy", "sphere_cloud"])
+    def test_equals_curvatures_batch(self, request, name):
+        surface = request.getfixturevalue(name)
+        pts, normals, kappas = surface.probe_geometry(300, 7)
+        assert pts is surface.probe_points(300, 7)
+        want_normals, want_kappas = surface.curvatures_batch(surface.probe_points(300, 7))
+        np.testing.assert_array_equal(normals, want_normals)
+        np.testing.assert_array_equal(kappas, want_kappas)
+
+    @pytest.mark.parametrize("name", ["unit_sphere", "ell_111", "radial_bumpy", "sphere_cloud"])
+    def test_read_only_and_shared(self, request, name):
+        # every caller shares the memoised arrays, so no caller may write into them
+        surface = request.getfixturevalue(name)
+        geometry = surface.probe_geometry(200, 5)
+        assert all(a is b for a, b in zip(geometry, surface.probe_geometry(200, 5)))
+        for a in geometry:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 7.0
 
 
 class TestLocalGraph:

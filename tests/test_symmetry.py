@@ -354,3 +354,39 @@ class TestStabilityReport:
         assert rep.r_e - rep.r_i == pytest.approx(0.1, abs=0.02)
         assert rep.osc == pytest.approx(0.1868, rel=0.25)
         assert rep.radial_map is not None and rep.radial_map.rays_ok
+
+
+def _sphere_cloud_4000():
+    # the `sphere_cloud` fixture's cloud, fresh: nothing memoised on it yet
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((4000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return sb.PointCloud(u, -u, k=20)
+
+
+class TestProbeGeometryOnce:
+    @pytest.mark.parametrize(
+        "make, rows",
+        [
+            (lambda: sb.Ellipsoid([1.0, 1.0, 1.1]), 6036),
+            (lambda: sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)]), 6360),
+            (_sphere_cloud_4000, 4000),
+        ],
+        ids=["ellipsoid", "harmonic", "cloud"],
+    )
+    def test_curvature_rows(self, make, rows, monkeypatch):
+        # osc, rho and the radial-normal dots read the 4000 probe samples'
+        # normals and curvatures from one evaluation; the rest are the H
+        # extremum refinement's stencils (none on a cloud)
+        surface = make()
+        cls, counted = type(surface), []
+        original = cls.curvatures_batch
+
+        def counting(self, pts):
+            counted.append(np.atleast_2d(pts).shape[0])
+            return original(self, pts)
+
+        monkeypatch.setattr(cls, "curvatures_batch", counting)
+        stability_ratio(surface, sample_budget=4000, seed=0)
+        assert counted.count(4000) == 1
+        assert sum(counted) == rows
