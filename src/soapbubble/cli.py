@@ -284,7 +284,9 @@ def cmd_verify(args) -> int:
             center, _ = symmetry_center(surface, args.tol, args.samples, args.seed)
             r_i, r_e, _, _ = radial_bounds(surface, center, args.samples, args.seed)
             verdicts.append(
-                lemmas.verify_annulus_normal(surface, center, r_i, r_e, sample_budget=args.trials)
+                lemmas.verify_annulus_normal(
+                    surface, center, r_i, r_e, sample_budget=args.trials, seed=args.seed
+                )
             )
 
     header = f"{'check':<22} {'trials':>7} {'viols':>6} {'worst_slack':>13} {'skips':>6}"

@@ -145,7 +145,10 @@ def critical_position(
     lo = -extent(-omega) if it never does. The mirror of a probe sample p
     about level lam is p - t*omega with lam = p . omega - t/2, so this is the
     highest level at which some sample's line first leaves; no monotonicity
-    in the level is assumed.
+    in the level is assumed. The search walks the lines' exit grid one
+    column at a time and drops each line whose contained part lies below
+    the best exit end so far: such a line cannot hold the maximum, so the
+    level is that of the full grid, from fewer level-function rows.
 
     A point is outside where `implicit < -threshold`, with (tol, threshold)
     from `critical_tolerances`. An analytic surface's threshold is 0, and
@@ -195,7 +198,9 @@ def critical_position(
 
 # grid points per line in the exit search, the first one outside bracketing the
 # line's first exit: a finer grid catches thinner excursions between them, at
-# a cost; 16, 32 and 64 give the same levels on the test surfaces
+# a cost; 16, 32 and 64 give the same levels on the test surfaces. The search
+# walks the grid a column at a time, so a line that drops out early costs only
+# the columns it reached
 _EXIT_GRID = 16
 
 
@@ -209,8 +214,16 @@ def _highest_exit(
     every bracket to rounding, and a line's level is taken at the contained
     end. (A coarser stop w would leave each level up to w/2 high, and the
     maximum over many near-equal lines, such as a sphere's chords, picks that
-    up in full.) A line whose contained end lies below another's exit end
-    cannot hold the maximum and stops early."""
+    up in full.)
+
+    The grid is walked one column at a time (t = span * j / _EXIT_GRID on
+    every live line), keeping `best`, the highest exit end h - t_out/2 so
+    far. A line stops, in the grid as in the bisection, once its contained
+    end h - t_in/2 lies below `best`: that end can only fall, while the line
+    that set `best` ends above it. So a stopped line neither holds the
+    maximum nor sets the highest exit end that steers the bisection, and the
+    level is the same float as the full grid's, from fewer level-function
+    rows."""
     h = pts @ omega
     p, h = pts[h > lo], h[h > lo]
     span = 2.0 * (h - lo)  # t of the mirror about lo
@@ -219,12 +232,21 @@ def _highest_exit(
         return ~(surface.implicit(q - t[:, None] * omega) >= -threshold)
 
     frac = np.arange(1, _EXIT_GRID + 1) / _EXIT_GRID
-    t = (span[:, None] * frac).ravel()
-    out = outside(np.repeat(p, _EXIT_GRID, axis=0), t).reshape(-1, _EXIT_GRID)
-    rows = out.any(axis=1)
-    k = np.argmax(out[rows], axis=1)  # the first grid point outside
-    p, h, span = p[rows], h[rows], span[rows]
-    t_in, t_out = span * (k / _EXIT_GRID), span * frac[k]
+    k = np.full(h.size, _EXIT_GRID)  # the first grid point outside, if any
+    best = -math.inf
+    live = np.arange(h.size)
+    for j in range(_EXIT_GRID):
+        if not live.size:
+            break
+        t = span[live] * frac[j]
+        gone = outside(p[live], t)
+        k[live[gone]] = j
+        best = float(np.max(h[live[gone]] - 0.5 * t[gone], initial=best))
+        live = live[~gone & (h[live] - 0.5 * t >= best)]
+    t_in = span * (k / _EXIT_GRID)
+    rows = (k < _EXIT_GRID) & (h - 0.5 * t_in >= best)
+    p, h, span, t_in = p[rows], h[rows], span[rows], t_in[rows]
+    t_out = span * frac[k[rows]]
     stop = _ROUNDING * (np.sqrt(row_dots(p, p)) + span)
     live = np.arange(h.size)
     while live.size:

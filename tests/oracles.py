@@ -600,3 +600,44 @@ def resample_polyline_steps(points: np.ndarray, step: float):
     frac = (targets - cum[idx]) / np.where(seg[idx] > 0, seg[idx], 1.0)
     way = points[idx] + frac[:, None] * (points[idx + 1] - points[idx])
     return way, np.diff(targets), total
+
+
+# ---------------------------------------------------------------------------
+# the exit search with every grid point of every line evaluated, kept as the
+# reference for the column-wise search of `planes._highest_exit`
+
+
+def highest_exit_full_grid(surface, omega, pts, lo, threshold):
+    """Highest level p . omega - t/2 at which the line p - t*omega,
+    t in (0, 2(p . omega - lo)], of a sample p first has `implicit <
+    -threshold` (or NaN): -inf if no line does. A grid of 16 points per line,
+    all evaluated in one call, brackets each first exit, one batched
+    bisection narrows every bracket to rounding, and a line's level is taken
+    at the contained end. A line whose contained end lies below another's
+    exit end cannot hold the maximum and stops early."""
+    from soapbubble.geometry import row_dots
+    from soapbubble.surfaces import _ROUNDING
+
+    grid = 16
+    h = pts @ omega
+    p, h = pts[h > lo], h[h > lo]
+    span = 2.0 * (h - lo)  # t of the mirror about lo
+
+    def outside(q, t):
+        return ~(surface.implicit(q - t[:, None] * omega) >= -threshold)
+
+    frac = np.arange(1, grid + 1) / grid
+    t = (span[:, None] * frac).ravel()
+    out = outside(np.repeat(p, grid, axis=0), t).reshape(-1, grid)
+    rows = out.any(axis=1)
+    k = np.argmax(out[rows], axis=1)  # the first grid point outside
+    p, h, span = p[rows], h[rows], span[rows]
+    t_in, t_out = span * (k / grid), span * frac[k]
+    stop = _ROUNDING * (np.sqrt(row_dots(p, p)) + span)
+    live = np.arange(h.size)
+    while live.size:
+        mid = 0.5 * (t_in[live] + t_out[live])
+        gone = outside(p[live], mid)
+        t_out[live[gone]], t_in[live[~gone]] = mid[gone], mid[~gone]
+        live = np.flatnonzero((t_out - t_in > stop) & (h - 0.5 * t_in >= (h - 0.5 * t_out).max()))
+    return float(np.max(h - 0.5 * t_in, initial=-math.inf))

@@ -275,6 +275,21 @@ class TestVerifyCmd:
         assert main(["verify", check, "--trials", "0"]) == 2
         assert "--trials must be at least 1" in capsys.readouterr().err
 
+    def test_annulus_normal_takes_seed(self, monkeypatch, capsys):
+        # --seed must reach the lemma's probe samples, not only the centre
+        from soapbubble import lemmas
+
+        seeds = []
+        inner = lemmas._radial_normal_dots
+
+        def spy(surface, center, r_i, r_e, rho, sample_budget, seed):
+            seeds.append(seed)
+            return inner(surface, center, r_i, r_e, rho, sample_budget, seed)
+
+        monkeypatch.setattr(lemmas, "_radial_normal_dots", spy)
+        assert main(["verify", "annulus-normal", "--seed", "5", "--trials", "300"]) == 0
+        assert seeds == [5]
+
     @pytest.mark.parametrize("rho", ["0", "nan", "-1", "inf"])
     def test_graph_bounds_bad_rho_exit_2(self, rho, capsys):
         # rho = 0 made NaN margins, which count as no violation

@@ -13,18 +13,27 @@ from soapbubble.planes import (
     INTERIOR_TANGENCY,
     CapExtractionError,
     EmbeddednessError,
+    _highest_exit,
     critical_caps,
     critical_position,
     extent,
     reflected_cap_inside,
 )
 
-from .oracles import ellipsoid_support
+from .oracles import ellipsoid_support, highest_exit_full_grid
 
 
 @pytest.fixture(scope="module")
 def ell_graph(ell_111):
     return build_geodesic_graph(ell_111, 3000, k=8, seed=0)
+
+
+@pytest.fixture(scope="module")
+def cloud_1500():
+    # the analyze-cloud benchmark's input size
+    u = np.random.default_rng(0).standard_normal((1500, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return sb.PointCloud(u, -u, k=20)
 
 
 def grid_scan_critical_level(surface, omega, lo, hi, step, tol):
@@ -269,6 +278,77 @@ class TestExitLevelOracle:
         tol = sphere_cloud.critical_tolerances(None)[0]
         for w in np.eye(3):
             assert abs(critical_position(sphere_cloud, w).level) < 0.05 * tol
+
+
+class TestExitSearchPruning:
+    # the column-wise exit search stops lines that can no longer hold the
+    # maximum; its level must equal the full grid's bit for bit
+    @staticmethod
+    def both(surface, omega, budget=2000):
+        omega = unit(np.asarray(omega, dtype=float))
+        pts = surface.probe_points(budget, 0)
+        lo = -extent(surface, -omega, budget, 0)
+        threshold = surface.critical_tolerances(None)[1]
+        return (
+            _highest_exit(surface, omega, pts, lo, threshold),
+            highest_exit_full_grid(surface, omega, pts, lo, threshold),
+        )
+
+    @pytest.mark.parametrize("omega", [*np.eye(3).tolist(), [1.0, 1.0, 1.0]])
+    def test_ellipsoid(self, ell_111, omega):
+        new, full = self.both(ell_111, omega)
+        assert new == full
+
+    @pytest.mark.parametrize(
+        "surface, omega",
+        [
+            (sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)]), [0.3, -0.5, 0.8]),
+            (sb.HarmonicRadial([(2, 0, 1.8)]), [0.0, 0.0, 1.0]),
+            (sb.HarmonicRadial([(2, 0, 0.2), (3, -1, 0.1)], dim=2), [1.0, 1.0]),
+        ],
+        ids=["north-star", "dumbbell", "fourier"],
+    )
+    def test_harmonic(self, surface, omega):
+        new, full = self.both(surface, omega)
+        assert new == full
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_offset_sphere(self, offset_sphere, axis):
+        new, full = self.both(offset_sphere, np.eye(3)[axis])
+        assert new == full
+
+    @pytest.mark.parametrize("omega", [[1.0, 0.0, 0.0], [0.3, -0.5, 0.8]])
+    def test_sphere_cloud(self, cloud_1500, omega):
+        new, full = self.both(cloud_1500, omega, budget=500)
+        assert new == full
+
+    @given(direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    @settings(max_examples=15, deadline=None)
+    def test_ellipsoid_random_directions(self, ell_112, direction):
+        w = np.array(direction)
+        if np.linalg.norm(w) > 0.1:
+            new, full = self.both(ell_112, w)
+            assert new == full
+
+    def test_cloud_rows_at_most_half(self, cloud_1500, monkeypatch):
+        # the saving as a deterministic count: level-function rows over the
+        # three axes, as `symmetry_center` asks for them
+        pts = cloud_1500.probe_points(500, 0)
+        threshold = cloud_1500.critical_tolerances(None)[1]
+        axes = [(w, -extent(cloud_1500, -w, 500, 0)) for w in np.eye(3)]
+        rows = []
+        inner = cloud_1500.implicit
+
+        def counting(P):
+            rows[-1] += P.shape[0]
+            return inner(P)
+
+        monkeypatch.setattr(cloud_1500, "implicit", counting)
+        for search in (_highest_exit, highest_exit_full_grid):
+            rows.append(0)
+            for w, lo in axes:
+                search(cloud_1500, w, pts, lo, threshold)
+        assert rows[0] <= rows[1] / 2, rows
 
 
 class TestEmbeddedness:
