@@ -15,11 +15,13 @@ form over- or underflows double precision.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 _LOG10_MAX = 308.0
+
+logger = logging.getLogger(__name__)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -155,7 +157,8 @@ def compute_constants(
     if n < 1:
         raise ValueError("dimension n must be at least 1")
     if n not in (1, 2):
-        warnings.warn(f"ledger evaluated at n={n}; only n=1,2 are exercised by the test-suite")
+        logger.warning("compute_constants: ledger evaluated at n=%d; only n=1,2 are exercised "
+                       "by the test-suite", n, extra={"stage": "compute_constants"})
 
     omega_n = unit_ball_volume(n)
     if delta is None:

@@ -94,17 +94,6 @@ def build_geodesic_graph(
     )
 
 
-def region_boundary(graph: GeodesicGraph, region: np.ndarray) -> np.ndarray:
-    """Region nodes with at least one neighbor outside the region (mask in,
-    indices out)."""
-    region = np.asarray(region, dtype=bool)
-    A = graph.adjacency
-    rows = np.repeat(np.arange(graph.node_count), np.diff(A.indptr))
-    leaves = np.zeros(graph.node_count, dtype=bool)
-    leaves[rows[~region[A.indices]]] = True
-    return np.nonzero(region & leaves)[0]
-
-
 def interface_distances(graph: GeodesicGraph, region: np.ndarray, crossing_fn=None) -> np.ndarray:
     """Shortest-path distance from every node to the region interface.
 

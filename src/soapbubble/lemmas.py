@@ -270,7 +270,7 @@ def _slice_seed(surface: Surface, omega: np.ndarray, level: float) -> np.ndarray
     pts = surface.probe_points(2000, 0)
     h = pts @ omega - level
     i = int(np.argmin(np.abs(h)))
-    if abs(h[i]) > 0.45 * surface.diameter_hint():
+    if abs(h[i]) > 0.9 * surface.bounding_radius():
         raise TracingError("plane appears to miss the surface")
     return pts[i]
 
@@ -508,11 +508,11 @@ def verify_normal_tilt(
     if delta is None:
         delta = rho / 8.0
     omega, m = plane.direction, plane.level
-    caps = critical_caps(surface, plane, graph)
+    sigma = critical_caps(plane, graph)
     sigma_mask = np.zeros(graph.node_count, dtype=bool)
-    sigma_mask[caps.sigma_nodes] = True
+    sigma_mask[sigma] = True
     dist = interface_distances(graph, sigma_mask, crossing_fn=plane_crossing_fn(omega, m, surface))
-    band = caps.sigma_nodes[dist[caps.sigma_nodes] <= delta]
+    band = sigma[dist[sigma] <= delta]
     band = band[:_TILT_TRIALS_CAP]
 
     P, nu_p = graph.points[band], graph.normals[band]

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import reflect, row_dots, unit
-from .intrinsic import GeodesicGraph, region_boundary
+from .intrinsic import GeodesicGraph
 from .surfaces import _ROUNDING, Surface, SurfaceError, quadratic
 
 INTERIOR_TANGENCY = "interior_tangency"
@@ -56,11 +57,14 @@ def extent(
 
 @dataclass(frozen=True)
 class ContainmentCheck:
+    """Verdict of `reflected_cap_inside` on one mirrored cap."""
+
     inside: bool
     worst_violation: float
     witness: np.ndarray | None            # cap-side sample whose mirror is worst
     witness_reflected: np.ndarray | None
     cap_count: int
+    signed_distances: np.ndarray          # of the mirrored cap, one per cap sample
 
 
 def reflected_cap_inside(
@@ -75,34 +79,27 @@ def reflected_cap_inside(
     """Does the mirrored right-hand cap stay weakly inside the enclosed domain?
 
     Tests signed_distance(mirror(p)) >= -tol over all probe samples with
-    p . omega > lam. worst_violation is the most negative signed distance,
-    sign-flipped (positive numbers mean actual protrusion).
+    p . omega > lam. worst_violation is the most negative of these signed
+    distances (kept in signed_distances), sign-flipped: positive means
+    actual protrusion.
     """
     pts = samples if samples is not None else surface.probe_points(sample_budget, seed)
-    return _mirrored_cap(surface, omega, lam, tol, pts)[0]
-
-
-def _mirrored_cap(
-    surface: Surface, omega: np.ndarray, lam: float, tol: float, pts: np.ndarray
-) -> tuple[ContainmentCheck, np.ndarray]:
-    """`reflected_cap_inside` on the samples pts, together with the signed
-    distances of the mirrored cap it judged (empty for an empty cap)."""
     omega = unit(omega)
     cap = pts[pts @ omega > lam]
     if cap.shape[0] == 0:
-        return ContainmentCheck(True, -math.inf, None, None, 0), np.empty(0)
+        return ContainmentCheck(True, -math.inf, None, None, 0, np.empty(0))
     mirrored = reflect(cap, omega, lam)
     sd = surface.signed_distance(mirrored)
     worst_idx = int(np.argmin(sd))
     worst = -float(sd[worst_idx])
-    check = ContainmentCheck(
+    return ContainmentCheck(
         inside=bool(worst <= tol),
         worst_violation=worst,
         witness=cap[worst_idx].copy(),
         witness_reflected=mirrored[worst_idx].copy(),
         cap_count=int(cap.shape[0]),
+        signed_distances=sd,
     )
-    return check, sd
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ def critical_position(
     """
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
-    diam = surface.diameter_hint()
+    diam = 2.0 * surface.bounding_radius()
     tol, threshold = surface.critical_tolerances(tol)
 
     hi = extent(surface, omega, sample_budget, seed)
@@ -171,7 +168,8 @@ def critical_position(
         )
 
     # contact analysis at the critical level, from one pass over the mirrored cap
-    check, sd = _mirrored_cap(surface, omega, m, threshold, pts)
+    check = reflected_cap_inside(surface, omega, m, threshold, samples=pts)
+    sd = check.signed_distances
     degenerate = sd.size > 0 and bool(np.mean(np.abs(sd) <= 10.0 * tol + 1e-9 * diam) > 0.25)
     spacing = diam / math.sqrt(max(sample_budget, 1))
     p0 = check.witness
@@ -257,61 +255,26 @@ def _highest_exit(
     return float(np.max(h - 0.5 * t_in, initial=-math.inf))
 
 
-@dataclass
-class CapRegion:
-    direction: np.ndarray
-    level: float
-    sigma_nodes: np.ndarray       # cap-side pre-images of the reflected cap component
-    sigma_hat_nodes: np.ndarray   # left-portion component
-    boundary_nodes: np.ndarray    # sigma nodes with a neighbor outside sigma
-
-
-def critical_caps(surface: Surface, plane: CriticalPlane, graph: GeodesicGraph) -> CapRegion:
-    """Connected cap components through the tangency contact.
-
-    sigma is the component of the right-hand cap nodes (the reflected cap is
-    their mirror image); sigma_hat is the component of the left portion. Both
-    are anchored at the contact: sigma at the cap-side pre-image, sigma_hat
-    at the mirrored contact point.
-    """
-    from scipy.sparse.csgraph import connected_components
-
+def critical_caps(plane: CriticalPlane, graph: GeodesicGraph) -> np.ndarray:
+    """Node indices of sigma, the connected component of the right-hand cap
+    nodes (p . omega > m) through the cap-side pre-image of the contact (the
+    highest node if the plane has none); the reflected cap is their mirror."""
     omega, m = plane.direction, plane.level
     heights = graph.points @ omega
     right = heights > m
-    left = heights < m
-    if not right.any() or not left.any():
+    if not right.any() or not (heights < m).any():
         raise CapExtractionError("critical plane leaves an empty cap at this resolution")
-
+    anchor = plane.tangency_point if plane.tangency_point is not None else graph.points[np.argmax(heights)]
+    idx = np.nonzero(right)[0]
+    _, labels = connected_components(graph.adjacency[np.ix_(right, right)], directed=False)
+    d = np.linalg.norm(graph.points[idx] - anchor, axis=1)
     edge_scale = 3.0 * graph.mean_edge
-
-    def component_containing(mask: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        idx = np.nonzero(mask)[0]
-        sub = graph.adjacency[np.ix_(mask, mask)]
-        _, labels = connected_components(sub, directed=False)
-        d = np.linalg.norm(graph.points[idx] - anchor, axis=1)
-        best = int(np.argmin(d))
-        if d[best] > edge_scale:
-            raise CapExtractionError(
-                f"anchor lies {d[best]:.3g} from the nearest cap node "
-                f"(> {edge_scale:.3g}); re-run with a looser tolerance or finer graph"
-            )
-        return idx[labels == labels[best]]
-
-    anchor_right = plane.tangency_point if plane.tangency_point is not None else graph.points[np.argmax(heights)]
-    anchor_left = plane.contact_point if plane.contact_point is not None else reflect(anchor_right, omega, m)
-    sigma = component_containing(right, anchor_right)
-    sigma_hat = component_containing(left, anchor_left)
-
-    sigma_mask = np.zeros(graph.node_count, dtype=bool)
-    sigma_mask[sigma] = True
-    return CapRegion(
-        direction=omega,
-        level=m,
-        sigma_nodes=sigma,
-        sigma_hat_nodes=sigma_hat,
-        boundary_nodes=region_boundary(graph, sigma_mask),
-    )
+    if d.min() > edge_scale:
+        raise CapExtractionError(
+            f"anchor lies {d.min():.3g} from the nearest cap node "
+            f"(> {edge_scale:.3g}); re-run with a looser tolerance or finer graph"
+        )
+    return idx[labels == labels[np.argmin(d)]]
 
 
 def plane_crossing_fn(omega: np.ndarray, m: float, surface: Surface):

@@ -305,9 +305,6 @@ class Surface:
         c = pts.mean(axis=0)
         return float(np.linalg.norm(pts - c, axis=1).max())
 
-    def diameter_hint(self) -> float:
-        return 2.0 * self.bounding_radius()
-
     def critical_tolerances(self, tol: float | None) -> tuple[float, float]:
         """(tolerance, exit threshold) of the moving-planes search for a
         caller's tolerance `tol`, by default 5e-10 * diam. An analytic level
@@ -316,7 +313,7 @@ class Surface:
         and the exit level is found to rounding. `tol` then sets only the
         degenerate-contact band and the embeddedness margin."""
         if tol is None:
-            tol = 5e-10 * self.diameter_hint()
+            tol = 1e-9 * self.bounding_radius()
         return tol, 0.0
 
     @property
@@ -832,7 +829,7 @@ class PointCloud(Surface):
         tolerance, which doubles as the exit threshold: `tol` itself, by
         default max(1.5 * spacing**2, 1e-6 * diam)."""
         if tol is None:
-            tol = max(1.5 * self.spacing**2, 1e-6 * self.diameter_hint())
+            tol = max(1.5 * self.spacing**2, 2e-6 * self.bounding_radius())
         return tol, tol
 
     def curvatures_batch(self, pts):
@@ -1035,7 +1032,7 @@ def mean_curvature_oscillation(
         lo, hi = int(np.argmin(v[:5])), 5 + int(np.argmax(v[5:]))
         min_h, argmin, max_h, argmax = float(v[lo]), q[lo], float(v[hi]), q[hi]
 
-    spacing = surface.diameter_hint() / math.sqrt(max(sample_budget, 1))
+    spacing = 2.0 * surface.bounding_radius() / math.sqrt(max(sample_budget, 1))
     return OscReport(
         min_h=min_h,
         max_h=max_h,

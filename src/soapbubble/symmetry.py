@@ -292,8 +292,9 @@ def stability_ratio(
     spread = r_e - r_i
     # cross check against the critical plane orthogonal to the extremal chord
     gap = p_e - p_i
-    slack = 2.0 * surface.diameter_hint() / math.sqrt(max(sample_budget, 1))
-    if np.linalg.norm(gap) > 1e-9 * surface.diameter_hint():
+    diam = 2.0 * surface.bounding_radius()
+    slack = 2.0 * diam / math.sqrt(max(sample_budget, 1))
+    if np.linalg.norm(gap) > 1e-9 * diam:
         w = unit(gap)
         extremal_plane = critical_position(surface, w, tol, sample_budget, seed)
         rhs = 2.0 * abs(float(center @ w) - extremal_plane.level)
@@ -316,7 +317,7 @@ def stability_ratio(
     if indeterminate:
         verdict = (
             "sphere within tolerance"
-            if spread <= max(10.0 * _OSC_NOISE_FLOOR, 1e-6 * surface.diameter_hint())
+            if spread <= max(10.0 * _OSC_NOISE_FLOOR, 1e-6 * diam)
             else "oscillation below noise floor but radii spread is not"
         )
     else:

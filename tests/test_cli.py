@@ -309,13 +309,29 @@ class TestVerifyCmd:
             {"type": "radial_graph", "basis": "fourier", "coeffs": [[2, 0, 0.2], [3, -1, 0.1]]},
         ],
     )
-    def test_split_graph_exit_3(self, spec, tmp_path, capsys):
+    def test_split_graph_exit_3(self, spec, tmp_path, capsys, monkeypatch):
         # the 8-nearest-neighbour graph on a curve's samples splits: a
         # numerical failure, no traceback
+        from soapbubble import cli
+
+        build = cli.build_geodesic_graph
+        monkeypatch.setattr(
+            cli, "build_geodesic_graph", lambda surface, nodes, k, seed: build(surface, nodes, 8, seed)
+        )
         path = tmp_path / "curve.json"
         path.write_text(json.dumps(spec))
         assert main(["verify", "normal-tilt", "--surface", str(path)]) == 3
         assert "sample graph split into 2 components" in capsys.readouterr().err
+
+    def test_curve_normal_tilt_runs(self, tmp_path, capsys):
+        # the graph normal-tilt builds on a curve's samples holds together
+        path = tmp_path / "ell2.json"
+        path.write_text(json.dumps({"type": "ellipsoid", "semi_axes": [1.0, 1.2]}))
+        out = tmp_path / "tilt.json"
+        assert main(["verify", "normal-tilt", "--surface", str(path), "--out", str(out)]) == 0
+        [check] = json.loads(out.read_text())["checks"]
+        assert check["trials"] >= 1
+        assert check["violations"] == 0
 
     @pytest.mark.parametrize("check", ["normal-tilt", "graph-bounds"])
     def test_cloud_without_gradient_exit_2(self, cloud_spec, check, capsys):

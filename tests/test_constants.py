@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -93,9 +94,12 @@ class TestLedgerValues:
         with pytest.raises(ValueError):
             compute_constants(0, 1.0, 1.0)
 
-    def test_other_dimensions_warn(self):
-        with pytest.warns(UserWarning):
+    def test_other_dimensions_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="soapbubble.constants"):
             compute_constants(3, 1.0, 10.0)
+        [record] = caplog.records
+        assert record.stage == "compute_constants"
+        assert "n=3" in record.getMessage()
 
     def test_placeholder_marker(self):
         assert compute_constants(2, 1.0, 1.0).k_placeholder

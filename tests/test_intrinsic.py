@@ -16,7 +16,6 @@ from soapbubble.intrinsic import (
     harnack_chain,
     interface_distances,
     piecewise_geodesic_chain,
-    region_boundary,
 )
 
 from .oracles import (
@@ -164,26 +163,12 @@ class TestIntrinsicDistance:
 
 
 class TestCapInterior:
-    def test_region_boundary_matches_node_loop(self, sphere_graph_coarse):
-        g = sphere_graph_coarse
-        A = g.adjacency
-        for seed in range(3):
-            region = np.random.default_rng(seed).random(g.node_count) < 0.3 + 0.3 * seed
-            region[: 40 * seed] = True
-            loop = [
-                i for i in np.nonzero(region)[0]
-                if (~region[A.indices[A.indptr[i] : A.indptr[i + 1]]]).any()
-            ]
-            np.testing.assert_array_equal(region_boundary(g, region), np.array(loop, dtype=int))
-        assert region_boundary(g, np.ones(g.node_count, dtype=bool)).size == 0
-
     # the interior of a cap at margin delta: its nodes farther than delta
     # from the cap's interface
     def test_whole_surface_no_boundary(self, sphere_graph):
         region = np.ones(sphere_graph.node_count, dtype=bool)
         dist = interface_distances(sphere_graph, region)
         assert (region & (dist > 1.0)).all()
-        assert region_boundary(sphere_graph, region).size == 0
 
     def test_hemisphere_margin_area(self, unit_sphere):
         g = build_geodesic_graph(unit_sphere, 8000, k=10, seed=1)

@@ -227,6 +227,19 @@ class TestNormalTilt:
         assert v.trials == 0
         assert v.violations == 0
 
+    def test_far_contact_point_changes_nothing(self, ell_112):
+        # the check reads only the cap sigma, anchored at the tangency
+        # point: where the mirrored contact lies does not matter
+        from dataclasses import replace
+
+        plane = critical_position(ell_112, np.array([1.0, 0, 0]), sample_budget=250)
+        graph = build_geodesic_graph(ell_112, 2000, k=8, seed=0)
+        far = replace(plane, contact_point=np.array([50.0, 50.0, 50.0]))
+        delta = 0.25 * sb.touching_radius(ell_112)
+        a, b = (verify_normal_tilt(ell_112, p, graph, delta=delta) for p in (plane, far))
+        assert a.trials == 100 and a.violations == 0
+        assert a.to_dict() == b.to_dict()
+
 
 class TestRootAlong:
     def test_batch_rows_match_single_rows(self):

@@ -124,6 +124,33 @@ class TestContainment:
         first_true = states.index(True)
         assert all(states[first_true:])
 
+    @pytest.mark.parametrize("surface", ["ell_111", "radial_bumpy", "sphere_cloud"])
+    def test_critical_position_makes_one_pass(self, surface, request, monkeypatch):
+        # the contact analysis reads the containment oracle's own signed
+        # distances: one call per direction, the mirrored cap's exact values
+        from soapbubble import planes
+
+        surface = request.getfixturevalue(surface)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(reflected_cap_inside(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(planes, "reflected_cap_inside", spy)
+        pts = surface.probe_points(2000, 0)
+        for omega in np.eye(3):
+            n = len(calls)
+            cp = critical_position(surface, omega)
+            assert len(calls) == n + 1
+            check = calls[-1]
+            cap = pts[pts @ omega > cp.level]
+            assert check.cap_count == cap.shape[0] > 0
+            np.testing.assert_array_equal(
+                check.signed_distances, surface.signed_distance(reflect(cap, omega, cp.level))
+            )
+            np.testing.assert_array_equal(check.witness_reflected, cp.contact_point)
+
 
 class TestCriticalPosition:
     def test_offset_sphere_every_axis(self):
@@ -370,32 +397,21 @@ class TestCriticalCaps:
     def test_sphere_hemispheres(self, unit_sphere):
         g = build_geodesic_graph(unit_sphere, 2000, k=8, seed=0)
         cp = critical_position(unit_sphere, np.array([1.0, 0, 0]))
-        caps = critical_caps(unit_sphere, cp, g)
-        frac = len(caps.sigma_nodes) / g.node_count
-        frac_hat = len(caps.sigma_hat_nodes) / g.node_count
-        assert frac == pytest.approx(0.5, abs=0.05)
-        assert frac_hat == pytest.approx(0.5, abs=0.05)
+        sigma = critical_caps(cp, g)
+        assert len(sigma) / g.node_count == pytest.approx(0.5, abs=0.05)
         # mirrored cap overlays the left portion
-        mirrored = reflect(g.points[caps.sigma_nodes], caps.direction, caps.level)
+        mirrored = reflect(g.points[sigma], cp.direction, cp.level)
         assert np.abs(unit_sphere.signed_distance(mirrored)).max() < 1e-9
 
     def test_ellipsoid_axis_area_split(self, ell_111, ell_graph):
         cp = critical_position(ell_111, np.array([0.0, 0, 1.0]))
-        caps = critical_caps(ell_111, cp, ell_graph)
-        assert len(caps.sigma_nodes) / ell_graph.node_count == pytest.approx(0.5, abs=0.02)
-
-    def test_boundary_hugs_plane(self, ell_111, ell_graph):
-        cp = critical_position(ell_111, np.array([1.0, 0, 0.0]))
-        caps = critical_caps(ell_111, cp, ell_graph)
-        gap = np.abs(
-            ell_graph.points[caps.boundary_nodes] @ cp.direction - cp.level
-        )
-        assert gap.max() <= 2.5 * ell_graph.mean_edge
+        sigma = critical_caps(cp, ell_graph)
+        assert len(sigma) / ell_graph.node_count == pytest.approx(0.5, abs=0.02)
 
     def test_anchor_too_far_raises(self, ell_111, ell_graph):
         from dataclasses import replace
 
         cp = critical_position(ell_111, np.array([1.0, 0, 0.0]))
         broken = replace(cp, tangency_point=np.array([50.0, 50.0, 50.0]))
-        with pytest.raises(CapExtractionError):
-            critical_caps(ell_111, broken, ell_graph)
+        with pytest.raises(CapExtractionError, match="anchor lies"):
+            critical_caps(broken, ell_graph)

@@ -874,11 +874,11 @@ class TestPointCloudCapabilities:
         np.testing.assert_array_equal(ell_111.settle(P), ell_111.project(P))
 
     def test_critical_tolerances(self, sphere_cloud, ell_111):
-        diam = sphere_cloud.diameter_hint()
+        diam = 2 * sphere_cloud.bounding_radius()
         default = max(1.5 * sphere_cloud.spacing**2, 1e-6 * diam)
         assert sphere_cloud.critical_tolerances(None) == (default, default)
         assert sphere_cloud.critical_tolerances(3e-4) == (3e-4, 3e-4)
-        diam = ell_111.diameter_hint()
+        diam = 2 * ell_111.bounding_radius()
         assert ell_111.critical_tolerances(None) == (5e-10 * diam, 0.0)
         assert ell_111.critical_tolerances(1e-6) == (1e-6, 0.0)
         assert ell_111.critical_tolerances(1e-13) == (1e-13, 0.0)
