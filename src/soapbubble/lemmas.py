@@ -542,7 +542,10 @@ def verify_normal_tilt(
         tol,
         witness if keep.size else None,
         len(band) - keep.size,
-        notes=[f"delta={delta:.4g}", f"band={len(band)}"],
+        # why band points were skipped: no crossing within alpha_cap, or
+        # a matched normal farther than alpha from the reflected one
+        notes=[f"delta={delta:.4g}", f"band={len(band)}", f"no_crossing={len(band) - found.size}",
+               f"normal_mismatch={found.size - keep.size}"],
     )
 
 

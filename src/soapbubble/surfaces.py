@@ -149,14 +149,6 @@ class Surface:
     def implicit(self, P: np.ndarray) -> np.ndarray:
         return self.jet(P, 0)[0]
 
-    def implicit_on_rays(
-        self, origin: np.ndarray, directions: np.ndarray, ts: np.ndarray
-    ) -> np.ndarray:
-        """Level function at origin + t*d for each direction row d and each t
-        in the increasing grid `ts`: an (len(directions), len(ts)) array."""
-        pts = origin[None, None, :] + ts[None, :, None] * directions[:, None, :]
-        return self.implicit(pts.reshape(-1, self.dim)).reshape(len(directions), len(ts))
-
     @property
     def ray_deadband(self) -> float:
         """Level values within this of zero do not decide a side when
@@ -687,11 +679,9 @@ class PointCloud(Surface):
     neighbors; the fits of all asked-for samples form one stacked
     least-squares solve over the neighbor table that the constructor's one
     self k-NN query stores. Signed distance is the distance to the nearest
-    sample, signed by its normal. Along rays (`implicit_on_rays`) the
-    nearest sample at every grid point comes from one walk along the lower
-    envelope of the samples' squared-distance lines instead of a kd-tree
-    query per point; the walk is exact, so the values equal `implicit` at
-    the same points bit for bit. Consistency passes reject clouds with
+    sample, signed by its normal: one kd-tree query per point, also along
+    the radial-map rays, which start at the annulus and not at the centre
+    for that reason. Consistency passes reject clouds with
     mixed inner/outer normals and clouds whose normals all point outward.
     """
 
@@ -740,67 +730,10 @@ class PointCloud(Surface):
     @rows_kernel
     def signed_distance(self, P):
         _, idx = self.tree.query(P)
-        return self._signed_to(P, idx)
-
-    def _signed_to(self, P, idx):
-        """Distance from each row of P to sample idx, signed by its normal;
-        the norm rounds as the kd-tree's distance does."""
         diff = P - self.points[idx]
         dist = np.linalg.norm(diff, axis=1)
         side = np.einsum("md,md->m", diff, self.normals[idx])
         return np.where(side >= 0.0, dist, -dist)
-
-    def implicit_on_rays(self, origin, directions, ts):
-        # bounds the walk's (rays x samples) tables, not the grid: the caller
-        # sizes its blocks of rays by grid points
-        chunk = max(1, int(2e6) // self.points.shape[0])
-        idx = np.concatenate(
-            [
-                self._nearest_on_rays(origin, directions[i0 : i0 + chunk], ts)
-                for i0 in range(0, len(directions), chunk)
-            ]
-        )
-        pts = origin[None, None, :] + ts[None, :, None] * directions[:, None, :]
-        return self._signed_to(pts.reshape(-1, self.dim), idx.ravel()).reshape(idx.shape)
-
-    def _nearest_on_rays(self, origin, directions, ts):
-        """Index of the nearest sample at every grid point of every ray.
-
-        Along x(t) = o + t*d, |x - p|^2 = t^2 |d|^2 + a_p + b_p t with
-        a_p = |o - p|^2 and b_p = 2 d.(o - p), so the nearest sample follows
-        the lower envelope of the lines a_p + b_p t. Starting from the argmin
-        at ts[0], each step moves to the sample whose line crosses the
-        current one first among those of smaller slope, until the crossing
-        passes ts[-1]. All rays walk together, one step per round.
-        """
-        rel = origin - self.points
-        a = np.einsum("nd,nd->n", rel, rel)
-        b = 2.0 * (directions @ rel.T)  # (rays, samples)
-        m, g = b.shape[0], ts.shape[0]
-        cur = np.argmin(a + b * ts[0], axis=1)
-        pieces = [cur]  # the sample after each breakpoint, per ray
-        starts = np.zeros((m, g + 1), dtype=np.intp)  # breakpoints by first grid index
-        first = np.zeros(m, dtype=np.intp)
-        live = np.arange(m)
-        while live.size:
-            rows = np.arange(live.size)
-            c = cur[live]
-            bl = b[live]
-            gap = bl[rows, c][:, None] - bl
-            cross = np.full(gap.shape, np.inf)
-            np.divide(a - a[c][:, None], gap, out=cross, where=gap > 0.0)
-            nxt = np.argmin(cross, axis=1)
-            at = np.searchsorted(ts, cross[rows, nxt], side="right")
-            on = at < g
-            live, nxt = live[on], nxt[on]
-            # rounding must not move a breakpoint before the previous one
-            first[live] = np.maximum(first[live], at[on])
-            starts[live, first[live]] += 1
-            cur = cur.copy()
-            cur[live] = nxt
-            pieces.append(cur)
-        piece = np.cumsum(starts[:, :g], axis=1)
-        return np.stack(pieces, axis=1)[np.arange(m)[:, None], piece]
 
     @property
     def ray_deadband(self) -> float:

@@ -25,9 +25,9 @@ H_CONVENTION = "inner normal; sphere of radius R has H = +1/R"
 # Grid points per block of rays in `count_ray_hits`: 16 rays of the default
 # 2048-point grid. Each block's level table and its sign, deadband and diff
 # temporaries are what the radial-map check holds at once, so this caps its
-# memory (a few MB) whatever the number of rays. On 1500-point sphere clouds
-# at 100 rays it also ran as fast as any of 2**15 to 2**18 points, and about
-# 18% faster than one block holding all 100 rays.
+# memory (a few MB) whatever the number of rays. Speed does not set it: on
+# the annulus grids of 1500-point sphere clouds at 100 rays, blocks of 2**13
+# to 2**18 points and one block of all 100 rays ran within 10% of each other.
 _RAY_BLOCK_POINTS = 2**15
 
 # An osc at or below this is taken for rounding noise and leaves the ratio
@@ -119,13 +119,20 @@ def count_ray_hits(
     directions: np.ndarray,
     t_max: float,
     resolution: int = 2048,
+    *,
+    t_min: float,
 ) -> np.ndarray:
-    """Number of surface crossings of each ray origin + t*d, t in (0, t_max],
-    from sign changes of the level function on a dense t-grid.
+    """Number of surface crossings of each ray origin + t*d, t in
+    [t_min, t_max], from sign changes of `surface.implicit` on a dense
+    t-grid: the points of linspace(t_max/resolution, t_max, resolution)
+    at or beyond t_min.
 
-    The level values come from `surface.implicit_on_rays`: a grid of
-    `implicit` calls in general, and on a point cloud an exact walk to the
-    nearest sample along each ray with no kd-tree query per grid point.
+    Starting at t_min > 0 assumes that no surface point lies nearer the
+    origin than t_min, so each ray must read definitely inside (level
+    above the deadband) at its first grid point; a `ValueError` says how
+    many rays do not. On a point cloud each grid point is a kd-tree query,
+    and those deep inside the cloud are the slowest, so counting from its
+    centre (t_min = 0) costs far more than from the annulus.
 
     A positive `surface.ray_deadband` treats |level| below it as
     sign-preserving, which keeps the staircase noise of sampled surfaces
@@ -138,17 +145,28 @@ def count_ray_hits(
     origin = np.asarray(origin, dtype=float)
     deadband = surface.ray_deadband
     ts = np.linspace(t_max / resolution, t_max, resolution)
-    cols = np.arange(resolution)
+    ts = ts[ts >= t_min]
+    cols = np.arange(ts.size)
     counts = np.zeros(directions.shape[0], dtype=int)
+    outside = 0
     chunk = max(1, _RAY_BLOCK_POINTS // resolution)  # bounds rays x grid points
     for i0 in range(0, directions.shape[0], chunk):
-        phi = surface.implicit_on_rays(origin, directions[i0 : i0 + chunk], ts)
+        block = directions[i0 : i0 + chunk]
+        pts = origin[None, None, :] + ts[None, :, None] * block[:, None, :]
+        phi = surface.implicit(pts.reshape(-1, surface.dim)).reshape(len(block), ts.size)
+        if t_min > 0.0:
+            outside += int(np.count_nonzero(~(phi[:, 0] > deadband)))
         signs = np.where(phi >= 0.0, 1.0, -1.0)
         if deadband > 0.0:
             # carry the last definite sign through the band (+1 before any)
             src = np.maximum.accumulate(np.where(np.abs(phi) > deadband, cols, -1), axis=1)
             signs = np.where(src >= 0, np.take_along_axis(signs, src, axis=1), 1.0)
         counts[i0 : i0 + chunk] = np.sum(np.diff(signs, axis=1) != 0, axis=1)
+    if outside:
+        raise ValueError(
+            f"{outside} of {len(directions)} rays do not start inside the surface at "
+            f"t_min = {t_min:.6g}"
+        )
     return counts
 
 
@@ -187,7 +205,9 @@ def radial_map_check(
 
     Checks (a) outward-ray transversality with the annulus-normal margin
     (radial direction dotted with the inner normal at most -1 + (r_e-r_i)/rho)
-    and (b) that rays from the center meet the surface exactly once. Whether
+    and (b) that rays from the center meet the surface exactly once,
+    counted from t_min = r_i - 0.05 (r_i + rho), inside the annulus that
+    holds the surface, where every ray must start inside. Whether
     the center lies inside is the sign of `implicit`; it is not projected,
     since a near-sphere's center sits near the medial axis, where its
     nearest points form an almost degenerate ring.
@@ -206,7 +226,9 @@ def radial_map_check(
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_rays, surface.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    counts = count_ray_hits(surface, center, dirs, t_max=1.05 * r_e + 0.05 * rho)
+    counts = count_ray_hits(
+        surface, center, dirs, t_max=1.05 * r_e + 0.05 * rho, t_min=r_i - 0.05 * (r_i + rho)
+    )
     rays_ok = bool(np.all(counts == 1))
     multi = dirs[counts != 1][:8]
     uniq, freq = np.unique(counts, return_counts=True)

@@ -367,10 +367,12 @@ def ray_hits_loop(surface, origin, directions, t_max, resolution=2048, deadband=
 
 
 def ray_hits_one_block(surface, origin, directions, t_max, resolution=2048):
-    """`count_ray_hits` with every ray in one block: all level values from
-    one `implicit_on_rays` call."""
+    """`count_ray_hits` from t = 0 with every ray in one block: all level
+    values from one `implicit` call."""
+    origin = np.asarray(origin, dtype=float)
     ts = np.linspace(t_max / resolution, t_max, resolution)
-    phi = surface.implicit_on_rays(np.asarray(origin, dtype=float), directions, ts)
+    pts = origin[None, None, :] + ts[None, :, None] * directions[:, None, :]
+    phi = surface.implicit(pts.reshape(-1, surface.dim)).reshape(len(directions), resolution)
     signs = np.where(phi >= 0.0, 1.0, -1.0)
     if surface.ray_deadband > 0.0:
         cols = np.arange(resolution)

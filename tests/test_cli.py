@@ -333,6 +333,18 @@ class TestVerifyCmd:
         assert check["trials"] >= 1
         assert check["violations"] == 0
 
+    def test_normal_tilt_names_its_skips(self, tmp_path):
+        # the notes count the band points skipped for each reason
+        path = tmp_path / "fourier.json"
+        path.write_text(json.dumps(
+            {"type": "radial_graph", "basis": "fourier", "coeffs": [[2, 0, 0.2], [3, -1, 0.1]]}
+        ))
+        out = tmp_path / "tilt.json"
+        assert main(["verify", "normal-tilt", "--surface", str(path), "--out", str(out)]) == 0
+        [check] = json.loads(out.read_text())["checks"]
+        notes = dict(n.split("=", 1) for n in check["notes"])
+        assert int(notes["no_crossing"]) + int(notes["normal_mismatch"]) == check["skipped"]
+
     @pytest.mark.parametrize("check", ["normal-tilt", "graph-bounds"])
     def test_cloud_without_gradient_exit_2(self, cloud_spec, check, capsys):
         # a point cloud has no level-function gradient: an input error, no traceback

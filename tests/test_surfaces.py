@@ -947,13 +947,6 @@ class TestPointCloudCurvatureInterface:
         np.testing.assert_allclose(k_b, k_a, rtol=0, atol=1e-12)
 
 
-def _unit_cloud(count: int, seed: int) -> sb.PointCloud:
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((count, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return sb.PointCloud(u, -u, k=20)
-
-
 def _noisy_ellipsoid_cloud(count: int, seed: int) -> sb.PointCloud:
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((count, 3))
@@ -969,49 +962,7 @@ def _ellipse_cloud(count: int, seed: int) -> sb.PointCloud:
     return sb.PointCloud(pts, -pts / np.array([1.0, 0.36]), k=10)
 
 
-def _ray_grid_values(surface, origin, directions, ts):
-    pts = origin[None, None, :] + ts[None, :, None] * directions[:, None, :]
-    return surface.implicit(pts.reshape(-1, surface.dim)).reshape(len(directions), len(ts))
-
-
-def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
-    d = rng.standard_normal((count, dim))
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
 class TestPointCloudRays:
-    # the nearest-sample walk along each ray must reproduce the kd-tree
-    # signed distance at every grid point, bit for bit
-    @pytest.mark.parametrize(
-        "cloud, origin, t_max",
-        [
-            (lambda: _unit_cloud(1500, 0), np.zeros(3), 1.1),
-            (lambda: _noisy_ellipsoid_cloud(3000, 7), np.zeros(3), 1.6),
-            (lambda: _noisy_ellipsoid_cloud(3000, 7), np.array([0.3, -0.25, 0.4]), 2.5),
-            (lambda: _ellipse_cloud(800, 9), np.array([0.05, 0.02]), 1.2),
-        ],
-        ids=["sphere", "noisy-ellipsoid", "off-centre", "ellipse-2d"],
-    )
-    def test_equals_implicit_on_grid(self, cloud, origin, t_max):
-        cloud = cloud()
-        dirs = _unit_rows(np.random.default_rng(1), 200, cloud.dim)
-        ts = np.linspace(t_max / 2048, t_max, 2048)
-        np.testing.assert_array_equal(
-            cloud.implicit_on_rays(origin, dirs, ts), _ray_grid_values(cloud, origin, dirs, ts)
-        )
-
-    @given(seed=st.integers(0, 2**32 - 1), depth=st.floats(0.0, 0.9))
-    @settings(max_examples=30, deadline=None)
-    def test_equals_implicit_from_inside(self, seed, depth):
-        cloud = _parity_surface("cloud")
-        rng = np.random.default_rng(seed)
-        origin = depth * cloud.points[rng.integers(cloud.points.shape[0])]
-        dirs = _unit_rows(rng, 8, 3)
-        ts = np.linspace(2.5 / 512, 2.5, 512)
-        np.testing.assert_array_equal(
-            cloud.implicit_on_rays(origin, dirs, ts), _ray_grid_values(cloud, origin, dirs, ts)
-        )
-
     def test_deadband(self, unit_sphere, sphere_cloud):
         assert unit_sphere.ray_deadband == 0.0
         assert sphere_cloud.ray_deadband == 0.75 * sphere_cloud.spacing

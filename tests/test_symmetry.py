@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import soapbubble as sb
+from soapbubble import symmetry
 from soapbubble.planes import critical_position
 from soapbubble.symmetry import (
     count_ray_hits,
@@ -24,6 +25,14 @@ ELL111_RATIO = 0.1 / ELL111_OSC  # 0.535398...
 @pytest.fixture(scope="module")
 def dumbbell():
     return sb.HarmonicRadial([(2, 0, 1.8)], dim=3)
+
+
+@pytest.fixture(scope="module")
+def dumbbell_frame(dumbbell):
+    """(center, r_i, r_e) of the dumbbell."""
+    O, _ = symmetry_center(dumbbell, sample_budget=3000)
+    r_i, r_e, _, _ = radial_bounds(dumbbell, O, 3000)
+    return O, r_i, r_e
 
 
 class TestCenter:
@@ -144,14 +153,71 @@ class TestRadialMap:
         assert rep.max_radial_dot <= -1.0 + 0.1 / rho + 1e-6
         assert rep.max_radial_dot <= -0.89
 
-    def test_dumbbell_multi_hit(self, dumbbell):
-        O, _ = symmetry_center(dumbbell, sample_budget=3000)
-        r_i, r_e, _, _ = radial_bounds(dumbbell, O, 3000)
+    def test_dumbbell_multi_hit(self, dumbbell, dumbbell_frame):
+        O, r_i, r_e = dumbbell_frame
         rep = radial_map_check(dumbbell, O, r_i, r_e, n_rays=2000, sample_budget=2000)
         assert not rep.ok
         assert not rep.rays_ok
         assert len(rep.multi_hit_directions) > 0
         assert max(rep.hit_counts) >= 3
+
+    @pytest.mark.parametrize(
+        "name, n_rays",
+        [("ell_111", 1000), ("radial_bumpy", 1000), ("sphere_cloud", 50), ("dumbbell", 1000)],
+    )
+    def test_annulus_counts_equal_full_grid(self, name, n_rays, request, monkeypatch):
+        # a ray from the center crosses the surface only in the annulus, so
+        # the grid that starts there counts what the whole (0, t_max] grid does
+        surface = request.getfixturevalue(name)
+        if name == "dumbbell":
+            center, r_i, r_e = request.getfixturevalue("dumbbell_frame")
+        else:
+            center = np.zeros(3)
+            r_i, r_e, _, _ = radial_bounds(surface, center, 1000)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, count_ray_hits(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(symmetry, "count_ray_hits", spy)
+        radial_map_check(surface, center, r_i, r_e, n_rays=n_rays, sample_budget=1000)
+        [((_, origin, dirs), kwargs, counts)] = calls
+        assert kwargs["t_min"] > 0.0
+        full = ray_hits_loop(surface, origin, dirs, kwargs["t_max"], deadband=surface.ray_deadband)
+        np.testing.assert_array_equal(counts, full)
+        if name == "dumbbell":
+            assert counts.max() >= 3
+
+    def test_grid_start_outside_raises(self, unit_sphere):
+        # every ray must start definitely inside at t_min; the error counts
+        # the rays that do not
+        origin = np.array([0.5, 0.0, 0.0])
+        dirs = _ray_dirs(300, 3)
+        ts = np.linspace(2.0 / 2048, 2.0, 2048)
+        first = ts[ts >= 0.8][0]
+        outside = int(np.sum(unit_sphere.implicit(origin + first * dirs) <= 0.0))
+        assert 0 < outside < 300
+        with pytest.raises(ValueError, match=f"^{outside} of 300 rays do not start inside"):
+            count_ray_hits(unit_sphere, origin, dirs, 2.0, t_min=0.8)
+
+    def test_grid_start_outside_reported(self, unit_sphere, monkeypatch):
+        # the same failure in the pipeline: a center 0.5 off and an r_i of
+        # 0.9 start the rays at t_min = 0.805, beyond the near side
+        real_center = symmetry.symmetry_center
+        monkeypatch.setattr(
+            symmetry,
+            "symmetry_center",
+            lambda *a: (np.array([0.5, 0.0, 0.0]), real_center(*a)[1]),
+        )
+        monkeypatch.setattr(
+            symmetry, "radial_bounds", lambda *a: (0.9, 1.5, np.zeros(3), np.ones(3))
+        )
+        rep = stability_ratio(unit_sphere, sample_budget=300, n_rays=300)
+        assert rep.radial_map is None
+        assert rep.metadata["radial_map_error"].endswith(
+            "rays do not start inside the surface at t_min = 0.805"
+        )
 
     def test_point_cloud_dumbbell_multi_hit(self, dumbbell):
         # seen from inside one lobe, rays that leave it can cross the other
@@ -161,7 +227,7 @@ class TestRadialMap:
         origin = np.array([0.0, 0.0, 1.0])
         dirs = np.random.default_rng(0).standard_normal((300, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        counts = count_ray_hits(cloud, origin, dirs, 3.5)
+        counts = count_ray_hits(cloud, origin, dirs, 3.5, t_min=0.0)
         assert counts.max() >= 3
         np.testing.assert_array_equal(
             counts, ray_hits_loop(cloud, origin, dirs, 3.5, deadband=cloud.ray_deadband)
@@ -173,7 +239,7 @@ class TestRadialMap:
         dirs = np.random.default_rng(1).standard_normal((100, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         band = sphere_cloud.ray_deadband
-        counts = count_ray_hits(sphere_cloud, origin, dirs, 2.5)
+        counts = count_ray_hits(sphere_cloud, origin, dirs, 2.5, t_min=0.0)
         np.testing.assert_array_equal(
             counts, ray_hits_loop(sphere_cloud, origin, dirs, 2.5, deadband=band)
         )
@@ -230,7 +296,7 @@ class TestRayBlocks:
     def test_equals_one_block(self, ray_case, n_rays):
         surface, origin, t_max = ray_case
         dirs = _ray_dirs(n_rays, surface.dim)
-        counts = count_ray_hits(surface, origin, dirs, t_max)
+        counts = count_ray_hits(surface, origin, dirs, t_max, t_min=0.0)
         np.testing.assert_array_equal(counts, ray_hits_one_block(surface, origin, dirs, t_max))
         assert counts.min() >= 1
 
@@ -240,7 +306,7 @@ class TestRayBlocks:
         dirs = _ray_dirs(3, surface.dim)
         res = 2**15 + 37
         np.testing.assert_array_equal(
-            count_ray_hits(surface, origin, dirs, t_max, resolution=res),
+            count_ray_hits(surface, origin, dirs, t_max, resolution=res, t_min=0.0),
             ray_hits_one_block(surface, origin, dirs, t_max, resolution=res),
         )
 
@@ -248,7 +314,7 @@ class TestRayBlocks:
         dirs = _ray_dirs(1000, 3)
         tracemalloc.start()
         try:
-            count_ray_hits(sphere_cloud, np.zeros(3), dirs, 2.5)
+            count_ray_hits(sphere_cloud, np.zeros(3), dirs, 2.5, t_min=0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
