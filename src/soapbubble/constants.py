@@ -34,6 +34,12 @@ def default_delta(n: int, rho: float) -> float:
     return min(rho / 2.0**6, rho / (8.0 * math.sqrt(n)))
 
 
+def length_budget(n: int, area: float, delta: float) -> float:
+    """Length budget L = area 2^n / (omega_n delta^n) of piecewise-geodesic
+    chains with mesh size delta."""
+    return area * 2.0**n / (unit_ball_volume(n) * delta**n)
+
+
 @dataclass(frozen=True)
 class ConstantsReport:
     n: int
@@ -163,7 +169,7 @@ def compute_constants(
     omega_n = unit_ball_volume(n)
     if delta is None:
         delta = default_delta(n, rho)
-    big_l = area * 2.0**n / (omega_n * delta**n)
+    big_l = length_budget(n, area, delta)
     r0 = rho * math.sin(delta / (2.0 * rho))
     eps0 = min(0.5, rho / (16.0 * big_l) * math.sin(delta / (2.0 * rho)))
 

@@ -26,17 +26,12 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
-def tangent_frame(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to `normal`.
-
-    Returns an (d-1, d) array of row vectors where d = len(normal).
-    Built from a Householder reflection, so the result is deterministic.
-    Rows of normals (m, d) give (m, d-1, d) frames; one normal is the
-    one-row case.
+def tangent_frame(normals: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the hyperplanes orthogonal to the rows of
+    `normals` (m, d): (m, d-1, d) frames of row vectors, each built from a
+    Householder reflection, so the result is deterministic.
     """
-    w = np.asarray(normal, dtype=float)
-    if w.ndim == 1:
-        return tangent_frame(w[None])[0]
+    w = np.asarray(normals, dtype=float)
     # row norms rounded as the one-vector `np.linalg.norm` rounds them
     norms = np.sqrt(row_dots(w, w))
     if not np.all(np.isfinite(norms) & (norms > 0.0)):

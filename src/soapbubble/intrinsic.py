@@ -17,9 +17,9 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .constants import compute_constants
+from .constants import compute_constants, length_budget
 from .geometry import resample_polyline, row_dots
-from .surfaces import Surface, SurfaceError, touching_radius
+from .surfaces import Surface, SurfaceError
 
 logger = logging.getLogger(__name__)
 
@@ -164,9 +164,7 @@ def piecewise_geodesic_chain(graph: GeodesicGraph, p: int, q: int, delta: float)
     if delta <= 0:
         raise ValueError("delta must be positive")
     area = graph.surface.area_estimate()[0]
-    n = graph.surface.n
-    ledger = compute_constants(n, max(touching_radius(graph.surface), delta), area, delta=delta)
-    budget = ledger.big_l
+    budget = length_budget(graph.surface.n, area, delta)
 
     if p == q:
         pt = graph.points[p][None, :].copy()

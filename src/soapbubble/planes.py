@@ -178,7 +178,7 @@ def critical_position(
     if p0 is not None and not degenerate:
         if float(p0 @ omega) - m <= 2.0 * spacing:
             case = BOUNDARY_ORTHOGONALITY
-            nus, _ = surface.curvatures_batch(surface.project(check.witness_reflected)[None])
+            nus, _ = surface.curvatures_batch(surface.project(check.witness_reflected[None]))
             alignment = abs(float(nus[0] @ omega))
     return CriticalPlane(
         direction=omega,

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import reduce
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy.spatial import cKDTree
 from scipy.special import elliprg
 
@@ -68,25 +69,6 @@ class OscReport:
         }
 
 
-def rows_kernel(kernel):
-    """Let a surface kernel written for (m, d) rows also take one (d,) point.
-
-    The point runs as a one-row batch and gets that row back (a float where
-    the row is a scalar), so a one-point call and the matching row of a
-    batched call agree bit for bit.
-    """
-
-    @wraps(kernel)
-    def method(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 1:
-            return kernel(self, pts)
-        row = kernel(self, pts[None])[0]
-        return float(row) if row.ndim == 0 else row
-
-    return method
-
-
 _NEWTON_TOL = 1e-12  # residual at which a row stops; phi's counts relative to the size
 _NEWTON_MAX_ITER = 80
 
@@ -121,10 +103,8 @@ class Surface:
     sampling. Everything is read-only after construction; what `_memo`
     keeps depends only on its key.
 
-    `jet` takes (m, d) rows. The point kernels (`implicit`, `project`,
-    `signed_distance`) are written for rows too and wrapped in
-    `rows_kernel`, so each also takes a single (d,) point and returns its
-    row.
+    Every kernel (`jet`, `implicit`, `project`, `signed_distance`,
+    `curvatures_batch`) takes (m, d) rows and returns one result per row.
     """
 
     dim: int  # ambient dimension n+1
@@ -145,7 +125,6 @@ class Surface:
         rows of P (m, d), computing only the orders asked for."""
         raise self._lacks("jet")
 
-    @rows_kernel
     def implicit(self, P: np.ndarray) -> np.ndarray:
         return self.jet(P, 0)[0]
 
@@ -158,10 +137,9 @@ class Surface:
     # --- projection / distance ---
 
     def project(self, pts: np.ndarray) -> np.ndarray:
-        """Nearest point(s) on the surface."""
+        """Nearest points on the surface, one per row."""
         raise self._lacks("project")
 
-    @rows_kernel
     def signed_distance(self, P: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(P - self.project(P), axis=1)
         return np.where(self.implicit(P) >= 0.0, d, -d)
@@ -318,7 +296,7 @@ class Surface:
     def curvatures_batch(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(m, d) surface points -> inner normals (m, d), ascending principal
         curvatures (m, n)."""
-        P = np.atleast_2d(np.asarray(pts, dtype=float))
+        P = np.asarray(pts, dtype=float)
         _, g, hess = self.jet(P, 2)
         gn = np.linalg.norm(g, axis=1)
         nus = g / gn[:, None]
@@ -353,7 +331,6 @@ class Sphere(Surface):
             out.append(-(eye[None] - uhat[:, :, None] * uhat[:, None, :]) / r[:, None, None])
         return out
 
-    @rows_kernel
     def project(self, P):
         u = P - self.center
         r = np.linalg.norm(u, axis=1, keepdims=True)
@@ -382,7 +359,7 @@ class Sphere(Surface):
         return self.radius
 
     def curvatures_batch(self, pts):
-        P = np.atleast_2d(np.asarray(pts, dtype=float))
+        P = np.asarray(pts, dtype=float)
         nus = self.center - P
         nus /= np.linalg.norm(nus, axis=1, keepdims=True)
         k = np.full((P.shape[0], self.n), 1.0 / self.radius)
@@ -408,7 +385,6 @@ class Ellipsoid(Surface):
             out.append(np.broadcast_to(hess, (P.shape[0], self.dim, self.dim)).copy())
         return out
 
-    @rows_kernel
     def project(self, P):
         return _ellipsoid_nearest(P, self.semi_axes)
 
@@ -504,8 +480,10 @@ class HarmonicRadial(Surface):
     scale. On unit vectors r = Re sum_k (u_0 + i*u_1)^k Q_k(u_2): in R^3
     Q_k gathers coeff * N_lm * (-1)^k * d^k P_l/dz^k over the terms with
     |m| = k, in R^2 it is the coeff with l = k, each times -i for m < 0
-    (Im z = Re(-i*z)). So phi = r(x/|x|) - |x| and its first two derivatives
-    are exact, by the chain rule through u = x/|x|.
+    (Im z = Re(-i*z)). Each Q_k is kept and evaluated as a Legendre series,
+    which stays accurate at high l where its expansion in powers of z
+    cancels. So phi = r(x/|x|) - |x| and its first two derivatives are
+    exact, by the chain rule through u = x/|x|.
     """
 
     def __init__(self, coeffs, base_radius: float = 1.0, dim: int = 3):
@@ -530,18 +508,19 @@ class HarmonicRadial(Surface):
             if dim == 3:
                 if abs(m) > l:
                     raise ValueError("|m| must not exceed l")
-                k, leg = abs(m), np.polynomial.legendre
+                k = abs(m)
                 norm = (2 * l + 1) / ((2 if k else 4) * math.pi * math.perm(l + k, 2 * k))
-                q = (-1) ** k * math.sqrt(norm) * leg.leg2poly(leg.legder([0] * l + [1], k))
+                q = (-1) ** k * math.sqrt(norm) * legendre.legder([0] * l + [1], k)
             terms.append((k, (v if m >= 0 else -1j * v) * q))
-        # table[k, j] is the coefficient of w^k z^j
+        # table[k, j] is the coefficient of w^k P_j(z)
         table = np.zeros((max(k for k, _ in terms) + 1, max(q.size for _, q in terms)), complex)
         for k, q in terms:
             table[k, : q.size] += q
-        der = np.polynomial.polynomial.polyder
         # the tables of d^a/dw^a d^b/dz^b for a + b <= 2
         self._tables = {
-            (a, b): der(der(table, a, axis=0), b, axis=1) for a in range(3) for b in range(3 - a)
+            (a, b): legendre.legder(np.polynomial.polynomial.polyder(table, a, axis=0), b, axis=1)
+            for a in range(3)
+            for b in range(3 - a)
         }
 
         self._r_min, self._r_max = self._radial_range()
@@ -556,9 +535,8 @@ class HarmonicRadial(Surface):
         return float(r.min()), float(r.max())
 
     def _series(self, u: np.ndarray):
-        """Re sum table[k, j] w^k z^j at the unit rows u as a function of the
-        table, in real arithmetic with w^k built one power at a time."""
-        polyval = np.polynomial.polynomial.polyval
+        """Re sum table[k, j] w^k P_j(z) at the unit rows u as a function of
+        the table, in real arithmetic with w^k built one power at a time."""
         z = u[:, 2] if self.dim == 3 else 0.0
         powers = [(1.0, 0.0), (u[:, 0], u[:, 1])]  # (Re w^k, Im w^k)
         while len(powers) < len(self._tables[0, 0]):
@@ -569,15 +547,15 @@ class HarmonicRadial(Surface):
             out = np.zeros(len(u))
             for (c, s), q in zip(powers, table):
                 if q.real.any():
-                    out = out + c * polyval(z, q.real)
+                    out = out + c * legendre.legval(z, q.real)
                 if q.imag.any():
-                    out = out - s * polyval(z, q.imag)
+                    out = out - s * legendre.legval(z, q.imag)
             return out
 
         return real_part
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
-        return self._series(np.atleast_2d(np.asarray(dirs, dtype=float)))(self._tables[0, 0])
+        return self._series(np.asarray(dirs, dtype=float))(self._tables[0, 0])
 
     def jet(self, P, order):
         t, d = self._tables, self.dim
@@ -609,7 +587,6 @@ class HarmonicRadial(Surface):
                 out.append(curv / (rho**2)[:, None, None] - proj / rho[:, None, None])
         return out
 
-    @rows_kernel
     def project(self, P):
         """Nearest points: one `stationary` solve with alpha = 1, beta = -P
         from the nearest dense sample. A row that does not converge raises
@@ -652,7 +629,7 @@ class HarmonicRadial(Surface):
             gs = self.jet(u, 1)[1] + u  # grad(rtilde) = grad(phi) + grad(rho)
             integrand = np.sqrt(r**2 + np.sum(gs**2, axis=1))
             return float(integrand.mean() * 2.0 * math.pi)
-        xg, wg = np.polynomial.legendre.leggauss(res)
+        xg, wg = legendre.leggauss(res)
         th = np.arccos(xg)
         ph = np.linspace(0.0, 2.0 * math.pi, 2 * res, endpoint=False)
         TH, PH = np.meshgrid(th, ph, indexing="ij")
@@ -727,7 +704,6 @@ class PointCloud(Surface):
             raise self._lacks("the level-function gradient (jet order >= 1)")
         return [self.signed_distance(P)]
 
-    @rows_kernel
     def signed_distance(self, P):
         _, idx = self.tree.query(P)
         diff = P - self.points[idx]
@@ -741,7 +717,6 @@ class PointCloud(Surface):
         sample spacing near the surface; inside 0.75 spacing it decides no side."""
         return 0.75 * self.spacing
 
-    @rows_kernel
     def project(self, P):
         _, idx = self.tree.query(P)
         return self.points[idx]
@@ -770,7 +745,7 @@ class PointCloud(Surface):
         curvatures, each from a quadric height graph h = c + b.x + x.Qx/2
         over the tangent plane, fitted by least squares to the sample's k
         nearest neighbors; all fits form one stacked solve."""
-        _, idx = self.tree.query(np.atleast_2d(np.asarray(pts, dtype=float)))
+        _, idx = self.tree.query(np.asarray(pts, dtype=float))
         n = self.n
         I, J = np.triu_indices(n)
         terms = 1 + n + I.size

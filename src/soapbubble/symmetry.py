@@ -213,7 +213,7 @@ def radial_map_check(
     nearest points form an almost degenerate ring.
     """
     center = np.asarray(center, dtype=float)
-    if float(surface.implicit(center)) <= 0.0:
+    if float(surface.implicit(center[None])[0]) <= 0.0:
         raise ValueError("center must lie strictly inside the enclosed domain")
     if rho is None:
         rho = touching_radius(surface, sample_budget, seed)

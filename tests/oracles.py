@@ -294,7 +294,7 @@ def cloud_area_loop(cloud) -> float:
     _, idx = cloud.tree.query(pts, k=kk)
     total = 0.0
     for i in range(pts.shape[0]):
-        frame = tangent_frame(normals[i])
+        frame = tangent_frame(normals[i : i + 1])[0]
         if cloud.dim == 2:
             t = (pts[idx[i, 1:]] - pts[i]) @ frame[0]
             left, right = t[t < 0], t[t > 0]
@@ -322,7 +322,7 @@ def quadric_fit_loop(cloud, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for index in nearest:
         _, idx = cloud.tree.query(cloud.points[index], k=cloud.k + 1)
         nu = cloud.normals[index]
-        frame = tangent_frame(nu)
+        frame = tangent_frame(nu[None])[0]
         offs = cloud.points[idx[1:]] - cloud.points[index]
         x = offs @ frame.T  # (k, n)
         h = offs @ nu

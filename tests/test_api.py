@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -49,3 +51,15 @@ def test_no_path_loads_sympy(tmp_path):
     specs = [str(tmp_path / f"{name}.json") for name in ("ell", "cloud", "harmonic", "fourier")]
     done = subprocess.run([sys.executable, "-c", script, *specs], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_readme_library_sketch_runs():
+    # README's python block runs as written and prints the values its
+    # comment states
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    ratio, gap, osc = (float(v) for v in out.getvalue().splitlines()[0].split())
+    assert (round(ratio, 4), round(gap, 4), round(osc, 5)) == (0.5354, 0.1, 0.18678)

@@ -8,6 +8,7 @@ from soapbubble.constants import (
     check_smallness,
     compute_constants,
     default_delta,
+    length_budget,
     unit_ball_volume,
 )
 
@@ -85,6 +86,13 @@ class TestLedgerValues:
         assert unit_ball_volume(1) == pytest.approx(2.0)
         assert unit_ball_volume(2) == pytest.approx(math.pi)
         assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
+
+    def test_length_budget_is_the_ledger_l(self):
+        # the chain reads L alone; it must be the ledger's float, bit for bit
+        for n, rho, area, delta in ((1, 0.7, 6.1, None), (2, 1.0, 4 * math.pi, 0.5),
+                                    (2, 2.3, 17.9, 0.011), (3, 1.0, 10.0, 0.2)):
+            rep = compute_constants(n, rho, area, delta=delta)
+            assert length_budget(n, area, rep.delta) == rep.big_l
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -216,6 +216,22 @@ class TestChains:
             np.testing.assert_allclose(ch.arc_lengths.sum(), ch.total_length, atol=1e-9)
 
 
+    def test_budget_reads_no_touching_radius(self, monkeypatch):
+        # the length budget depends on the area and delta alone, so a chain
+        # on a fresh surface does not run the touching-radius pair screen
+        def fail(*args, **kwargs):
+            raise AssertionError("the chain estimated the touching radius")
+
+        monkeypatch.setattr(sb.surfaces, "estimate_touching_radius", fail)
+        monkeypatch.setattr(sb.surfaces, "touching_radius", fail)
+        sphere = sb.Sphere(np.zeros(3), 1.0)
+        graph = build_geodesic_graph(sphere, 500, k=16, seed=0)
+        i, j = poles(graph)
+        ch = piecewise_geodesic_chain(graph, i, j, 0.5)
+        area = sphere.area_estimate()[0]
+        assert ch.length_budget == compute_constants(2, 1.0, area, delta=0.5).big_l
+        assert ch.bound_ok
+
     def test_bound_violation_logged(self, sphere_graph, monkeypatch, caplog):
         # an area far too small shrinks the length budget below any chain
         monkeypatch.setattr(sphere_graph.surface, "area_estimate", lambda: (1e-2, 0.0))

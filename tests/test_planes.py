@@ -388,7 +388,7 @@ class TestEmbeddedness:
                 return [-a for a in super().jet(P, order)]
 
         surface = InsideOut(np.zeros(dim), 1.0)
-        assert surface.signed_distance(np.zeros(dim)) == -1.0
+        assert surface.signed_distance(np.zeros((1, dim)))[0] == -1.0
         with pytest.raises(EmbeddednessError):
             critical_position(surface, np.eye(dim)[-1])
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_legendre
 
 import soapbubble as sb
 from soapbubble.geometry import tangent_frame
@@ -51,7 +52,7 @@ class TestEvaluateSample:
     def test_ellipsoid_pole_matches_symbolic(self, ell_111):
         p = ell_111.project(np.array([[0.0, 0.0, 1.3]]))
         _, kappas = ell_111.curvatures_batch(p)
-        assert abs(ell_111.signed_distance(p[0])) < 1e-9
+        assert abs(ell_111.signed_distance(p)[0]) < 1e-9
         assert kappas[0].mean() == pytest.approx(ELL111_H_POLE, abs=1e-9)
         assert ellipsoid_mean_curvature(1, 1, 1.1, 1e-7, 0.0) == pytest.approx(1.1, abs=1e-5)
 
@@ -76,7 +77,7 @@ class TestEvaluateSample:
         P = surface.project(rng.standard_normal((10, 3)))
         nus, kappas = surface.curvatures_batch(P)
         for p, nu, k in zip(P, nus, kappas):
-            frame = tangent_frame(nu)
+            frame = tangent_frame(nu[None])[0]
             nup, _ = surface.curvatures_batch(surface.project(p + h * frame))
             num, _ = surface.curvatures_batch(surface.project(p - h * frame))
             trace = float(np.einsum("id,id->", nup - num, frame)) / (2 * h)
@@ -123,7 +124,7 @@ class TestOscillation:
         assert rep.min_h == pytest.approx(min(ends), rel=1e-14, abs=0.0)
         assert rep.max_h == pytest.approx(max(ends), rel=1e-14, abs=0.0)
         for p in (rep.argmin, rep.argmax):
-            assert abs(s.implicit(p)) <= 1e-10 * s.bounding_radius()
+            assert abs(s.implicit(p[None])[0]) <= 1e-10 * s.bounding_radius()
         # every row, ring rows included, stops within the objective's accuracy
         pts = s.probe_points(4000, 0)
         order = np.argsort(s.curvatures_batch(pts)[1].mean(axis=1))
@@ -150,7 +151,7 @@ class TestOscillation:
         assert rep.min_h <= min_h + 1e-12 * abs(min_h)
         assert rep.max_h >= max_h - 1e-12 * abs(max_h)
         for p in (rep.argmin, rep.argmax):
-            assert abs(s.implicit(p)) <= 1e-10 * s.bounding_radius()
+            assert abs(s.implicit(p[None])[0]) <= 1e-10 * s.bounding_radius()
 
     def test_row_keeps_sample_unless_converged_and_improved(self, ell_111, monkeypatch):
         pts = ell_111.probe_points(500, 0)
@@ -186,18 +187,20 @@ class TestSignedDistance:
         # phi at the centre computes no gradient, so it does not divide by 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert unit_sphere.signed_distance([0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
-        assert unit_sphere.signed_distance([3.0, 0.0, 0.0]) == pytest.approx(-2.0, abs=1e-14)
+            d = unit_sphere.signed_distance(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+        assert d[0] == pytest.approx(1.0, abs=1e-14)
+        assert d[1] == pytest.approx(-2.0, abs=1e-14)
 
     def test_ellipsoid_above_pole(self, ell_111):
-        assert ell_111.signed_distance([0.0, 0.0, 1.2]) == pytest.approx(-0.1, abs=1e-10)
+        d = ell_111.signed_distance(np.array([[0.0, 0.0, 1.2]]))
+        assert d[0] == pytest.approx(-0.1, abs=1e-10)
 
     def test_ellipsoid_matches_dense_projection_search(self, ell_111):
         dense = ellipsoid_dense_points([1, 1, 1.1], res=900)
         rng = np.random.default_rng(4)
         for xi in rng.uniform(-1.6, 1.6, size=(6, 3)):
             brute = dense_projection_distance(dense, xi)
-            assert abs(ell_111.signed_distance(xi)) == pytest.approx(brute, abs=5e-3)
+            assert abs(ell_111.signed_distance(xi[None])[0]) == pytest.approx(brute, abs=5e-3)
 
     @pytest.mark.parametrize("surface_name", ["unit_sphere", "ell_111", "radial_bumpy"])
     def test_one_lipschitz(self, surface_name, request):
@@ -219,7 +222,7 @@ class TestSignedDistance:
         s = sb.Sphere([cx, cy, 0.1], r)
         xi = np.array([px, py, -0.4])
         expect = r - np.linalg.norm(xi - s.center)
-        assert s.signed_distance(xi) == pytest.approx(expect, abs=1e-12)
+        assert s.signed_distance(xi[None])[0] == pytest.approx(expect, abs=1e-12)
 
 
 class TestHarmonicRadial:
@@ -228,13 +231,13 @@ class TestHarmonicRadial:
         P = np.array([[0.3, -0.1, 0.2], [0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [1.2, 0.4, -0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            at_origin = surf.implicit(np.zeros(3))
+            at_origin = surf.implicit(np.zeros((1, 3)))[0]
             rows = surf.implicit(P)
         assert np.isfinite(at_origin) and at_origin > 0.0
         assert rows[1] == at_origin
         keep = [0, 2, 3]
         np.testing.assert_array_equal(rows[keep], surf.implicit(P[keep]))
-        assert surf.signed_distance(np.zeros(3)) > 0.0
+        assert surf.signed_distance(np.zeros((1, 3)))[0] > 0.0
         # on the x_0 axis so near the origin that |x|^2 underflows, the level
         # is r(e_0) - |x| = r(e_0) in floating point
         for dim, xs in ((3, [1e-300, 1e-160, 1e-120]), (2, [1e-160])):
@@ -244,12 +247,12 @@ class TestHarmonicRadial:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 rows = surf.implicit(P)
-            np.testing.assert_array_equal(rows, surf.radial(np.eye(dim)[0])[0])
+            np.testing.assert_array_equal(rows, surf.radial(np.eye(dim)[:1])[0])
 
     def test_radial_matches_sympy_basis(self):
         # every basis function with l <= 8, each m in R^3 and both parities
-        # in R^2, against its sympy polynomial; the monomial form of P_8 has
-        # coefficients up to 50, so both sides round to a few 1e-14
+        # in R^2, against its sympy polynomial; the oracle's monomial form of
+        # P_8 has coefficients up to 50, so it rounds to a few 1e-14
         rng = np.random.default_rng(4)
         for dim, orders in ((3, lambda l: range(-l, l + 1)), (2, lambda l: (0, -1) if l else (0,))):
             u = rng.standard_normal((200, dim))
@@ -259,6 +262,17 @@ class TestHarmonicRadial:
                     basis = harmonic_basis(l, m, dim)(u)
                     radial = sb.HarmonicRadial([(l, m, 1.0)], base_radius=3.0, dim=dim).radial(u)
                     assert np.abs(radial - (3.0 + basis)).max() <= 1e-13 * np.abs(basis).max()
+
+    @pytest.mark.parametrize("l", [20, 40, 50, 80])
+    def test_high_degree_zonal_matches_eval_legendre(self, l):
+        # Q_0 is a Legendre series: in powers of z it cancels catastrophically,
+        # 2e-4 off at l = 40, and at l = 50 it rejected this surface, whose
+        # radius stays within 1 +- 0.04, as reaching -1.692
+        u = np.random.default_rng(6).standard_normal((1000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        surf = sb.HarmonicRadial([(l, 0, 0.01)])
+        exact = 1.0 + 0.01 * math.sqrt((2 * l + 1) / (4 * math.pi)) * eval_legendre(l, u[:, 2])
+        assert np.abs(surf.radial(u) - exact).max() <= 1e-13
 
     def test_degree0_sine_term_rejected(self):
         # README: m < 0 means sin(l theta), and sin(0 theta) = 0
@@ -423,11 +437,11 @@ class TestEllipsoidProjection:
         # t itself loses it to cancellation and lands off the surface
         ell = sb.Ellipsoid(axes)
         xi = np.array(xi)
-        q = ell.project(xi)
-        assert abs(ell.implicit(q)) <= 1e-12
+        q = ell.project(xi[None])[0]
+        assert abs(ell.implicit(q[None])[0]) <= 1e-12
         zeroed = xi.copy()
         zeroed[0] = 0.0
-        dist, dist0 = np.linalg.norm(xi - q), np.linalg.norm(zeroed - ell.project(zeroed))
+        dist, dist0 = np.linalg.norm(xi - q), np.linalg.norm(zeroed - ell.project(zeroed[None])[0])
         assert abs(dist - dist0) <= 1e-12
 
     @given(case=ellipsoid_and_points())
@@ -449,7 +463,7 @@ class TestEllipsoidProjection:
         brute = np.linalg.norm(P[:, None, :] - dense[None], axis=2).min(axis=1)
         assert np.all(np.linalg.norm(v, axis=1) <= brute + 1e-12)
         for i in range(P.shape[0]):
-            np.testing.assert_array_equal(ell.project(P[i]), Q[i])
+            np.testing.assert_array_equal(ell.project(P[i : i + 1])[0], Q[i])
 
 
 def _sphere_cloud_1500() -> sb.PointCloud:
@@ -655,7 +669,7 @@ class TestLocalGraph:
     def _base(surface, seed):
         p = surface.project(np.array([seed], dtype=float))
         nus, _ = surface.curvatures_batch(p)
-        return p, nus, tangent_frame(nus[0])
+        return p, nus, tangent_frame(nus)[0]
 
     def test_sphere_bottom_patch(self, unit_sphere):
         p, nu, frame = self._base(unit_sphere, [0.0, 0.0, -2.0])
@@ -805,8 +819,9 @@ class TestPointCloud:
         assert kappas[0].mean() == pytest.approx(1.0, rel=0.02)
 
     def test_sphere_cloud_signed_distance(self, sphere_cloud):
-        assert sphere_cloud.signed_distance([0, 0, 0]) == pytest.approx(1.0, abs=0.01)
-        assert sphere_cloud.signed_distance([1.5, 0, 0]) == pytest.approx(-0.5, abs=0.01)
+        d = sphere_cloud.signed_distance(np.array([[0.0, 0, 0], [1.5, 0, 0]]))
+        assert d[0] == pytest.approx(1.0, abs=0.01)
+        assert d[1] == pytest.approx(-0.5, abs=0.01)
 
     def test_sphere_cloud_area_and_rho(self, sphere_cloud):
         assert sphere_cloud.area_estimate()[0] == pytest.approx(4 * math.pi, rel=0.01)
@@ -1032,21 +1047,21 @@ class TestOnePointParity:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12))
     @settings(max_examples=25, deadline=None)
     def test_one_point_equals_its_row(self, name, seed, m):
-        # a single (d,) point gives exactly the matching row of the batch
+        # a one-row batch P[i:i+1] gives exactly row i of the batch P
         surface = _parity_surface(name)
         rng = np.random.default_rng(seed)
         centre = getattr(surface, "center", np.zeros(surface.dim))
         P = centre + rng.uniform(0.8, 1.25, (m, 1)) * (surface.sample_points(m, rng) - centre)
         for kernel in ["implicit", "project", "signed_distance"]:
             rows = getattr(surface, kernel)(P)
-            for p, row in zip(P, rows):
-                np.testing.assert_array_equal(getattr(surface, kernel)(p), row)
+            for i in range(m):
+                np.testing.assert_array_equal(getattr(surface, kernel)(P[i : i + 1])[0], rows[i])
         Q = surface.project(P)
         nus, kappas = surface.curvatures_batch(Q)
-        for q, nu, k in zip(Q, nus, kappas):
-            nu1, k1 = surface.curvatures_batch(q[None])
-            np.testing.assert_array_equal(nu1[0], nu)
-            np.testing.assert_array_equal(k1[0], k)
+        for i in range(m):
+            nu1, k1 = surface.curvatures_batch(Q[i : i + 1])
+            np.testing.assert_array_equal(nu1[0], nus[i])
+            np.testing.assert_array_equal(k1[0], kappas[i])
 
     @given(
         d=st.integers(2, 4),
@@ -1059,11 +1074,12 @@ class TestOnePointParity:
         W = scale * np.random.default_rng(seed).standard_normal((5, d))
         if last is not None:
             W[:, -1] = last
-        for w, frame in zip(W, tangent_frame(W)):
-            one = tangent_frame(w)
-            np.testing.assert_array_equal(one, frame)
-            np.testing.assert_array_equal(np.signbit(one), np.signbit(frame))
-        for bad in (np.zeros(d), np.full(d, np.nan)):
+        frames = tangent_frame(W)
+        for i in range(len(W)):
+            one = tangent_frame(W[i : i + 1])[0]
+            np.testing.assert_array_equal(one, frames[i])
+            np.testing.assert_array_equal(np.signbit(one), np.signbit(frames[i]))
+        for bad in (np.zeros((1, d)), np.full((1, d), np.nan)):
             with pytest.raises(ValueError):
                 tangent_frame(bad)
 

@@ -90,7 +90,7 @@ class TestRadialBounds:
             nu = g / np.linalg.norm(g)
             assert np.linalg.norm(u - (u @ nu) * nu) <= 1e-9
         if surface_name == "ell_112":
-            assert r_i == pytest.approx(np.linalg.norm(c - surface.project(c)), abs=1e-12)
+            assert r_i == pytest.approx(np.linalg.norm(c - surface.project(c[None])[0]), abs=1e-12)
 
 
 class TestPlaneDistance:
@@ -282,17 +282,27 @@ def _ray_dirs(count: int, dim: int, seed: int = 3) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+_RAY_CASES = ["sphere_cloud", "ell_111", "radial_bumpy", "circle_cloud"]
+
+
 class TestRayBlocks:
     # rays go through count_ray_hits in blocks of a fixed number of grid
-    # points; the counts must equal those of one block holding every ray
-    @pytest.fixture(params=["sphere_cloud", "ell_111", "radial_bumpy", "circle_cloud"])
+    # points (16 rays of the 2048-point grid); the counts must equal those of
+    # one block holding every ray
+    @pytest.fixture
     def ray_case(self, request):
         if request.param == "circle_cloud":
             return _circle_cloud(600, 5), np.array([0.1, -0.05]), 2.0
         surface = request.getfixturevalue(request.param)
         return surface, np.array([0.02, -0.03, 0.05]), 2.5
 
-    @pytest.mark.parametrize("n_rays", [1, 17, 1000])
+    # each kd-tree query from deep inside a cloud is slow, so the clouds take
+    # 40 rays: still three blocks
+    @pytest.mark.parametrize(
+        "ray_case, n_rays",
+        [(c, n) for c in _RAY_CASES for n in (1, 17, 40 if c.endswith("cloud") else 1000)],
+        indirect=["ray_case"],
+    )
     def test_equals_one_block(self, ray_case, n_rays):
         surface, origin, t_max = ray_case
         dirs = _ray_dirs(n_rays, surface.dim)
@@ -300,6 +310,7 @@ class TestRayBlocks:
         np.testing.assert_array_equal(counts, ray_hits_one_block(surface, origin, dirs, t_max))
         assert counts.min() >= 1
 
+    @pytest.mark.parametrize("ray_case", _RAY_CASES, indirect=True)
     def test_resolution_above_budget(self, ray_case):
         # a grid longer than the block budget still runs one ray at a time
         surface, origin, t_max = ray_case
@@ -310,11 +321,12 @@ class TestRayBlocks:
             ray_hits_one_block(surface, origin, dirs, t_max, resolution=res),
         )
 
-    def test_memory_peak(self, sphere_cloud):
+    def test_memory_peak(self, ell_111):
+        # one block of all 1000 rays would take about 140 MB
         dirs = _ray_dirs(1000, 3)
         tracemalloc.start()
         try:
-            count_ray_hits(sphere_cloud, np.zeros(3), dirs, 2.5, t_min=0.0)
+            count_ray_hits(ell_111, np.zeros(3), dirs, 2.5, t_min=0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
