@@ -163,6 +163,8 @@ def cmd_sweep_ellipsoid(args) -> int:
         raise SpecError("need 0 < t-min <= t-max")
     if args.steps < 1:
         raise SpecError("need at least one sweep step")
+    if args.samples < 100:
+        raise SpecError(f"--samples must be at least 100, got {args.samples}")
     ts = (
         np.array([args.t_min])
         if args.steps == 1 or args.t_min == args.t_max

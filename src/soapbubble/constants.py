@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 _LOG10_MAX = 308.0
 
@@ -70,7 +71,7 @@ class ConstantsReport:
     log10_eps2: float
     log10_eps3: float
     saturated: bool
-    gradient_bound_m: float = field(default=1.0 / math.sqrt(3.0))
+    gradient_bound_m: ClassVar[float] = 1.0 / math.sqrt(3.0)
 
     def to_dict(self) -> dict:
         return {

@@ -43,11 +43,8 @@ class GeodesicGraph:
     def node_count(self) -> int:
         return self.points.shape[0]
 
-    def distances_from(self, sources, targets=None) -> np.ndarray:
-        d = dijkstra(self.adjacency, directed=False, indices=sources)
-        if targets is None:
-            return d
-        return d[..., targets]
+    def distances_from(self, sources) -> np.ndarray:
+        return dijkstra(self.adjacency, directed=False, indices=sources)
 
     def shortest_path(self, i: int, j: int) -> list[int]:
         d, pred = dijkstra(self.adjacency, directed=False, indices=i, return_predecessors=True)

@@ -40,6 +40,7 @@ _TRANSVERSALITY_MARGIN = 0.05  # a slice with |nu . omega| > 1 - this is tangent
 _NORMAL_CHANGE_PROBES = 12  # source-patch points per normal-change trial
 _TILT_TRIALS_CAP = 10000  # band nodes a normal-tilt check takes at most
 _TILT_MATCH_TOL = 1e-6  # excess of |nu_q - nu_hat| over alpha a tilt match allows
+_EPS_RANGE = (0.02, 0.6)  # range of the tilt |ell - nu_p| a normal-change trial draws from
 
 
 @dataclass
@@ -105,7 +106,6 @@ def verify_graph_bounds(
     trials: int = 10000,
     seed: int = 0,
     rho: float | None = None,
-    tol: float = ANALYTIC_TOL,
 ) -> LemmaVerdict:
     """Height, gradient and normal-alignment bounds of tangent graphs over
     the touching-ball scale: |u| <= rho - sqrt(rho^2-|x|^2),
@@ -160,7 +160,7 @@ def verify_graph_bounds(
             ],
         }
 
-    return _tally("graph-bounds", margins, tol, witness, skipped,
+    return _tally("graph-bounds", margins, ANALYTIC_TOL, witness, skipped,
                   notes=[f"rho={rho:.6g}"])
 
 
@@ -173,14 +173,13 @@ def verify_distance_bounds(
     graph: GeodesicGraph,
     trials: int = 10000,
     seed: int = 0,
-    tol: float = ANALYTIC_TOL,
 ) -> LemmaVerdict:
     """Chord lower bound and arcsin upper envelope of intrinsic distances
     within a touching-ball patch, with graph-resolution slack on the upper
     side."""
     rng = np.random.default_rng(seed)
     rho = touching_radius(surface)
-    n_sources = max(8, min(128, trials // 64))
+    n_sources = min(max(8, min(128, trials // 64)), graph.node_count)
     sources = rng.choice(graph.node_count, size=n_sources, replace=False)
     dmat = graph.distances_from(sources)
     slack = 2.0 * graph.mean_edge
@@ -210,7 +209,7 @@ def verify_distance_bounds(
     notes = [f"slack={slack:.4g}", f"rho={rho:.6g}"]
     if low_res:
         notes.append("low-resolution graph: slack dominates the envelope")
-    return _tally("distance-bounds", margins, tol, skipped=0, notes=notes)
+    return _tally("distance-bounds", margins, ANALYTIC_TOL, skipped=0, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +387,13 @@ def verify_normal_change(
     surface: Surface,
     trials: int = 10000,
     seed: int = 0,
-    eps_range: tuple[float, float] = (0.02, 0.6),
-    tol: float = ANALYTIC_TOL,
 ) -> LemmaVerdict:
     """Re-graphing bound: a tangent patch of radius r, re-expressed as
-    heights along a tilted direction ell with |ell - nu_p| <= eps < 1 over
-    the shrunken disk (radius r*sqrt(1-eps^2)), keeps the tilted heights
-    within sup|u| + sqrt(2)*eps*r, and every re-expressed point still sees
-    ell transversally (nu_q . ell > 0). The 12 probe points of every trial
-    go through one height solve and one gradient call."""
+    heights along a tilted direction ell with |ell - nu_p| = eps in
+    `_EPS_RANGE` over the shrunken disk (radius r*sqrt(1-eps^2)), keeps the
+    tilted heights within sup|u| + sqrt(2)*eps*r, and every re-expressed
+    point still sees ell transversally (nu_q . ell > 0). The 12 probe points
+    of every trial go through one height solve and one gradient call."""
     rng = np.random.default_rng(seed)
     rho = touching_radius(surface)
     r = 0.8 * rho
@@ -404,7 +401,7 @@ def verify_normal_change(
     trials = pts.shape[0]  # a point cloud has no more samples than its own
     frames_full = tangent_frame(normals)
 
-    eps = rng.uniform(*eps_range, size=trials)
+    eps = rng.uniform(*_EPS_RANGE, size=trials)
     # tilt ell away from nu by the chord angle matching |ell - nu| = eps
     tdirs = rng.standard_normal((trials, surface.n))
     tdirs /= np.linalg.norm(tdirs, axis=1, keepdims=True)
@@ -435,7 +432,7 @@ def verify_normal_change(
     transversal = np.einsum("md,md->m", nu_q, ell)
     m = np.minimum(bound - np.abs(v).reshape(-1, trials), transversal.reshape(-1, trials))
     margins = np.where(good.reshape(-1, trials), m, np.inf).min(axis=0)
-    return _tally("normal-change", margins, tol, skipped=int((~good).sum()),
+    return _tally("normal-change", margins, ANALYTIC_TOL, skipped=int((~good).sum()),
                   notes=[f"r={r:.4g}", f"probes={_NORMAL_CHANGE_PROBES}"])
 
 
@@ -444,36 +441,24 @@ def verify_normal_change(
 
 
 def normal_from_gradient(g: np.ndarray) -> np.ndarray:
-    """Inward graph normal (-grad, 1)/sqrt(1+|grad|^2) for heights measured
-    along the last coordinate."""
-    g = np.atleast_2d(np.asarray(g, dtype=float))
+    """Inward graph normals (-grad, 1)/sqrt(1+|grad|^2) of the gradient rows
+    g (m, k), for heights measured along the last coordinate."""
     denom = np.sqrt(1.0 + np.einsum("mi,mi->m", g, g))
     out = np.concatenate([-g, np.ones((g.shape[0], 1))], axis=1) / denom[:, None]
     return out
 
 
-def verify_normal_difference(
-    grad1: np.ndarray | None = None,
-    grad2: np.ndarray | None = None,
-    trials: int = 10000,
-    seed: int = 0,
-    tol: float = ANALYTIC_TOL,
-    k: int = 2,
-) -> LemmaVerdict:
+def verify_normal_difference(trials: int = 10000, seed: int = 0) -> LemmaVerdict:
     """Graph-normal difference bound |nu_1 - nu_2| <= (sqrt(5)/2) |grad
-    difference|; explicit gradients check one pair, otherwise random
-    quadratic-graph gradient pairs."""
-    if grad1 is not None and grad2 is not None:
-        g1 = np.atleast_2d(np.asarray(grad1, dtype=float))
-        g2 = np.atleast_2d(np.asarray(grad2, dtype=float))
-    else:
-        rng = np.random.default_rng(seed)
-        x0 = rng.uniform(-1, 1, size=(trials, k))
-        b = rng.uniform(-2, 2, size=(trials, 2, k))
-        A = rng.uniform(-2, 2, size=(trials, 2, k, k))
-        A = A + np.swapaxes(A, -1, -2)
-        g1 = b[:, 0] + np.einsum("mij,mj->mi", A[:, 0], x0)
-        g2 = b[:, 1] + np.einsum("mij,mj->mi", A[:, 1], x0)
+    difference| on random pairs of quadratic graphs over R^2, compared at a
+    common point."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1, 1, size=(trials, 2))
+    b = rng.uniform(-2, 2, size=(trials, 2, 2))
+    A = rng.uniform(-2, 2, size=(trials, 2, 2, 2))
+    A = A + np.swapaxes(A, -1, -2)
+    g1 = b[:, 0] + np.einsum("mij,mj->mi", A[:, 0], x0)
+    g2 = b[:, 1] + np.einsum("mij,mj->mi", A[:, 1], x0)
     n1 = normal_from_gradient(g1)
     n2 = normal_from_gradient(g2)
     eps = np.linalg.norm(g2 - g1, axis=1)
@@ -484,7 +469,7 @@ def verify_normal_difference(
         return {"grad1": g1[i].tolist(), "grad2": g2[i].tolist(),
                 "lhs": float(lhs[i]), "rhs": float(math.sqrt(5.0) / 2.0 * eps[i])}
 
-    return _tally("normal-difference", margins, tol, witness)
+    return _tally("normal-difference", margins, ANALYTIC_TOL, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +481,6 @@ def verify_normal_tilt(
     plane: CriticalPlane,
     graph: GeodesicGraph,
     delta: float | None = None,
-    tol: float = ANALYTIC_TOL,
 ) -> LemmaVerdict:
     """Reflected-cap normal tilt near the cap boundary: for band points q of
     the reflected cap with a surface match q_hat = q - alpha*nu_q whose
@@ -539,7 +523,7 @@ def verify_normal_tilt(
     return _tally(
         "normal-tilt",
         margins,
-        tol,
+        ANALYTIC_TOL,
         witness if keep.size else None,
         len(band) - keep.size,
         # why band points were skipped: no crossing within alpha_cap, or
@@ -577,18 +561,15 @@ def verify_annulus_normal(
     center: np.ndarray,
     r_i: float,
     r_e: float,
-    rho: float | None = None,
     sample_budget: int = 10000,
     seed: int = 0,
-    tol: float = ANALYTIC_TOL,
 ) -> LemmaVerdict:
     """Annulus normal bound: when the surface fits in a shell of width at
     most twice the touching radius, the radial direction and the inner
     normal satisfy (p/|p|).nu_p <= -1 + (r_e - r_i)/rho (coordinates
     recentered)."""
     center = np.asarray(center, dtype=float)
-    if rho is None:
-        rho = touching_radius(surface)
+    rho = touching_radius(surface)
     if r_e - r_i > 2.0 * rho:
         raise ValueError(
             f"annulus hypothesis violated: r_e - r_i = {r_e - r_i:.4g} > 2 rho = {2 * rho:.4g}"
@@ -599,4 +580,4 @@ def verify_annulus_normal(
     def witness(i):
         return {"point": pts[i].tolist(), "dot": float(dots[i]), "bound": bound}
 
-    return _tally("annulus-normal", margins, tol, witness, notes=[f"bound={bound:.6g}"])
+    return _tally("annulus-normal", margins, ANALYTIC_TOL, witness, notes=[f"bound={bound:.6g}"])

@@ -72,20 +72,17 @@ def reflected_cap_inside(
     omega: np.ndarray,
     lam: float,
     tol: float,
-    samples: np.ndarray | None = None,
-    sample_budget: int = 2000,
-    seed: int = 0,
+    samples: np.ndarray,
 ) -> ContainmentCheck:
     """Does the mirrored right-hand cap stay weakly inside the enclosed domain?
 
-    Tests signed_distance(mirror(p)) >= -tol over all probe samples with
-    p . omega > lam. worst_violation is the most negative of these signed
+    Tests signed_distance(mirror(p)) >= -tol over the rows p of `samples`
+    with p . omega > lam. worst_violation is the most negative of these signed
     distances (kept in signed_distances), sign-flipped: positive means
     actual protrusion.
     """
-    pts = samples if samples is not None else surface.probe_points(sample_budget, seed)
     omega = unit(omega)
-    cap = pts[pts @ omega > lam]
+    cap = samples[samples @ omega > lam]
     if cap.shape[0] == 0:
         return ContainmentCheck(True, -math.inf, None, None, 0, np.empty(0))
     mirrored = reflect(cap, omega, lam)

@@ -953,6 +953,7 @@ def mean_curvature_oscillation(
     )
 
 
+_PAIR_BUDGET = 1500  # samples whose every pair the touching-ball estimate bounds
 _PAIR_ROWS = 32  # rows per block of the touching-ball pair screen
 # Relative slack of the touching-ball pair screen. The screen sums |q-p|^2
 # and (q-p) . nu_p over coordinates in its own order and einsum in another
@@ -977,14 +978,12 @@ def _pair_ratio_min(P: np.ndarray, N: np.ndarray, p: np.ndarray, q: np.ndarray) 
     return float(ratio.min(initial=math.inf))
 
 
-def estimate_touching_radius(
-    surface: Surface, sample_budget: int = 2000, seed: int = 0, pair_budget: int = 1500
-) -> float:
+def estimate_touching_radius(surface: Surface, sample_budget: int = 2000, seed: int = 0) -> float:
     """Two-sided touching-ball radius estimate.
 
     Combines the pointwise curvature bound 1/max|kappa| with the pairwise
     bound |q-p|^2 / (2 |(q-p) . nu_p|) over every ordered pair of up to
-    `pair_budget` samples; the pairwise term catches global bottlenecks
+    `_PAIR_BUDGET` samples; the pairwise term catches global bottlenecks
     (thin necks) that curvature alone misses.
 
     The pair minimum equals a scan of every pair bit for bit, though most
@@ -1002,7 +1001,7 @@ def estimate_touching_radius(
     kmax = float(np.abs(kappas).max())
     curv_bound = 1.0 / kmax if kmax > 0 else math.inf
 
-    m = min(pair_budget, pts.shape[0])
+    m = min(_PAIR_BUDGET, pts.shape[0])
     sel = np.linspace(0, pts.shape[0] - 1, m).astype(int)
     P, N = pts[sel], normals[sel]
     _, near = cKDTree(P).query(P, k=min(9, m))

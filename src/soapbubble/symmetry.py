@@ -22,8 +22,9 @@ from .surfaces import OscReport, Surface, mean_curvature_oscillation, quadratic,
 
 H_CONVENTION = "inner normal; sphere of radius R has H = +1/R"
 
-# Grid points per block of rays in `count_ray_hits`: 16 rays of the default
-# 2048-point grid. Each block's level table and its sign, deadband and diff
+_RAY_GRID = 2048  # points of each ray's t-grid in `count_ray_hits`
+# Grid points per block of rays in `count_ray_hits`: 16 rays of
+# `_RAY_GRID` points. Each block's level table and its sign, deadband and diff
 # temporaries are what the radial-map check holds at once, so this caps its
 # memory (a few MB) whatever the number of rays. Speed does not set it: on
 # the annulus grids of 1500-point sphere clouds at 100 rays, blocks of 2**13
@@ -118,14 +119,13 @@ def count_ray_hits(
     origin: np.ndarray,
     directions: np.ndarray,
     t_max: float,
-    resolution: int = 2048,
     *,
     t_min: float,
 ) -> np.ndarray:
     """Number of surface crossings of each ray origin + t*d, t in
     [t_min, t_max], from sign changes of `surface.implicit` on a dense
-    t-grid: the points of linspace(t_max/resolution, t_max, resolution)
-    at or beyond t_min.
+    t-grid: the points of linspace(t_max/_RAY_GRID, t_max, _RAY_GRID) at
+    or beyond t_min.
 
     Starting at t_min > 0 assumes that no surface point lies nearer the
     origin than t_min, so each ray must read definitely inside (level
@@ -138,18 +138,18 @@ def count_ray_hits(
     sign-preserving, which keeps the staircase noise of sampled surfaces
     from double-counting a single crossing.
 
-    The rays go through in blocks of `_RAY_BLOCK_POINTS // resolution` (at
-    least one), so memory stays bounded however many rays are asked for.
+    The rays go through in blocks of `_RAY_BLOCK_POINTS // _RAY_GRID`, so
+    memory stays bounded however many rays are asked for.
     A ray's level values do not depend on the block it shares, so the
     counts equal those of one block holding every ray."""
     origin = np.asarray(origin, dtype=float)
     deadband = surface.ray_deadband
-    ts = np.linspace(t_max / resolution, t_max, resolution)
+    ts = np.linspace(t_max / _RAY_GRID, t_max, _RAY_GRID)
     ts = ts[ts >= t_min]
     cols = np.arange(ts.size)
     counts = np.zeros(directions.shape[0], dtype=int)
     outside = 0
-    chunk = max(1, _RAY_BLOCK_POINTS // resolution)  # bounds rays x grid points
+    chunk = _RAY_BLOCK_POINTS // _RAY_GRID  # bounds rays x grid points
     for i0 in range(0, directions.shape[0], chunk):
         block = directions[i0 : i0 + chunk]
         pts = origin[None, None, :] + ts[None, :, None] * block[:, None, :]

@@ -73,7 +73,6 @@ class TangentialSliceError(TracingError):
 @dataclass
 class Trace:
     points: np.ndarray   # (m, 3), closed loop (no repeated endpoint)
-    closed: bool
     step: float
     march_steps: int     # accepted predictor steps of the march
 
@@ -126,10 +125,8 @@ def _correct(jet, omega, level, P, iters=30, tol=0.0):
 
 
 def _cross(a, b):
-    """Cross product along the last axis, rounded as numpy's cross rounds it; for
-    2-vectors, its one out-of-plane component."""
-    if a.shape[-1] == 2:
-        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    """Cross product of 3-vectors along the last axis, rounded as numpy's
+    cross rounds it."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
@@ -190,7 +187,7 @@ def trace_plane_section(
                 sub *= 0.5
             fine = _resample_closed(polyline, lambda P: land(P, tol)[0], sub)
             points = _resample_closed(fine, lambda P: land(P, tol)[0], step)
-            return Trace(points=points, closed=True, step=step, march_steps=len(pts))
+            return Trace(points=points, step=step, march_steps=len(pts))
         pts.append(cand)
         travelled += float(np.linalg.norm(cand - p))
         t_prev = t_new
@@ -223,7 +220,7 @@ def _resample_closed(pts, land, step):
 
 
 def curve_curvatures(points: np.ndarray) -> np.ndarray:
-    """Unsigned curvature at each point of a closed curve from the
+    """Unsigned curvature at each point of a closed curve in R^3 from the
     circumscribed circle of (previous, here, next); exact on circles."""
     P = np.asarray(points, dtype=float)
     a = np.roll(P, 1, axis=0)
@@ -231,8 +228,7 @@ def curve_curvatures(points: np.ndarray) -> np.ndarray:
     ab = P - a
     bc = c - P
     ac = c - a
-    cross = _cross(ab, bc)
-    cross_norm = np.linalg.norm(cross, axis=-1) if cross.ndim > 1 else np.abs(cross)
+    cross_norm = np.linalg.norm(_cross(ab, bc), axis=-1)
     denom = (
         np.linalg.norm(ab, axis=-1) * np.linalg.norm(bc, axis=-1) * np.linalg.norm(ac, axis=-1)
     )

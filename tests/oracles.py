@@ -366,9 +366,10 @@ def ray_hits_loop(surface, origin, directions, t_max, resolution=2048, deadband=
     return np.sum(np.diff(signs, axis=1) != 0, axis=1)
 
 
-def ray_hits_one_block(surface, origin, directions, t_max, resolution=2048):
+def ray_hits_one_block(surface, origin, directions, t_max):
     """`count_ray_hits` from t = 0 with every ray in one block: all level
     values from one `implicit` call."""
+    resolution = 2048
     origin = np.asarray(origin, dtype=float)
     ts = np.linspace(t_max / resolution, t_max, resolution)
     pts = origin[None, None, :] + ts[None, :, None] * directions[:, None, :]

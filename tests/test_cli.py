@@ -28,10 +28,10 @@ def ell_spec(tmp_path):
     return p
 
 
-def _cloud_spec(tmp_path, normals_of):
-    """Spec of a 400-sample unit-sphere cloud with normals_of(u, rng) as normals."""
+def _cloud_spec(tmp_path, normals_of, count=400):
+    """Spec of a `count`-sample unit-sphere cloud with normals_of(u, rng) as normals."""
     rng = np.random.default_rng(0)
-    u = rng.standard_normal((400, 3))
+    u = rng.standard_normal((count, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     rows = ["x,y,z,nx,ny,nz"] + [
         ",".join(f"{v:.8f}" for v in (*p, *n)) for p, n in zip(u, normals_of(u, rng))
@@ -183,6 +183,11 @@ class TestSweep:
     def test_bad_range_exit_2(self):
         assert main(["sweep-ellipsoid", "--t-min", "-0.1", "--t-max", "0.2"]) == 2
 
+    def test_too_few_samples_exit_2(self, capsys):
+        # every row would fail on the touching-radius estimate's minimum budget
+        assert main(["sweep-ellipsoid", "--samples", "50"]) == 2
+        assert "--samples must be at least 100" in capsys.readouterr().err
+
 
 class TestConstantsCmd:
     def test_reference_values(self, tmp_path, capsys):
@@ -268,6 +273,15 @@ class TestVerifyCmd:
         assert main(["verify", "slice-curvature", "--surface", str(sphere_spec),
                      "--direction", "0,0,1", "--level", "1.49"]) == 3
 
+
+    @pytest.mark.parametrize("count", [60, 100])
+    def test_distance_bounds_on_small_cloud(self, tmp_path, count):
+        # fewer nodes than the default trials' 128 sources: every node is a source
+        spec = _cloud_spec(tmp_path, lambda u, rng: -u, count)
+        out = tmp_path / "dist.json"
+        assert main(["verify", "distance-bounds", "--surface", str(spec), "--out", str(out)]) == 0
+        [check] = json.loads(out.read_text())["checks"]
+        assert check["trials"] >= 1 and check["violations"] == 0
 
     @pytest.mark.parametrize("check", ["graph-bounds", "annulus-normal", "normal-change"])
     def test_zero_trials_exit_2(self, check, capsys):

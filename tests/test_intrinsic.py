@@ -80,7 +80,7 @@ class TestGraphBuild:
         g = build_geodesic_graph(ell_111, 5000, k=16, seed=0)
         i, j = poles(g)
         oracle = ellipsoid_meridian_halflength(1.0, 1.1)
-        assert g.distances_from(i, targets=j) == pytest.approx(oracle, rel=0.03)
+        assert g.distances_from(i)[j] == pytest.approx(oracle, rel=0.03)
 
     def test_determinism(self, unit_sphere):
         g1 = build_geodesic_graph(unit_sphere, 800, k=8, seed=3)
@@ -92,10 +92,10 @@ class TestGraphBuild:
 class TestIntrinsicDistance:
     def test_antipodal_great_circle(self, sphere_graph):
         i, j = poles(sphere_graph)
-        assert sphere_graph.distances_from(i, targets=j) == pytest.approx(math.pi, rel=0.02)
+        assert sphere_graph.distances_from(i)[j] == pytest.approx(math.pi, rel=0.02)
 
     def test_identical_nodes(self, sphere_graph):
-        assert sphere_graph.distances_from(5, targets=5) == 0.0
+        assert sphere_graph.distances_from(5)[5] == 0.0
 
     def test_chord_lower_bound_and_arcsin_envelope(self, sphere_graph):
         # graph distance is a sum of chords, hence at least the straight chord;
@@ -129,7 +129,7 @@ class TestIntrinsicDistance:
         chord = np.linalg.norm(g.points - g.points[i], axis=1)
         j = int(np.argmin(np.abs(chord - 0.2)))
         c = chord[j]
-        d = float(g.distances_from(i, targets=j))
+        d = float(g.distances_from(i)[j])
         assert c >= 0.195  # sampling found a genuine ~0.2 chord
         assert d >= c - 1e-12
         assert d <= math.asin(min(c, 1.0)) + 2.0 * g.mean_edge
@@ -159,7 +159,7 @@ class TestIntrinsicDistance:
         g = build_geodesic_graph(cloud, 1400, k=8, seed=0)
         a = int(np.nonzero(g.labels == 0)[0][0])
         b = int(np.nonzero(g.labels == 1)[0][0])
-        assert math.isinf(g.distances_from(a, targets=b))
+        assert math.isinf(g.distances_from(a)[b])
 
 
 class TestCapInterior:

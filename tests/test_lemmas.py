@@ -177,27 +177,28 @@ class TestNormalChange:
         v = verify_normal_change(surface, trials=2000)
         assert v.violations == 0
 
-    def test_identity_direction(self, unit_sphere):
+    def test_identity_direction(self, unit_sphere, monkeypatch):
         # ell = nu: heights coincide with the source patch, bound is slack
-        v = verify_normal_change(unit_sphere, trials=500, eps_range=(1e-9, 1e-8))
+        monkeypatch.setattr(lemmas, "_EPS_RANGE", (1e-9, 1e-8))
+        v = verify_normal_change(unit_sphere, trials=500)
         assert v.violations == 0
 
-    def test_near_unit_eps(self, ell_111):
-        v = verify_normal_change(ell_111, trials=500, eps_range=(0.95, 0.99))
+    def test_near_unit_eps(self, ell_111, monkeypatch):
+        monkeypatch.setattr(lemmas, "_EPS_RANGE", (0.95, 0.99))
+        v = verify_normal_change(ell_111, trials=500)
         assert v.violations == 0
 
 
 class TestNormalDifference:
     def test_equal_gradients(self):
-        v = verify_normal_difference(grad1=np.zeros(2), grad2=np.zeros(2))
-        assert v.worst_slack == 0.0
-        assert v.violations == 0
+        n = normal_from_gradient(np.zeros((2, 2)))
+        assert np.linalg.norm(n[0] - n[1]) == 0.0
 
     def test_explicit_slope_example(self):
-        v = verify_normal_difference(grad1=np.array([0.0, 0.0]), grad2=np.array([0.1, 0.0]))
-        assert v.witness["lhs"] == pytest.approx(0.0996274, abs=1e-6)
-        assert v.witness["rhs"] == pytest.approx(math.sqrt(5) / 2 * 0.1, abs=1e-12)
-        assert v.violations == 0
+        n = normal_from_gradient(np.array([[0.0, 0.0], [0.1, 0.0]]))
+        lhs = np.linalg.norm(n[0] - n[1])
+        assert lhs == pytest.approx(0.0996274, abs=1e-6)
+        assert lhs <= math.sqrt(5) / 2 * 0.1
 
     def test_random_quadratics(self):
         v = verify_normal_difference(trials=10000)
@@ -307,13 +308,12 @@ class TestLineSolverVerdicts:
 
 class TestAnnulusNormal:
     def test_sphere_equality(self, unit_sphere):
-        v = verify_annulus_normal(unit_sphere, np.zeros(3), 1.0, 1.0, rho=1.0, sample_budget=2000)
+        v = verify_annulus_normal(unit_sphere, np.zeros(3), 1.0, 1.0, sample_budget=2000)
         assert v.violations == 0
         assert v.worst_slack == pytest.approx(0.0, abs=1e-9)
 
     def test_ellipsoid(self, ell_111):
-        rho = sb.touching_radius(ell_111)
-        v = verify_annulus_normal(ell_111, np.zeros(3), 1.0, 1.1, rho=rho, sample_budget=4000)
+        v = verify_annulus_normal(ell_111, np.zeros(3), 1.0, 1.1, sample_budget=4000)
         assert v.violations == 0
 
     def test_hypothesis_violation_rejected(self):

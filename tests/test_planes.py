@@ -98,18 +98,21 @@ class TestReflect:
 
 class TestContainment:
     def test_sphere_halfway_inside(self, unit_sphere):
-        c = reflected_cap_inside(unit_sphere, np.array([1.0, 0, 0]), 0.5, 1e-9)
+        pts = unit_sphere.probe_points(2000, 0)
+        c = reflected_cap_inside(unit_sphere, np.array([1.0, 0, 0]), 0.5, 1e-9, pts)
         assert c.inside
 
     def test_sphere_below_center_outside(self, unit_sphere):
-        c = reflected_cap_inside(unit_sphere, np.array([1.0, 0, 0]), -0.2, 1e-9)
+        pts = unit_sphere.probe_points(2000, 0)
+        c = reflected_cap_inside(unit_sphere, np.array([1.0, 0, 0]), -0.2, 1e-9, pts)
         assert not c.inside
         # witness mirror pokes out near the far pole
         assert c.witness_reflected[0] < -1.0
         assert c.worst_violation == pytest.approx(0.4, abs=0.05)
 
     def test_ellipsoid_above_symmetry_plane(self, ell_111):
-        c = reflected_cap_inside(ell_111, np.array([0.0, 0, 1.0]), 0.05, 1e-9)
+        pts = ell_111.probe_points(2000, 0)
+        c = reflected_cap_inside(ell_111, np.array([0.0, 0, 1.0]), 0.05, 1e-9, pts)
         assert c.inside
 
     def test_monotone_in_level(self, ell_111):

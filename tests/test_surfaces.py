@@ -531,8 +531,9 @@ class TestTouchingRadius:
         "budget, pair_budget",
         [(500, 200), (2000, 5000), (300, 5)],  # the last keeps fewer than 9
     )
-    def test_equals_dense_scan_pair_budgets(self, ell_111, budget, pair_budget):
-        rho = sb.estimate_touching_radius(ell_111, budget, 0, pair_budget)
+    def test_equals_dense_scan_pair_budgets(self, ell_111, budget, pair_budget, monkeypatch):
+        monkeypatch.setattr(sb.surfaces, "_PAIR_BUDGET", pair_budget)
+        rho = sb.estimate_touching_radius(ell_111, budget, 0)
         assert rho == touching_radius_dense(ell_111, budget, 0, pair_budget)
 
     def test_equals_dense_scan_in_the_plane(self):

@@ -310,17 +310,6 @@ class TestRayBlocks:
         np.testing.assert_array_equal(counts, ray_hits_one_block(surface, origin, dirs, t_max))
         assert counts.min() >= 1
 
-    @pytest.mark.parametrize("ray_case", _RAY_CASES, indirect=True)
-    def test_resolution_above_budget(self, ray_case):
-        # a grid longer than the block budget still runs one ray at a time
-        surface, origin, t_max = ray_case
-        dirs = _ray_dirs(3, surface.dim)
-        res = 2**15 + 37
-        np.testing.assert_array_equal(
-            count_ray_hits(surface, origin, dirs, t_max, resolution=res, t_min=0.0),
-            ray_hits_one_block(surface, origin, dirs, t_max, resolution=res),
-        )
-
     def test_memory_peak(self, ell_111):
         # one block of all 1000 rays would take about 140 MB
         dirs = _ray_dirs(1000, 3)

@@ -77,7 +77,6 @@ def test_coarse_march_matches_fine_march(request, name):
     trace = trace_plane_section(surface.jet, w, level, seed, step)
     fine = trace_plane_section_fine(surface.jet, w, level, seed, step)
     P = trace.points
-    assert trace.closed
     assert len(P) == len(fine)
     # one loop through the seed's landing point, on the fine trace's component
     np.testing.assert_allclose(P[0], fine[0], rtol=0, atol=1e-12)
@@ -101,7 +100,6 @@ def test_thin_section_traced_once_round():
     trace = trace_plane_section(surface.jet, w, 0.5, seed, step)
     fine = trace_plane_section_fine(surface.jet, w, 0.5, seed, step)
     P = trace.points
-    assert trace.closed
     assert len(P) == len(fine)
     # the ellipse's parameter angle runs once round, one way
     a = math.sqrt(0.75)
