@@ -37,7 +37,8 @@ def load_point_cloud_csv(path: str | os.PathLike) -> PointCloud:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = [h.strip().lower() for h in next(reader)]
-            rows = [[float(v) for v in row] for row in reader if row]
+            # a row's line number, for a row that does not fit the header
+            lines = {reader.line_num: [float(v) for v in row] for row in reader if row}
     except (OSError, StopIteration, ValueError) as exc:
         raise SpecError(f"cannot read point cloud {path}: {exc}") from exc
     if header == ["x", "y", "z", "nx", "ny", "nz"]:
@@ -46,9 +47,12 @@ def load_point_cloud_csv(path: str | os.PathLike) -> PointCloud:
         d = 2
     else:
         raise SpecError(f"unrecognized cloud header {header!r} in {path}")
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2 * d:
-        raise SpecError(f"cloud rows in {path} do not match the header")
+    if not lines:
+        raise SpecError(f"point cloud {path} has no rows")
+    for line, row in lines.items():
+        if len(row) != 2 * d:
+            raise SpecError(f"line {line} of {path} has {len(row)} fields; the header has {2 * d}")
+    data = np.asarray(list(lines.values()), dtype=float)
     return PointCloud(data[:, :d], data[:, d:])
 
 

@@ -673,7 +673,13 @@ class PointCloud(Surface):
         self.dim = self.points.shape[1]
         if self.dim not in (2, 3):
             raise ValueError("point clouds supported in R^2 and R^3 only")
-        self.normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+        norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        bad = ~(np.isfinite(self.points).all(axis=1) & np.isfinite(normals).all(axis=1))
+        if bad.any():
+            raise ValueError(f"cloud sample {np.argmax(bad)} has a non-finite point or normal")
+        if not norms.all():
+            raise ValueError(f"cloud sample {np.argmin(norms)} has a zero-length normal")
+        self.normals = normals / norms
         self.k = int(k)
         if self.points.shape[0] < self.k + 1:
             raise SparseNeighborhoodError("cloud smaller than one quadric-fit neighborhood")
@@ -825,10 +831,11 @@ def _voronoi_cell_areas(neigh_xy: np.ndarray) -> np.ndarray:
 
     Sutherland-Hodgman on the k bisector half-planes, run on all cells at
     once: the polygons are padded (m, width, 2) arrays with vertex counts,
-    and a cell left with fewer than 3 vertices has area 0.
+    and a cell left with fewer than 3 vertices has area 0. Each pass
+    rebuilds only the cells its bisector cuts (a vertex outside the
+    half-plane), widening the padding when one of them needs it.
     """
     m = neigh_xy.shape[0]
-    rows = np.arange(m)[:, None]
     box = 2.0 * np.median(np.linalg.norm(neigh_xy, axis=2), axis=1)
     poly = box[:, None, None] * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     count = np.full(m, 4)
@@ -836,24 +843,34 @@ def _voronoi_cell_areas(neigh_xy: np.ndarray) -> np.ndarray:
         nq = np.einsum("md,md->m", q, q)
         v = np.arange(poly.shape[1])
         inside = v < count[:, None]
-        succ = np.where(v + 1 < count[:, None], v + 1, 0)
         # half-plane x . q <= |q|^2 / 2
         fa = np.einsum("mvd,md->mv", poly, q) - 0.5 * nq[:, None]
-        fb = fa[rows, succ]
         clip = ((nq >= 1e-30) & (count >= 3))[:, None]
-        keep = inside & ((fa <= 0) | ~clip)
-        cut = inside & clip & (((fa < 0) & (fb > 0)) | ((fb < 0) & (fa > 0)))
+        # the cells with a vertex that `keep` drops; the others stay as they are
+        cells = np.flatnonzero((inside & clip & ~(fa <= 0)).any(axis=1))
+        p, fa, inside = poly[cells], fa[cells], inside[cells]
+        rows = np.arange(cells.size)[:, None]
+        succ = np.where(v + 1 < count[cells, None], v + 1, 0)
+        fb = fa[rows, succ]
+        keep = inside & (fa <= 0)
+        cut = inside & (((fa < 0) & (fb > 0)) | ((fb < 0) & (fa > 0)))
         with np.errstate(divide="ignore", invalid="ignore"):  # only cut edges are kept
             t = fa / (fa - fb)
-            cuts = poly + t[..., None] * (poly[rows, succ] - poly)
-        emit = np.stack([keep, cut], axis=2).reshape(m, -1)
-        cand = np.stack([poly, cuts], axis=2).reshape(m, -1, 2)
+            cuts = p + t[..., None] * (p[rows, succ] - p)
+        emit = np.stack([keep, cut], axis=2).reshape(-1, 2 * v.size)
+        cand = np.stack([p, cuts], axis=2).reshape(-1, 2 * v.size, 2)
         slot = np.cumsum(emit, axis=1) - 1
-        count = emit.sum(axis=1)
-        poly = np.zeros((m, max(int(count.max()), 1), 2))
+        count[cells] = emit.sum(axis=1)
+        grow = int(count.max()) - poly.shape[1]
+        if grow > 0:
+            poly = np.pad(poly, ((0, 0), (0, grow), (0, 0)))
+        poly[cells] = 0.0
         r, c = np.nonzero(emit)
-        poly[r, slot[r, c]] = cand[r, c]
-    # shoelace; padding vertices sit at the origin and add nothing
+        poly[cells[r], slot[r, c]] = cand[r, c]
+    # shoelace; padding vertices sit at the origin and add nothing, but the
+    # width sets how numpy's pairwise sums group the terms: the largest cell's
+    poly = poly[:, : max(int(count.max()), 1)]
+    rows = np.arange(m)[:, None]
     v = np.arange(poly.shape[1])
     succ = np.where(v + 1 < count[:, None], v + 1, 0)
     x, y = poly[..., 0], poly[..., 1]

@@ -282,6 +282,51 @@ def voronoi_cell_area(neigh_xy: np.ndarray, box: float | None = None) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
+# the batched cell kernel as it stood when every pass rebuilt every cell;
+# the library's kernel must give the same floats
+def voronoi_cell_areas_all_rows(neigh_xy: np.ndarray) -> np.ndarray:
+    """Area of the Voronoi cell of the origin among each row's 2D neighbor
+    offsets (m, k, 2), clipped to the box of half-width twice the median
+    neighbor distance.
+
+    Sutherland-Hodgman on the k bisector half-planes, run on all cells at
+    once: the polygons are padded (m, width, 2) arrays with vertex counts,
+    and a cell left with fewer than 3 vertices has area 0.
+    """
+    m = neigh_xy.shape[0]
+    rows = np.arange(m)[:, None]
+    box = 2.0 * np.median(np.linalg.norm(neigh_xy, axis=2), axis=1)
+    poly = box[:, None, None] * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    count = np.full(m, 4)
+    for q in np.swapaxes(neigh_xy, 0, 1):
+        nq = np.einsum("md,md->m", q, q)
+        v = np.arange(poly.shape[1])
+        inside = v < count[:, None]
+        succ = np.where(v + 1 < count[:, None], v + 1, 0)
+        # half-plane x . q <= |q|^2 / 2
+        fa = np.einsum("mvd,md->mv", poly, q) - 0.5 * nq[:, None]
+        fb = fa[rows, succ]
+        clip = ((nq >= 1e-30) & (count >= 3))[:, None]
+        keep = inside & ((fa <= 0) | ~clip)
+        cut = inside & clip & (((fa < 0) & (fb > 0)) | ((fb < 0) & (fa > 0)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # only cut edges are kept
+            t = fa / (fa - fb)
+            cuts = poly + t[..., None] * (poly[rows, succ] - poly)
+        emit = np.stack([keep, cut], axis=2).reshape(m, -1)
+        cand = np.stack([poly, cuts], axis=2).reshape(m, -1, 2)
+        slot = np.cumsum(emit, axis=1) - 1
+        count = emit.sum(axis=1)
+        poly = np.zeros((m, max(int(count.max()), 1), 2))
+        r, c = np.nonzero(emit)
+        poly[r, slot[r, c]] = cand[r, c]
+    # shoelace; padding vertices sit at the origin and add nothing
+    v = np.arange(poly.shape[1])
+    succ = np.where(v + 1 < count[:, None], v + 1, 0)
+    x, y = poly[..., 0], poly[..., 1]
+    twice = (x * y[rows, succ]).sum(axis=1) - (y * x[rows, succ]).sum(axis=1)
+    return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
+
+
 def cloud_area_loop(cloud) -> float:
     """A point cloud's area (curve length in R^2) summed one sample at a time:
     half the tangent gap to the nearest neighbors on either side in R^2 (from

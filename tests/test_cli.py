@@ -103,6 +103,40 @@ class TestSpecIO:
         with pytest.raises(SpecError):
             load_point_cloud_csv(path)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("zero normal", "cloud sample 17 has a zero-length normal"),
+            ("nan normal", "cloud sample 17 has a non-finite point or normal"),
+            ("inf point", "cloud sample 17 has a non-finite point or normal"),
+            ("short row", "line 19 of .*cloud.csv has 5 fields; the header has 6"),
+        ],
+        ids=["zero-normal", "nan-normal", "inf-point", "short-row"],
+    )
+    def test_bad_cloud_rows(self, fault, message, tmp_path, capsys):
+        # sample 17 sits on line 19, below the header; its fault is named,
+        # and no RuntimeWarning comes first
+        def normals_of(u, rng):
+            normals = -u
+            if fault == "zero normal":
+                normals[17] = 0.0
+            if fault == "nan normal":
+                normals[17, 1] = np.nan
+            return normals
+
+        spec = _cloud_spec(tmp_path, normals_of)
+        csv = tmp_path / "cloud.csv"
+        lines = csv.read_text().splitlines()
+        if fault == "inf point":
+            lines[18] = "inf," + lines[18].split(",", 1)[1]
+        if fault == "short row":
+            lines[18] = lines[18].rsplit(",", 1)[0]
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecError, match=message):
+            load_surface(spec)
+        assert main(["analyze", "--surface", str(spec), "--samples", "300"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_dump_handles_nonfinite(self):
         text = dump_report({"a": float("inf"), "b": float("nan"), "c": 1.5})
         doc = json.loads(text)

@@ -30,6 +30,7 @@ from .oracles import (
     tangent_frames_batch,
     touching_radius_dense,
     voronoi_cell_area,
+    voronoi_cell_areas_all_rows,
 )
 
 # frozen oracle values (recomputed below where cheap)
@@ -978,6 +979,51 @@ def _ellipse_cloud(count: int, seed: int) -> sb.PointCloud:
     return sb.PointCloud(pts, -pts / np.array([1.0, 0.36]), k=10)
 
 
+def _tangent_offsets(cloud: sb.PointCloud) -> np.ndarray:
+    """Each sample's k neighbor offsets in its tangent plane, as the area sums them."""
+    offs = cloud.points[cloud._knn[:, 1 : cloud.k + 1]] - cloud.points[:, None, :]
+    return np.matmul(offs, np.swapaxes(tangent_frame(cloud.normals), 1, 2))
+
+
+def _unit_sphere_cloud(count: int, seed: int, repeat: int = 0) -> sb.PointCloud:
+    """The analyze-cloud input for `seed`, with its first `repeat` samples twice."""
+    u = np.random.default_rng(seed).standard_normal((count, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = np.concatenate([u, u[:repeat]])
+    return sb.PointCloud(u, -u)
+
+
+def _kernel_inputs(name: str) -> list[np.ndarray]:
+    """Batches of neighbor offsets (m, k, 2) for the cell kernel."""
+    if name.startswith("analyze-cloud"):
+        return [_tangent_offsets(_unit_sphere_cloud(1500, int(name[-1])))]
+    if name == "noisy-ellipsoid":
+        return [_tangent_offsets(_noisy_ellipsoid_cloud(600, 3))]
+    if name == "duplicates":
+        return [_tangent_offsets(_unit_sphere_cloud(600, 4, repeat=60))]
+    if name == "collapsed":
+        offs = np.zeros((1, 20, 2))
+        offs[0, :5] = np.random.default_rng(2).standard_normal((5, 2))
+        return [offs]
+    if name == "lattices":
+        ij = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4) if (i, j) != (0, 0)])
+        rows = []
+        for basis in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, math.sqrt(3) / 2]]):
+            for s in (0.03, 1.0):
+                offs = s * ij @ np.array(basis)
+                rows.append(offs[np.argsort(np.linalg.norm(offs, axis=1), kind="stable")[:20]])
+        return [np.array(rows)]
+    # one cell per batch, cut to up to 10 vertices by a ring of 8 neighbors,
+    # then to fewer by one close neighbor: the widest padding a batch reached
+    # is wider than its largest final cell
+    rng = np.random.default_rng(5)
+    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, (300, 8)), axis=1)
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=2) * rng.uniform(0.9, 1.1, (300, 8, 1))
+    a = rng.uniform(0.0, 2.0 * math.pi, 300)
+    close = np.stack([np.cos(a), np.sin(a)], axis=1) * rng.uniform(0.2, 0.8, (300, 1))
+    return list(np.concatenate([ring, close[:, None]], axis=1)[:, None])
+
+
 class TestPointCloudRays:
     def test_deadband(self, unit_sphere, sphere_cloud):
         assert unit_sphere.ray_deadband == 0.0
@@ -1016,6 +1062,19 @@ class TestPointCloudArea:
         offs[:5] = np.random.default_rng(2).standard_normal((5, 2))
         assert sb.surfaces._voronoi_cell_areas(offs[None])[0] == 0.0
         assert voronoi_cell_area(offs) == 0.0
+
+    @pytest.mark.parametrize(
+        "name",
+        ["analyze-cloud-0", "analyze-cloud-1", "noisy-ellipsoid", "duplicates", "collapsed",
+         "lattices", "shrinking-cells"],
+    )
+    def test_cells_bit_identical_to_all_rows_kernel(self, name):
+        # rebuilding only the cut cells changes no float of any area
+        for xy in _kernel_inputs(name):
+            if name == "duplicates":
+                assert (np.einsum("mkd,mkd->mk", xy, xy) < 1e-30).any()
+            cells = sb.surfaces._voronoi_cell_areas(xy)
+            np.testing.assert_array_equal(cells, voronoi_cell_areas_all_rows(xy))
 
     def test_surface_area_matches_loop(self):
         cloud = _noisy_ellipsoid_cloud(1500, 5)
