@@ -64,7 +64,7 @@ class ContainmentCheck:
     witness: np.ndarray | None            # cap-side sample whose mirror is worst
     witness_reflected: np.ndarray | None
     cap_count: int
-    signed_distances: np.ndarray          # of the mirrored cap, one per cap sample
+    levels: np.ndarray                    # implicit of the mirrored cap, one per cap sample
 
 
 def reflected_cap_inside(
@@ -76,26 +76,27 @@ def reflected_cap_inside(
 ) -> ContainmentCheck:
     """Does the mirrored right-hand cap stay weakly inside the enclosed domain?
 
-    Tests signed_distance(mirror(p)) >= -tol over the rows p of `samples`
-    with p . omega > lam. worst_violation is the most negative of these signed
-    distances (kept in signed_distances), sign-flipped: positive means
-    actual protrusion.
+    Tests implicit(mirror(p)) >= -tol over the rows p of `samples` with
+    p . omega > lam, the exit search's predicate (NaN is outside).
+    worst_violation is the most negative of these levels, sign-flipped:
+    positive means protrusion. It and `tol` are level-function values, the
+    signed distance on a `Sphere` and a `PointCloud`.
     """
     omega = unit(omega)
     cap = samples[samples @ omega > lam]
     if cap.shape[0] == 0:
         return ContainmentCheck(True, -math.inf, None, None, 0, np.empty(0))
     mirrored = reflect(cap, omega, lam)
-    sd = surface.signed_distance(mirrored)
-    worst_idx = int(np.argmin(sd))
-    worst = -float(sd[worst_idx])
+    levels = surface.implicit(mirrored)
+    worst_idx = int(np.argmin(levels))  # the first NaN, if any
+    worst = -float(levels[worst_idx])
     return ContainmentCheck(
         inside=bool(worst <= tol),
         worst_violation=worst,
         witness=cap[worst_idx].copy(),
         witness_reflected=mirrored[worst_idx].copy(),
         cap_count=int(cap.shape[0]),
-        signed_distances=sd,
+        levels=levels,
     )
 
 
@@ -107,7 +108,7 @@ class CriticalPlane:
     case: str
     tangency_point: np.ndarray | None  # cap-side pre-image of the contact
     contact_point: np.ndarray | None   # its mirror, on/near the surface
-    contact_gap: float                 # protrusion at m
+    contact_gap: float                 # protrusion at m, a level-function value
     normal_alignment: float | None     # |nu . omega| at the contact (boundary case)
     degenerate_contact: bool
     tol: float
@@ -144,9 +145,11 @@ def critical_position(
     the best exit end so far: such a line cannot hold the maximum, so the
     level is that of the full grid, from fewer level-function rows.
 
-    A point is outside where `implicit < -threshold`, with (tol, threshold)
-    from `critical_tolerances`. An analytic surface's threshold is 0, and
-    `tol` only sets the degenerate-contact band and the embeddedness margin.
+    A point is outside where `implicit < -threshold` or NaN, in the exit
+    search and in the contact analysis, with (tol, threshold) from
+    `critical_tolerances`. An analytic surface's threshold is 0, and `tol`
+    (a level-function value, as are `contact_gap` and the degenerate band)
+    only sets the degenerate-contact band and the embeddedness margin.
     A point cloud's nearest-sample distance is no better than
     1.5 * spacing**2, so there the threshold is `tol` itself.
     """
@@ -166,8 +169,8 @@ def critical_position(
 
     # contact analysis at the critical level, from one pass over the mirrored cap
     check = reflected_cap_inside(surface, omega, m, threshold, samples=pts)
-    sd = check.signed_distances
-    degenerate = sd.size > 0 and bool(np.mean(np.abs(sd) <= 10.0 * tol + 1e-9 * diam) > 0.25)
+    band = np.abs(check.levels) <= 10.0 * tol + 1e-9 * diam
+    degenerate = band.size > 0 and bool(band.mean() > 0.25)
     spacing = diam / math.sqrt(max(sample_budget, 1))
     p0 = check.witness
     case = INTERIOR_TANGENCY  # also when the whole cap touches (label moot)
@@ -175,7 +178,7 @@ def critical_position(
     if p0 is not None and not degenerate:
         if float(p0 @ omega) - m <= 2.0 * spacing:
             case = BOUNDARY_ORTHOGONALITY
-            nus, _ = surface.curvatures_batch(surface.project(check.witness_reflected[None]))
+            nus, _ = surface.curvatures_batch(check.witness_reflected[None])
             alignment = abs(float(nus[0] @ omega))
     return CriticalPlane(
         direction=omega,

@@ -99,9 +99,9 @@ class Surface:
 
     Subclasses provide `jet`, a smooth level function phi that is positive
     inside, zero on the surface and negative outside, together with its
-    first two derivatives, plus nearest-point projection and on-surface
-    sampling. Everything is read-only after construction; what `_memo`
-    keeps depends only on its key.
+    first two derivatives, plus on-surface sampling and, on analytic
+    surfaces, nearest-point projection. Everything is read-only after
+    construction; what `_memo` keeps depends only on its key.
 
     Every kernel (`jet`, `implicit`, `project`, `signed_distance`,
     `curvatures_batch`) takes (m, d) rows and returns one result per row.
@@ -662,7 +662,7 @@ class PointCloud(Surface):
     mixed inner/outer normals and clouds whose normals all point outward.
     """
 
-    # projection snaps to samples, so there is nothing between them
+    # nothing is known between the samples
     refines_extrema = False
 
     def __init__(self, points: np.ndarray, normals: np.ndarray, k: int = 20):
@@ -723,13 +723,9 @@ class PointCloud(Surface):
         sample spacing near the surface; inside 0.75 spacing it decides no side."""
         return 0.75 * self.spacing
 
-    def project(self, P):
-        _, idx = self.tree.query(P)
-        return self.points[idx]
-
     def settle(self, P):
-        # a point between samples stays put: projecting would snap it to the
-        # nearest sample, up to a spacing away
+        # a point between samples stays put: the nearest sample lies up to a
+        # spacing away
         return P
 
     def stationary(self, objective, x0):

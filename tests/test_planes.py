@@ -129,8 +129,8 @@ class TestContainment:
 
     @pytest.mark.parametrize("surface", ["ell_111", "radial_bumpy", "sphere_cloud"])
     def test_critical_position_makes_one_pass(self, surface, request, monkeypatch):
-        # the contact analysis reads the containment oracle's own signed
-        # distances: one call per direction, the mirrored cap's exact values
+        # the contact analysis reads the containment oracle's own levels:
+        # one call per direction, the mirrored cap's exact values
         from soapbubble import planes
 
         surface = request.getfixturevalue(surface)
@@ -150,9 +150,30 @@ class TestContainment:
             cap = pts[pts @ omega > cp.level]
             assert check.cap_count == cap.shape[0] > 0
             np.testing.assert_array_equal(
-                check.signed_distances, surface.signed_distance(reflect(cap, omega, cp.level))
+                check.levels, surface.implicit(reflect(cap, omega, cp.level))
             )
             np.testing.assert_array_equal(check.witness_reflected, cp.contact_point)
+
+    @pytest.mark.parametrize("name", ["ell_111", "north_star"])
+    def test_never_projects(self, name, request, monkeypatch):
+        # containment is the level function's sign, in the exit search and
+        # in the contact analysis alike, and the boundary normal is read at
+        # the contact point itself: no call projects
+        surface = (
+            sb.HarmonicRadial([(2, 0, 0.15), (3, 0, 0.05)])
+            if name == "north_star"
+            else request.getfixturevalue(name)
+        )
+
+        def refuse(P):
+            raise AssertionError("the moving-planes layer projected a point")
+
+        monkeypatch.setattr(surface, "project", refuse)
+        monkeypatch.setattr(surface, "signed_distance", refuse)
+        center, planes = sb.symmetry_center(surface, sample_budget=1000)
+        assert len(planes) == 3 and np.isfinite(center).all()
+        cp = critical_position(surface, np.array([1.0, 0.0, 1.0]), sample_budget=1000)
+        assert cp.case == BOUNDARY_ORTHOGONALITY and cp.normal_alignment < 0.1
 
 
 class TestCriticalPosition:

@@ -817,7 +817,7 @@ class TestRootsAlong:
 
 class TestPointCloud:
     def test_sphere_cloud_curvature(self, sphere_cloud):
-        _, kappas = sphere_cloud.curvatures_batch(sphere_cloud.project(np.array([[2.0, 0.0, 0.0]])))
+        _, kappas = sphere_cloud.curvatures_batch(np.array([[2.0, 0.0, 0.0]]))
         assert kappas[0].mean() == pytest.approx(1.0, rel=0.02)
 
     def test_sphere_cloud_signed_distance(self, sphere_cloud):
@@ -906,6 +906,12 @@ class TestPointCloudCapabilities:
             sphere_cloud.jet(sphere_cloud.points[:3], 1)
         assert issubclass(sb.CapabilityError, NotImplementedError)
         assert issubclass(sb.CapabilityError, sb.SurfaceError)
+
+    def test_cloud_has_no_projection(self, sphere_cloud):
+        # nothing is known between the samples to project onto; the nearest
+        # samples are points[tree.query(P)[1]]
+        with pytest.raises(sb.CapabilityError, match="PointCloud does not provide project"):
+            sphere_cloud.project(np.array([[2.0, 0.0, 0.0]]))
 
     def test_only_analytic_extrema_refined(self, sphere_cloud, ell_111):
         assert sb.mean_curvature_oscillation(sphere_cloud, 400).refined is False
@@ -1112,11 +1118,15 @@ class TestOnePointParity:
         rng = np.random.default_rng(seed)
         centre = getattr(surface, "center", np.zeros(surface.dim))
         P = centre + rng.uniform(0.8, 1.25, (m, 1)) * (surface.sample_points(m, rng) - centre)
-        for kernel in ["implicit", "project", "signed_distance"]:
+        kernels = ["implicit", "signed_distance"]
+        if name != "cloud":
+            kernels.append("project")
+        for kernel in kernels:
             rows = getattr(surface, kernel)(P)
             for i in range(m):
                 np.testing.assert_array_equal(getattr(surface, kernel)(P[i : i + 1])[0], rows[i])
-        Q = surface.project(P)
+        # a cloud answers with the nearest sample's geometry
+        Q = P if name == "cloud" else surface.project(P)
         nus, kappas = surface.curvatures_batch(Q)
         for i in range(m):
             nu1, k1 = surface.curvatures_batch(Q[i : i + 1])

@@ -374,6 +374,14 @@ class TestStabilityReport:
         ]
         assert 2.0 * r[0] - r[1] == pytest.approx(2.0 / ((l - 1) * (l + 2)), rel=1e-5, abs=0.0)
 
+    # r = 1 + 0.01 Y_50,0: a mirrored cap sample can sit where projection onto
+    # the rippled surface does not converge, but containment reads only the
+    # level function's sign, so the report completes
+    def test_high_degree_harmonic(self):
+        rep = stability_ratio(sb.HarmonicRadial([(50, 0, 0.01)]), sample_budget=300)
+        assert 0.0 < rep.ratio < 0.02
+        assert rep.radial_map.rays_ok
+
     # the extremal chord is long enough for its plane when it is long against
     # the surface's size, whatever the scale
     @pytest.mark.parametrize("s", [1e-10, 1e-12])
