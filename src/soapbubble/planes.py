@@ -150,8 +150,8 @@ def critical_position(
     `critical_tolerances`. An analytic surface's threshold is 0, and `tol`
     (a level-function value, as are `contact_gap` and the degenerate band)
     only sets the degenerate-contact band and the embeddedness margin.
-    A point cloud's nearest-sample distance is no better than
-    1.5 * spacing**2, so there the threshold is `tol` itself.
+    A point cloud's nearest-sample distance errs by up to about
+    spacing**2 / (2 rho), so there the threshold is `tol` itself.
     """
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)

@@ -733,13 +733,16 @@ class PointCloud(Surface):
         return x0.copy(), np.zeros(x0.shape[0], dtype=bool)
 
     def critical_tolerances(self, tol):
-        """The level function is the nearest-sample distance, no better than
-        1.5 * spacing**2, and it jumps along a line instead of crossing zero
-        cleanly, so a mirrored point counts as outside only beyond the
-        tolerance, which doubles as the exit threshold: `tol` itself, by
-        default max(1.5 * spacing**2, 1e-6 * diam)."""
+        """The level function is the nearest-sample distance, which jumps
+        along a line instead of crossing zero cleanly, so a mirrored point
+        counts as outside only beyond `tol`, which doubles as the exit
+        threshold. The default is a length, max(1.5 * spacing**2 / R, 2e-6 *
+        R) with R = `bounding_radius()`: the side of a point at tangential
+        offset s <= spacing from its nearest sample errs by at most about
+        kappa s**2 / 2 <= spacing**2 / (2 rho), and R stands in for rho."""
         if tol is None:
-            tol = max(1.5 * self.spacing**2, 2e-6 * self.bounding_radius())
+            R = self.bounding_radius()
+            tol = max(1.5 * self.spacing**2 / R, 2e-6 * R)
         return tol, tol
 
     def curvatures_batch(self, pts):

@@ -891,8 +891,8 @@ class TestPointCloudCapabilities:
         np.testing.assert_array_equal(ell_111.settle(P), ell_111.project(P))
 
     def test_critical_tolerances(self, sphere_cloud, ell_111):
-        diam = 2 * sphere_cloud.bounding_radius()
-        default = max(1.5 * sphere_cloud.spacing**2, 1e-6 * diam)
+        R = sphere_cloud.bounding_radius()
+        default = max(1.5 * sphere_cloud.spacing**2 / R, 2e-6 * R)
         assert sphere_cloud.critical_tolerances(None) == (default, default)
         assert sphere_cloud.critical_tolerances(3e-4) == (3e-4, 3e-4)
         diam = 2 * ell_111.bounding_radius()

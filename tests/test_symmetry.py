@@ -410,6 +410,25 @@ class TestStabilityReport:
         assert scaled.osc == pytest.approx(base.osc / s, rel=1e-4)
         assert scaled.ratio == pytest.approx(s**2 * base.ratio, rel=1e-3)
 
+    # a point cloud's exit threshold is a length, so its report scales with
+    # it: at 1e3 the old area-valued default (1.5 spacing^2) exceeded the
+    # cloud's size and the search raised EmbeddednessError
+    @pytest.mark.parametrize("s", [2.0**-10, 2.0**10, 1e-3, 1e3])
+    def test_point_cloud_scaling_covariance(self, s):
+        def measures(scale):
+            rng = np.random.default_rng(1)
+            u = rng.standard_normal((1500, 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            pts = u * np.array([1.0, 1.1, 1.2])
+            g = -pts / np.array([1.0, 1.21, 1.44])
+            cloud = sb.PointCloud(scale * pts, g / np.linalg.norm(g, axis=1, keepdims=True), k=20)
+            rep = stability_ratio(cloud, sample_budget=500, seed=0, n_rays=100)
+            assert rep.radial_map.hit_counts == {1: 100}
+            return np.concatenate([rep.center / scale,
+                                   [rep.r_i / scale, rep.r_e / scale, rep.ratio / scale**2, rep.osc * scale]])
+
+        np.testing.assert_allclose(measures(s), measures(1.0), rtol=1e-8, atol=0.0)
+
     def test_rigid_motion_invariance_of_measures(self):
         t = np.array([0.2, -0.3, 0.1])
         base = stability_ratio(sb.Sphere([0, 0, 0], 1.0), sample_budget=1500)
