@@ -30,6 +30,7 @@ from .tracing import (
     TracingError,
     curve_curvatures,
     curve_normals_in_plane,
+    fit_circle,
     project_to_plane,
     trace_plane_section,
 )
@@ -290,10 +291,10 @@ def projected_curvature_bounds(
     omega1, omega2 = unit(omega1), unit(omega2)
     seed_pt = _slice_seed(surface, omega1, level)
     trace = trace_plane_section(surface.jet, omega1, level, seed_pt, step)
-    return _projected_bound_from_trace(trace, surface, omega1, omega2, tol)
+    return _projected_bound_from_trace(trace, surface.jet, omega1, omega2, tol)
 
 
-def _projected_bound_from_trace(trace, surface, omega1, omega2, tol, nu_unit=None):
+def _projected_bound_from_trace(trace, jet, omega1, omega2, tol):
     P = trace.points
     # tangents of the source curve; omega2 must stay non-tangent
     tang = np.roll(P, -1, axis=0) - np.roll(P, 1, axis=0)
@@ -302,10 +303,11 @@ def _projected_bound_from_trace(trace, surface, omega1, omega2, tol, nu_unit=Non
     if t_align.max() > 0.999:
         raise TangentialSliceError("projection direction is tangent to the sliced curve")
 
-    if nu_unit is None:
-        nus, _ = surface.curvatures_batch(P)
-        nu_raw = nus - (nus @ omega1)[:, None] * omega1[None, :]
-        nu_unit = nu_raw / np.linalg.norm(nu_raw, axis=1, keepdims=True)
+    # in-plane unit normals of the section, from the level function's gradient
+    g = jet(P, 1)[1]
+    nus = g / np.linalg.norm(g, axis=1, keepdims=True)
+    nu_raw = nus - (nus @ omega1)[:, None] * omega1[None, :]
+    nu_unit = nu_raw / np.linalg.norm(nu_raw, axis=1, keepdims=True)
 
     kap_src = curve_curvatures(P)
     proj = project_to_plane(P, omega2)
@@ -354,16 +356,8 @@ def figure_projection_check(step: float = 0.02) -> dict:
 
     proj = project_to_plane(P, omega2)
     kap_proj = curve_curvatures(proj)
-    from .tracing import fit_circle
-
     center, radius = fit_circle(proj)
-
-    # in-plane unit normal of the section on the paraboloid
-    g = jet(P, 1)[1]
-    nus = g / np.linalg.norm(g, axis=1, keepdims=True)
-    nu_raw = nus - (nus @ omega1)[:, None] * omega1[None, :]
-    nu_unit = nu_raw / np.linalg.norm(nu_raw, axis=1, keepdims=True)
-    verdict = _projected_bound_from_trace(trace, None, omega1, omega2, FD_TOL, nu_unit=nu_unit)
+    verdict = _projected_bound_from_trace(trace, jet, omega1, omega2, FD_TOL)
 
     expected_kappa = 1.0 / math.sqrt(18.0)
     return {

@@ -37,21 +37,22 @@ def load_point_cloud_csv(path: str | os.PathLike) -> PointCloud:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = [h.strip().lower() for h in next(reader)]
-            # a row's line number, for a row that does not fit the header
-            lines = {reader.line_num: [float(v) for v in row] for row in reader if row}
+            # each row under its line number, which names a row that is wrong
+            lines = {reader.line_num: row for row in reader if row}
     except (OSError, StopIteration, ValueError) as exc:
         raise SpecError(f"cannot read point cloud {path}: {exc}") from exc
-    if header == ["x", "y", "z", "nx", "ny", "nz"]:
-        d = 3
-    elif header == ["x", "y", "nx", "ny"]:
-        d = 2
-    else:
+    d = {("x", "y", "z", "nx", "ny", "nz"): 3, ("x", "y", "nx", "ny"): 2}.get(tuple(header))
+    if d is None:
         raise SpecError(f"unrecognized cloud header {header!r} in {path}")
     if not lines:
         raise SpecError(f"point cloud {path} has no rows")
     for line, row in lines.items():
         if len(row) != 2 * d:
             raise SpecError(f"line {line} of {path} has {len(row)} fields; the header has {2 * d}")
+        try:
+            lines[line] = [float(v) for v in row]
+        except ValueError as exc:
+            raise SpecError(f"line {line} of {path}: {exc}") from exc
     data = np.asarray(list(lines.values()), dtype=float)
     return PointCloud(data[:, :d], data[:, d:])
 

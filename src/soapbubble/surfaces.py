@@ -673,6 +673,8 @@ class PointCloud(Surface):
         self.dim = self.points.shape[1]
         if self.dim not in (2, 3):
             raise ValueError("point clouds supported in R^2 and R^3 only")
+        # scale by a power of two (exact) so that the squares neither overflow nor underflow
+        normals = np.ldexp(normals, -np.frexp(np.abs(normals).max(axis=1, keepdims=True))[1])
         norms = np.linalg.norm(normals, axis=1, keepdims=True)
         bad = ~(np.isfinite(self.points).all(axis=1) & np.isfinite(normals).all(axis=1))
         if bad.any():

@@ -73,7 +73,6 @@ class TangentialSliceError(TracingError):
 @dataclass
 class Trace:
     points: np.ndarray   # (m, 3), closed loop (no repeated endpoint)
-    step: float
     march_steps: int     # accepted predictor steps of the march
 
 
@@ -187,7 +186,7 @@ def trace_plane_section(
                 sub *= 0.5
             fine = _resample_closed(polyline, lambda P: land(P, tol)[0], sub)
             points = _resample_closed(fine, lambda P: land(P, tol)[0], step)
-            return Trace(points=points, step=step, march_steps=len(pts))
+            return Trace(points=points, march_steps=len(pts))
         pts.append(cand)
         travelled += float(np.linalg.norm(cand - p))
         t_prev = t_new

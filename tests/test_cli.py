@@ -110,8 +110,9 @@ class TestSpecIO:
             ("nan normal", "cloud sample 17 has a non-finite point or normal"),
             ("inf point", "cloud sample 17 has a non-finite point or normal"),
             ("short row", "line 19 of .*cloud.csv has 5 fields; the header has 6"),
+            ("abc", "line 19 of .*cloud.csv: could not convert string to float: 'abc'"),
         ],
-        ids=["zero-normal", "nan-normal", "inf-point", "short-row"],
+        ids=["zero-normal", "nan-normal", "inf-point", "short-row", "abc"],
     )
     def test_bad_cloud_rows(self, fault, message, tmp_path, capsys):
         # sample 17 sits on line 19, below the header; its fault is named,
@@ -131,6 +132,8 @@ class TestSpecIO:
             lines[18] = "inf," + lines[18].split(",", 1)[1]
         if fault == "short row":
             lines[18] = lines[18].rsplit(",", 1)[0]
+        if fault == "abc":
+            lines[18] = lines[18].rsplit(",", 1)[0] + ",abc"
         csv.write_text("\n".join(lines) + "\n")
         with pytest.raises(SpecError, match=message):
             load_surface(spec)

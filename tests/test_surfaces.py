@@ -820,6 +820,21 @@ class TestPointCloud:
         _, kappas = sphere_cloud.curvatures_batch(np.array([[2.0, 0.0, 0.0]]))
         assert kappas[0].mean() == pytest.approx(1.0, rel=0.02)
 
+    def test_normals_of_any_magnitude(self):
+        # each normal is scaled by a power of two before its norm is taken:
+        # no overflow or underflow in the squares, and the same bits where
+        # the scaling is exact
+        u = np.random.default_rng(0).standard_normal((300, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        unit_normals = sb.PointCloud(u, -u).normals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (2.0**700, 2.0**-600):
+                np.testing.assert_array_equal(sb.PointCloud(u, -f * u).normals, unit_normals)
+            for f in (1e200, 1e-170):
+                np.testing.assert_allclose(sb.PointCloud(u, -f * u).normals, unit_normals,
+                                           rtol=0.0, atol=1e-15)
+
     def test_sphere_cloud_signed_distance(self, sphere_cloud):
         d = sphere_cloud.signed_distance(np.array([[0.0, 0, 0], [1.5, 0, 0]]))
         assert d[0] == pytest.approx(1.0, abs=0.01)
