@@ -37,7 +37,7 @@ def load_point_cloud_csv(path: str | os.PathLike) -> PointCloud:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = [h.strip().lower() for h in next(reader)]
-            # each row under its line number, which names a row that is wrong
+            # rows by line number, so that an error can name the line
             lines = {reader.line_num: row for row in reader if row}
     except (OSError, StopIteration, ValueError) as exc:
         raise SpecError(f"cannot read point cloud {path}: {exc}") from exc

@@ -726,8 +726,8 @@ class PointCloud(Surface):
         return 0.75 * self.spacing
 
     def settle(self, P):
-        # a point between samples stays put: the nearest sample lies up to a
-        # spacing away
+        # a point between samples stays put: projecting would snap it to the
+        # nearest sample, up to a spacing away
         return P
 
     def stationary(self, objective, x0):
