@@ -19,7 +19,9 @@ ref_ratio}, each the median of the 5 runs:
   hosts or moments of different speed compare.
 
 The rows, the md5 of each workload's `dump_report` text (which every run
-must reproduce) and the host's Python, numpy and CPU count go under
+must reproduce), how its radial map found the ray crossings (`radial_map.rays`:
+"certified" or "counted", null for a checkout whose report has no such key)
+and the host's Python, numpy and CPU count go under
 `--label` in `--out`; labels already in that file stay, so one file holds a
 parent's and a change's rows.
 """
@@ -99,9 +101,9 @@ class StageClock:
         return timed
 
 
-def time_workload(name: str, ref: Reference) -> tuple[dict, float, str]:
-    """One run: seconds per stage, the reference seconds around it and the
-    md5 of the report text."""
+def time_workload(name: str, ref: Reference) -> tuple[dict, float, str, str | None]:
+    """One run: seconds per stage, the reference seconds around it, the
+    md5 of the report text and the report's `radial_map.rays`."""
     surface = WORKLOADS[name]()
     clock = StageClock()
     originals = {attr: getattr(symmetry, attr) for attr in STAGES}
@@ -117,8 +119,10 @@ def time_workload(name: str, ref: Reference) -> tuple[dict, float, str]:
     finally:
         for attr, fn in originals.items():
             setattr(symmetry, attr, fn)
-    digest = hashlib.md5(dump_report(report.to_dict()).encode()).hexdigest()
-    return {**clock.seconds, "total": total}, ref_s, digest
+    doc = report.to_dict()
+    digest = hashlib.md5(dump_report(doc).encode()).hexdigest()
+    rays = (doc["radial_map"] or {}).get("rays")
+    return {**clock.seconds, "total": total}, ref_s, digest, rays
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,10 +132,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     ref = Reference()
     runs = {name: [] for name in WORKLOADS}
-    reports = {}
+    reports, rays = {}, {}
     for _ in range(REPEATS):
         for name in WORKLOADS:
-            seconds, ref_s, digest = time_workload(name, ref)
+            seconds, ref_s, digest, rays[name] = time_workload(name, ref)
             if reports.setdefault(name, digest) != digest:
                 raise SystemExit(f"{name}: two runs gave different reports")
             runs[name].append((seconds, ref_s))
@@ -152,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "report_md5": reports,
+        "radial_map_rays": rays,
         "rows": rows,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

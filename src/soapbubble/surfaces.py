@@ -263,6 +263,14 @@ class Surface:
 
         return self._memo(("geometry", budget, seed), make)
 
+    def dense_points(self) -> np.ndarray:
+        """The surface's dense reference set: `sample_points` of 16384 in
+        R^3 (2048 in R^2) from `default_rng(99)`, memoised and read-only."""
+        return self._memo(
+            ("dense",),
+            lambda: self.sample_points(16384 if self.dim == 3 else 2048, np.random.default_rng(99)),
+        )
+
     # --- area ---
 
     def area_estimate(self) -> tuple[float, float]:
@@ -600,11 +608,8 @@ class HarmonicRadial(Surface):
     def _projection_seeds(self, P: np.ndarray) -> np.ndarray:
         # seed from the nearest point of a memoised dense sampling so Newton
         # refines the global nearest branch, not just a stationary one
-        def make():
-            dense = self.sample_points(16384 if self.dim == 3 else 2048, np.random.default_rng(99))
-            return dense, cKDTree(dense)
-
-        dense, tree = self._memo(("seeds",), make)
+        dense = self.dense_points()
+        tree = self._memo(("seeds",), lambda: cKDTree(dense))
         return dense[tree.query(P)[1]]
 
     def sample_points(self, count, rng):
@@ -779,6 +784,10 @@ class PointCloud(Surface):
         idx = rng.choice(self.points.shape[0], size=count, replace=False)
         return self.points[np.sort(idx)]
 
+    def dense_points(self):
+        """The samples themselves."""
+        return self.points
+
     def area_estimate(self):
         return self._memo(("area",), self._cell_area)
 
@@ -810,13 +819,13 @@ class PointCloud(Surface):
 
     def component_labels(self) -> np.ndarray:
         """Connected components of the k-NN adjacency of the raw points."""
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        rows = np.repeat(np.arange(self.points.shape[0]), self.k)
-        cols = self._knn[:, 1 : self.k + 1].ravel()
-        data = np.ones(rows.size)
-        adj = coo_matrix((data, (rows, cols)), shape=(self.points.shape[0],) * 2)
+        # the k-NN table is a CSR adjacency with k entries per row as it stands
+        m, k = self.points.shape[0], self.k
+        cols = self._knn[:, 1 : k + 1].ravel()
+        adj = csr_matrix((np.ones(cols.size), cols, np.arange(0, m * k + 1, k)), shape=(m, m))
         _, labels = connected_components(adj, directed=False)
         return labels
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soapbubble as sb
 from soapbubble import symmetry
@@ -165,26 +167,22 @@ class TestRadialMap:
         "name, n_rays",
         [("ell_111", 1000), ("radial_bumpy", 1000), ("sphere_cloud", 50), ("dumbbell", 1000)],
     )
-    def test_annulus_counts_equal_full_grid(self, name, n_rays, request, monkeypatch):
+    def test_annulus_counts_equal_full_grid(self, name, n_rays, request):
         # a ray from the center crosses the surface only in the annulus, so
-        # the grid that starts there counts what the whole (0, t_max] grid does
+        # the grid that starts there, over radial_map_check's own range,
+        # counts what the whole (0, t_max] grid does
         surface = request.getfixturevalue(name)
         if name == "dumbbell":
             center, r_i, r_e = request.getfixturevalue("dumbbell_frame")
         else:
             center = np.zeros(3)
             r_i, r_e, _, _ = radial_bounds(surface, center, 1000)
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs, count_ray_hits(*args, **kwargs)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(symmetry, "count_ray_hits", spy)
-        radial_map_check(surface, center, r_i, r_e, n_rays=n_rays, sample_budget=1000)
-        [((_, origin, dirs), kwargs, counts)] = calls
-        assert kwargs["t_min"] > 0.0
-        full = ray_hits_loop(surface, origin, dirs, kwargs["t_max"], deadband=surface.ray_deadband)
+        rho = sb.touching_radius(surface, 1000)
+        t_min, t_max = r_i - 0.05 * (r_i + rho), 1.05 * r_e + 0.05 * rho
+        assert t_min > 0.0
+        dirs = _ray_dirs(n_rays, 3, seed=0)
+        counts = count_ray_hits(surface, center, dirs, t_max, t_min=t_min)
+        full = ray_hits_loop(surface, center, dirs, t_max, deadband=surface.ray_deadband)
         np.testing.assert_array_equal(counts, full)
         if name == "dumbbell":
             assert counts.max() >= 3
@@ -269,6 +267,80 @@ class TestRadialMap:
         assert radial_map_check(surf, center, 0.9, 1.1, **args) == expected
         with pytest.raises(ValueError, match="strictly inside"):
             radial_map_check(surf, np.array([3.0, 0.0, 0.0]), 0.9, 1.1, **args)
+
+
+@st.composite
+def _small_harmonics(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        l = draw(st.integers(0, 4))
+        terms.append((l, draw(st.integers(-l, l)), draw(st.floats(-0.1, 0.1))))
+    return terms
+
+
+class TestRayCertificate:
+    """Every ray from the center crosses once when a bound on the radial
+    dot over the whole surface is negative; rays are counted only where it
+    is not."""
+
+    @pytest.mark.parametrize("name", ["ell_111", "radial_bumpy", "sphere_cloud"])
+    def test_north_star_casts_no_ray(self, name, request, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_ray_hits was called")
+
+        monkeypatch.setattr(symmetry, "count_ray_hits", refuse)
+        rep = stability_ratio(request.getfixturevalue(name), sample_budget=1000).radial_map
+        assert rep.rays == "certified"
+        assert rep.certificate_bound < 0.0 < rep.fill_distance
+        assert rep.hit_counts == {1: 1000}
+        assert rep.rays_ok and rep.multi_hit_directions == []
+
+    def test_dumbbell_counted(self, dumbbell, dumbbell_frame):
+        # its sampled dot is positive, so the bound does not apply
+        O, r_i, r_e = dumbbell_frame
+        rep = radial_map_check(dumbbell, O, r_i, r_e, n_rays=2000, sample_budget=2000)
+        assert rep.max_radial_dot > 0.0
+        assert rep.rays == "counted"
+        assert rep.certificate_bound == math.inf and rep.fill_distance is None
+        assert rep.hit_counts == {1: 1968, 3: 32}
+
+    def test_mixed_harmonic_counted(self):
+        # transversal at every probe, but the bound on the continuum is positive
+        surf = sb.HarmonicRadial([(2, 1, 0.3), (3, -2, 0.25), (4, 3, 0.2)])
+        rep = stability_ratio(surf, sample_budget=1000).radial_map
+        assert rep.max_radial_dot < 0.0 < rep.certificate_bound
+        assert rep.rays == "counted"
+        assert rep.hit_counts == {1: 1000}
+
+    def test_two_components_counted(self):
+        # concentric spheres with normals -u: every dot is -1 and the bound
+        # is negative, yet each ray crosses both spheres (and the level
+        # function's jump halfway between them)
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal((4000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        cloud = sb.PointCloud(np.vstack([u[:2000], 2.0 * u[2000:]]), -u, k=20)
+        assert cloud.component_count == 2
+        rep = radial_map_check(cloud, np.zeros(3), 1.0, 2.0, n_rays=200, sample_budget=4000)
+        assert rep.max_radial_dot == pytest.approx(-1.0)
+        assert rep.certificate_bound < 0.0
+        assert rep.rays == "counted"
+        assert not rep.rays_ok
+
+    @given(coeffs=_small_harmonics())
+    @settings(max_examples=20, deadline=None)
+    def test_certified_rays_cross_once(self, coeffs):
+        surf = sb.HarmonicRadial(coeffs)
+        center = np.zeros(3)
+        r_i, r_e, _, _ = radial_bounds(surf, center, 500)
+        rep = radial_map_check(surf, center, r_i, r_e, n_rays=300, sample_budget=500)
+        if rep.rays == "certified":
+            rho = sb.touching_radius(surf, 500)
+            counts = count_ray_hits(
+                surf, center, _ray_dirs(300, 3, seed=0), 1.05 * r_e + 0.05 * rho,
+                t_min=r_i - 0.05 * (r_i + rho),
+            )
+            np.testing.assert_array_equal(counts, 1)
 
 
 def _circle_cloud(count: int, seed: int) -> sb.PointCloud:
