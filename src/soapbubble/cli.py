@@ -4,8 +4,12 @@ Subcommands:
   analyze         full stability pipeline on one surface -> JSON report
   sweep-ellipsoid prolate family (1, 1, 1+t) -> CSV with a fitted slope
   constants       explicit-constant ledger -> table / JSON
-  verify          one named inequality check -> verdict table
+  verify CHECK    one named inequality check -> verdict table
   moving-plane    single-direction critical plane (debug) -> JSON
+
+Each subcommand, and each `verify` check with its lab-note alias
+(`VERIFY_TABLE`), is an argparse parser that carries its handler and takes
+only the flags it reads: argparse rejects an unknown check or flag (exit 2).
 
 Exit codes: 0 success, 2 input error, 3 numerical-stage failure,
 4 inequality violations found.
@@ -24,7 +28,7 @@ from .intrinsic import build_geodesic_graph
 from .planes import critical_position
 from .specio import SpecError, dump_report, load_surface, write_report, write_sweep_csv
 from .surfaces import CapabilityError, Ellipsoid, OrientationError, SurfaceError
-from .symmetry import stability_ratio
+from .symmetry import radial_bounds, stability_ratio, symmetry_center
 from .tracing import TracingError
 
 EXIT_OK = 0
@@ -35,31 +39,6 @@ EXIT_VIOLATIONS = 4
 # neighbours per node of the geodesic graphs `verify` builds: with 8, the
 # graph on a plane curve's 2000 samples splits on about half the seeds
 GRAPH_K = 16
-
-VERIFY_CHECKS = {
-    "graph-bounds": "tangent-graph height/gradient/normal bounds",
-    "distance-bounds": "chord and arcsin intrinsic-distance envelope",
-    "slice-curvature": "plane-section curvature bounds",
-    "projected-curvature": "projected-section curvature bound",
-    "normal-change": "tilted re-graphing sup bound",
-    "normal-difference": "gradient-to-normal difference bound",
-    "normal-tilt": "cap boundary-band normal tilt bound",
-    "annulus-normal": "annulus radial-normal bound",
-    "figure-projection": "paraboloid section/projection ground truth",
-}
-# terse aliases used in lab notes
-VERIFY_ALIASES = {
-    "2.1": "graph-bounds",
-    "2.2": "distance-bounds",
-    "2.8": "slice-curvature",
-    "2.9": "projected-curvature",
-    "3.4": "normal-change",
-    "3.5": "normal-difference",
-    "4.5": "normal-tilt",
-    "5.1": "annulus-normal",
-    "fig1": "figure-projection",
-}
-
 
 _FLAGS = {
     "--surface": {"help": "surface description file (JSON)"},
@@ -76,6 +55,11 @@ _FLAGS = {
     "--k3": {"type": float, "default": None},
     "--out": {"help": "write the JSON report here"},
     "--csv": {"help": "write CSV output here (sweeps)"},
+    "--trials": {"type": int, "default": 10000, "help": "trials, or probe samples, of the check"},
+    "--delta": {"type": float, "default": None, "help": "boundary band width"},
+    "--direction": {"default": None, "help": "comma-separated plane direction"},
+    "--level": {"type": float, "default": 0.3, "help": "plane offset"},
+    "--rho": {"type": float, "default": None, "help": "claimed touching radius (negative control)"},
 }
 _SAMPLING = ("--samples", "--seed", "--tol")
 _K = ("--k1", "--k2", "--k3")
@@ -96,12 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full stability pipeline")
     _add_flags(p, "--surface", *_SAMPLING, *_K, "--out")
+    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("sweep-ellipsoid", help="prolate ellipsoid family sweep")
     _add_flags(p, *_SAMPLING, *_K, "--csv")
     p.add_argument("--t-min", type=float, default=0.02)
     p.add_argument("--t-max", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=10)
+    p.set_defaults(handler=cmd_sweep_ellipsoid)
 
     p = sub.add_parser("constants", help="explicit-constant ledger")
     p.add_argument("--n", type=int, required=True)
@@ -110,26 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, *_K)
     p.add_argument("--osc", type=float, default=None, help="also run the smallness check")
     _add_flags(p, "--out")
+    p.set_defaults(handler=cmd_constants)
 
     p = sub.add_parser("verify", help="stress-test one inequality")
-    p.add_argument("check", help="check name or alias (an unknown name lists them)")
-    _add_flags(p, "--surface", *_SAMPLING, "--out")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--delta", type=float, default=None, help="band width for normal-tilt")
-    p.add_argument("--direction", default=None, help="comma-separated direction (slices/tilt)")
-    p.add_argument("--level", type=float, default=None, help="plane offset (slices)")
-    p.add_argument(
-        "--rho", type=float, default=None,
-        help="claimed touching radius for graph-bounds (negative controls)",
-    )
+    checks = p.add_subparsers(dest="check", metavar="CHECK", required=True)
+    for name, alias, text, flags, runner in VERIFY_TABLE:
+        c = checks.add_parser(name, aliases=[alias], help=text)
+        _add_flags(c, *flags, "--out")
+        c.set_defaults(handler=cmd_verify, runner=runner)
 
     p = sub.add_parser("moving-plane", help="single-direction critical plane (debug)")
     _add_flags(p, "--surface", *_SAMPLING, "--out")
     p.add_argument("--direction", required=True, help="comma-separated direction")
+    p.set_defaults(handler=cmd_moving_plane)
     return ap
 
 
-def _parse_direction(text: str, dim: int) -> np.ndarray:
+def _parse_direction(text: str | None, dim: int, default: np.ndarray | None = None) -> np.ndarray:
+    if text is None:
+        return default
     try:
         v = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
@@ -165,6 +150,8 @@ def cmd_sweep_ellipsoid(args) -> int:
         raise SpecError("need at least one sweep step")
     if args.samples < 100:
         raise SpecError(f"--samples must be at least 100, got {args.samples}")
+    if args.tol is not None and not 0.0 <= args.tol < np.inf:
+        raise SpecError(f"--tol must be finite and non-negative, got {args.tol}")
     ts = (
         np.array([args.t_min])
         if args.steps == 1 or args.t_min == args.t_max
@@ -221,90 +208,94 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _verify_surface(args):
-    if args.surface:
-        return load_surface(args.surface)
-    return Ellipsoid([1.0, 1.0, 1.1])
+def _graph_bounds(args, surface):
+    return lemmas.verify_graph_bounds(surface, args.trials, args.seed, rho=args.rho), {}
+
+
+def _distance_bounds(args, surface):
+    graph = build_geodesic_graph(surface, max(args.samples, 2000), k=GRAPH_K, seed=args.seed)
+    return lemmas.verify_distance_bounds(surface, graph, args.trials, args.seed), {}
+
+
+def _slice_curvature(args, surface):
+    omega = _parse_direction(args.direction, surface.dim, np.eye(surface.dim)[-1])
+    return lemmas.slice_curvature_bounds(surface, omega, args.level), {}
+
+
+def _projected_curvature(args, surface):
+    omega1 = _parse_direction(args.direction, surface.dim, np.array([0.3, 0.2, 0.93]))
+    omega2 = np.eye(surface.dim)[-1]
+    return lemmas.projected_curvature_bounds(surface, omega1, args.level, omega2), {}
+
+
+def _normal_change(args, surface):
+    return lemmas.verify_normal_change(surface, args.trials, args.seed), {}
+
+
+def _normal_difference(args, surface):
+    return lemmas.verify_normal_difference(trials=args.trials, seed=args.seed), {}
+
+
+def _normal_tilt(args, surface):
+    omega = _parse_direction(args.direction, surface.dim, np.eye(surface.dim)[0])
+    plane = critical_position(surface, omega, args.tol, args.samples, args.seed)
+    graph = build_geodesic_graph(surface, max(args.samples, 2000), k=GRAPH_K, seed=args.seed)
+    return lemmas.verify_normal_tilt(surface, plane, graph, delta=args.delta), {}
+
+
+def _annulus_normal(args, surface):
+    center, _ = symmetry_center(surface, args.tol, args.samples, args.seed)
+    r_i, r_e, _, _ = radial_bounds(surface, center, args.samples, args.seed)
+    return lemmas.verify_annulus_normal(surface, center, r_i, r_e, args.trials, args.seed), {}
+
+
+def _figure_projection(args, surface):
+    extra = lemmas.figure_projection_check()
+    return extra.pop("bound_verdict"), extra
+
+
+# One `verify` check per row: name, lab-note alias, help, the flags it reads
+# besides --out, and its runner. A runner takes the parsed flags and the
+# surface (None for a check that reads no --surface) and returns the verdict
+# and the extra lines to report.
+VERIFY_TABLE = (
+    ("graph-bounds", "2.1", "tangent-graph height/gradient/normal bounds",
+     ("--surface", "--seed", "--trials", "--rho"), _graph_bounds),
+    ("distance-bounds", "2.2", "chord and arcsin intrinsic-distance envelope",
+     ("--surface", "--samples", "--seed", "--trials"), _distance_bounds),
+    ("slice-curvature", "2.8", "plane-section curvature bounds",
+     ("--surface", "--direction", "--level"), _slice_curvature),
+    ("projected-curvature", "2.9", "projected-section curvature bound",
+     ("--surface", "--direction", "--level"), _projected_curvature),
+    ("normal-change", "3.4", "tilted re-graphing sup bound",
+     ("--surface", "--seed", "--trials"), _normal_change),
+    ("normal-difference", "3.5", "gradient-to-normal difference bound",
+     ("--seed", "--trials"), _normal_difference),
+    ("normal-tilt", "4.5", "cap boundary-band normal tilt bound",
+     ("--surface", *_SAMPLING, "--direction", "--delta"), _normal_tilt),
+    ("annulus-normal", "5.1", "annulus radial-normal bound",
+     ("--surface", *_SAMPLING, "--trials"), _annulus_normal),
+    ("figure-projection", "fig1", "paraboloid section/projection ground truth",
+     (), _figure_projection),
+)
 
 
 def cmd_verify(args) -> int:
-    name = VERIFY_ALIASES.get(args.check, args.check)
-    if name not in VERIFY_CHECKS:
-        known = ", ".join(sorted(VERIFY_CHECKS) + sorted(VERIFY_ALIASES))
-        raise SpecError(f"unknown check {args.check!r}; known: {known}")
-    if args.trials < 1:
+    if "trials" in args and args.trials < 1:
         raise SpecError(f"--trials must be at least 1, got {args.trials}")
-
-    verdicts: list[lemmas.LemmaVerdict] = []
-    extra: dict = {}
-    if name == "figure-projection":
-        result = lemmas.figure_projection_check()
-        verdicts.append(result.pop("bound_verdict"))
-        extra = result
-    else:
-        surface = _verify_surface(args)
-        if name == "graph-bounds":
-            verdicts.append(
-                lemmas.verify_graph_bounds(surface, args.trials, args.seed, rho=args.rho)
-            )
-        elif name == "distance-bounds":
-            graph = build_geodesic_graph(surface, max(args.samples, 2000), k=GRAPH_K, seed=args.seed)
-            verdicts.append(lemmas.verify_distance_bounds(surface, graph, args.trials, args.seed))
-        elif name == "slice-curvature":
-            omega = (
-                _parse_direction(args.direction, surface.dim)
-                if args.direction
-                else np.eye(surface.dim)[-1]
-            )
-            level = args.level if args.level is not None else 0.3
-            verdicts.append(lemmas.slice_curvature_bounds(surface, omega, level))
-        elif name == "projected-curvature":
-            omega1 = (
-                _parse_direction(args.direction, surface.dim)
-                if args.direction
-                else np.array([0.3, 0.2, 0.93])
-            )
-            level = args.level if args.level is not None else 0.3
-            omega2 = np.eye(surface.dim)[-1]
-            verdicts.append(
-                lemmas.projected_curvature_bounds(surface, omega1, level, omega2)
-            )
-        elif name == "normal-change":
-            verdicts.append(lemmas.verify_normal_change(surface, args.trials, args.seed))
-        elif name == "normal-difference":
-            verdicts.append(lemmas.verify_normal_difference(trials=args.trials, seed=args.seed))
-        elif name == "normal-tilt":
-            omega = (
-                _parse_direction(args.direction, surface.dim)
-                if args.direction
-                else np.eye(surface.dim)[0]
-            )
-            plane = critical_position(surface, omega, args.tol, args.samples, args.seed)
-            graph = build_geodesic_graph(surface, max(args.samples, 2000), k=GRAPH_K, seed=args.seed)
-            verdicts.append(
-                lemmas.verify_normal_tilt(surface, plane, graph, delta=args.delta)
-            )
-        elif name == "annulus-normal":
-            from .symmetry import radial_bounds, symmetry_center
-
-            center, _ = symmetry_center(surface, args.tol, args.samples, args.seed)
-            r_i, r_e, _, _ = radial_bounds(surface, center, args.samples, args.seed)
-            verdicts.append(
-                lemmas.verify_annulus_normal(
-                    surface, center, r_i, r_e, sample_budget=args.trials, seed=args.seed
-                )
-            )
+    surface = None
+    if "surface" in args:
+        surface = load_surface(args.surface) if args.surface else Ellipsoid([1.0, 1.0, 1.1])
+    verdict, extra = args.runner(args, surface)
 
     header = f"{'check':<22} {'trials':>7} {'viols':>6} {'worst_slack':>13} {'skips':>6}"
-    sys.stdout.write(header + "\n")
-    for v in verdicts:
-        sys.stdout.write(v.table_row() + "\n")
+    sys.stdout.write(header + "\n" + verdict.table_row() + "\n")
     for k, v in extra.items():
         sys.stdout.write(f"# {k} = {v}\n")
-    doc = {"checks": [v.to_dict() for v in verdicts], "extra": extra}
+    doc = {"checks": [verdict.to_dict()], "extra": extra}
     if args.out:
         write_report(doc, args.out)
-    return EXIT_VIOLATIONS if any(v.violations for v in verdicts) else EXIT_OK
+    return EXIT_VIOLATIONS if verdict.violations else EXIT_OK
 
 
 def cmd_moving_plane(args) -> int:
@@ -321,19 +312,10 @@ def cmd_moving_plane(args) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "analyze": cmd_analyze,
-    "sweep-ellipsoid": cmd_sweep_ellipsoid,
-    "constants": cmd_constants,
-    "verify": cmd_verify,
-    "moving-plane": cmd_moving_plane,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.handler(args)
     except (SpecError, CapabilityError, OrientationError) as exc:
         # a missing capability or a badly oriented cloud is a wrong input, not a failure
         sys.stderr.write(f"input error: {exc}\n")

@@ -267,6 +267,8 @@ def slice_curvature_bounds(
 
 
 def _slice_seed(surface: Surface, omega: np.ndarray, level: float) -> np.ndarray:
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     pts = surface.probe_points(2000, 0)
     h = pts @ omega - level
     i = int(np.argmin(np.abs(h)))

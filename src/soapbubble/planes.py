@@ -153,10 +153,12 @@ def critical_position(
     A point cloud's nearest-sample distance errs by up to about
     spacing**2 / (2 rho), so there the threshold is `tol` itself.
     """
+    tol, threshold = surface.critical_tolerances(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     omega = unit(omega)
     pts = surface.probe_points(sample_budget, seed)
     diam = 2.0 * surface.bounding_radius()
-    tol, threshold = surface.critical_tolerances(tol)
 
     hi = extent(surface, omega, sample_budget, seed)
     lo = -extent(surface, -omega, sample_budget, seed)

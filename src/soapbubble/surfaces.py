@@ -318,12 +318,20 @@ class Surface:
 # analytic variants
 
 
+def _finite_vector(name: str, value) -> np.ndarray:
+    """`value` as a finite 1-D vector of at least 2 entries, else a ValueError naming `name`."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1 or v.size < 2 or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be a finite vector of at least 2 entries, got {value!r}")
+    return v
+
+
 class Sphere(Surface):
     def __init__(self, center, radius: float):
-        self.center = np.asarray(center, dtype=float)
+        self.center = _finite_vector("center", center)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         self.dim = self.center.shape[0]
 
     # R - |xi - c| is the exact signed distance
@@ -378,9 +386,9 @@ class Ellipsoid(Surface):
     """Axis-aligned ellipsoid sum((x_i/a_i)^2) = 1 centered at the origin."""
 
     def __init__(self, semi_axes):
-        self.semi_axes = np.asarray(semi_axes, dtype=float)
+        self.semi_axes = _finite_vector("semi_axes", semi_axes)
         if np.any(self.semi_axes <= 0):
-            raise ValueError("semi-axes must be positive")
+            raise ValueError(f"semi_axes must be positive, got {semi_axes!r}")
         self.dim = self.semi_axes.shape[0]
         self._a2 = self.semi_axes**2
 

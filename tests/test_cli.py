@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from soapbubble.cli import main
+from soapbubble.cli import VERIFY_TABLE, main
 from soapbubble.specio import (
     SpecError,
     dump_report,
@@ -92,6 +92,22 @@ class TestSpecIO:
         # a NaN coefficient is rejected before the surface is built
         with pytest.raises(SpecError, match="must be finite"):
             surface_from_dict({"type": "radial_graph", "coeffs": [[2, 0, float("nan")]]})
+        # a sphere or ellipsoid checks its fields when built, before any
+        # sample is drawn; JSON's 1e400 reads as inf
+        for doc, field in [
+            ('{"type": "sphere", "center": [0, 0, 0], "radius": NaN}', "radius"),
+            ('{"type": "sphere", "center": [0, 0, 0], "radius": 1e400}', "radius"),
+            ('{"type": "sphere", "center": [0], "radius": 1}', "center"),
+            ('{"type": "sphere", "center": [[1, 1], [1, 1]], "radius": 1}', "center"),
+            ('{"type": "sphere", "center": [0, NaN], "radius": 1}', "center"),
+            ('{"type": "ellipsoid", "semi_axes": [1, 1e400, 1]}', "semi_axes"),
+            ('{"type": "ellipsoid", "semi_axes": [1, NaN, 1]}', "semi_axes"),
+            ('{"type": "ellipsoid", "semi_axes": [1]}', "semi_axes"),
+            ('{"type": "ellipsoid", "semi_axes": 2}', "semi_axes"),
+        ]:
+            with pytest.raises(SpecError, match=field):
+                surface_from_dict(json.loads(doc))
+        assert surface_from_dict({"type": "ellipsoid", "semi_axes": [1, 1, 1.1, 1.2]}).dim == 4
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(SpecError):
@@ -180,6 +196,29 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Ellipsoid does not provide an area in R^4" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--samples", "300", "--tol", "nan"],
+            ["analyze", "--samples", "300", "--tol", "-1"],
+            ["moving-plane", "--direction", "0,0,1", "--tol", "-5"],
+            ["moving-plane", "--direction", "0,0,1", "--tol", "inf"],
+            ["verify", "normal-tilt", "--tol", "nan"],
+            ["sweep-ellipsoid", "--tol", "nan"],
+        ],
+    )
+    def test_bad_tol_exit_2(self, argv, ell_spec, capsys):
+        # a NaN, infinite or negative tolerance is a wrong input; the sweep
+        # rejects it before its first row
+        if argv[0] in ("analyze", "moving-plane"):
+            argv = [*argv, "--surface", str(ell_spec)]
+        assert main(argv) == 2
+        assert "tol must be finite and non-negative" in capsys.readouterr().err
+
+    def test_zero_tol_allowed(self, ell_spec, capsys):
+        assert main(["moving-plane", "--surface", str(ell_spec), "--direction", "0,0,1",
+                     "--samples", "500", "--tol", "0"]) == 0
+
     def test_mixed_normal_cloud_exit_2(self, tmp_path, capsys):
         # a badly oriented cloud file is a wrong input, not a numerical failure
         spec = _cloud_spec(tmp_path, lambda u, rng: np.where(rng.random((400, 1)) < 0.5, u, -u))
@@ -252,6 +291,16 @@ class TestConstantsCmd:
         assert "PLACEHOLDER" not in capsys.readouterr().out
 
 
+VERIFY_FLAGS = ("--surface", "--samples", "--seed", "--tol", "--out", "--trials",
+                "--delta", "--direction", "--level", "--rho")
+UNREAD_VERIFY_FLAGS = [
+    (name, flag)
+    for name, _, _, flags, _ in VERIFY_TABLE
+    for flag in VERIFY_FLAGS
+    if flag not in (*flags, "--out")
+]
+
+
 class TestFlags:
     # each subcommand accepts only the flags it reads; any other is an
     # argparse error (exit 2), like an unknown flag
@@ -280,6 +329,19 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_verify_pairs_accepted(self):
+        # every `verify` check takes only the flags it reads: 39 of the 90 pairs
+        assert len(VERIFY_TABLE) * len(VERIFY_FLAGS) - len(UNREAD_VERIFY_FLAGS) == 39
+
+    @pytest.mark.parametrize("check, flag", UNREAD_VERIFY_FLAGS)
+    def test_verify_check_rejects_unread_flag(self, check, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", check, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerifyCmd:
     def test_normal_difference_ok(self, capsys):
@@ -294,7 +356,35 @@ class TestVerifyCmd:
         assert "projected-curvature" in text
 
     def test_unknown_check_exit_2(self, capsys):
-        assert main(["verify", "lemma-nope"]) == 2
+        # argparse looks the check up and lists the names and aliases
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lemma-nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'lemma-nope'" in err
+        for name, alias, *_ in VERIFY_TABLE:
+            assert name in err and alias in err
+
+    @pytest.mark.parametrize(
+        "name, alias, flags", [(name, alias, flags) for name, alias, _, flags, _ in VERIFY_TABLE]
+    )
+    def test_alias_prints_the_same_bytes(self, name, alias, flags, capsys):
+        small = {"--trials": "200", "--samples": "300"}
+        argv = [a for flag in flags if flag in small for a in (flag, small[flag])]
+        outs = []
+        for check in (name, alias):
+            assert main(["verify", check, *argv]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("check ")
+
+    @pytest.mark.parametrize(
+        "check, level", [("slice-curvature", "nan"), ("projected-curvature", "inf"),
+                         ("slice-curvature", "-inf")]
+    )
+    def test_nonfinite_level_exit_2(self, check, level, capsys):
+        # a plane offset that is not finite is a wrong input, caught before tracing
+        assert main(["verify", check, f"--level={level}"]) == 2
+        assert "level must be finite" in capsys.readouterr().err
 
     def test_graph_bounds_on_spec_surface(self, ell_spec, capsys):
         assert main(["verify", "graph-bounds", "--surface", str(ell_spec),
