@@ -197,10 +197,10 @@ def cmd_sweep_ellipsoid(args) -> int:
 
 def cmd_constants(args) -> int:
     rep = compute_constants(args.n, args.rho, args.area, **_k_args(args))
+    verdict = None if args.osc is None else check_smallness(args.osc, rep)
     sys.stdout.write(rep.table() + "\n")
     doc = rep.to_dict()
-    if args.osc is not None:
-        verdict = check_smallness(args.osc, rep)
+    if verdict is not None:
         doc["smallness"] = verdict.to_dict()
         sys.stdout.write(f"smallness: applicable={verdict.applicable} margin={verdict.margin:.6g}\n")
     if args.out:

@@ -158,8 +158,10 @@ def compute_constants(
 ) -> ConstantsReport:
     placeholder = k1 is None and k2 is None and k3 is None
     k1, k2, k3 = (1.0 if k is None else k for k in (k1, k2, k3))
-    if rho <= 0 or area <= 0 or k1 <= 0 or k2 <= 0 or k3 <= 0:
-        raise ValueError("all ledger inputs must be positive")
+    given = {"rho": rho, "area": area, "k1": k1, "k2": k2, "k3": k3, "delta": delta}
+    bad = [k for k, v in given.items() if v is not None and not 0 < v < math.inf]
+    if bad:
+        raise ValueError(f"ledger inputs must be finite and positive: {', '.join(bad)}")
     n = int(n)
     if n < 1:
         raise ValueError("dimension n must be at least 1")
@@ -236,4 +238,6 @@ class SmallnessVerdict:
 
 def check_smallness(osc: float, report: ConstantsReport) -> SmallnessVerdict:
     """Is the measured oscillation below the ledger threshold eps?"""
+    if not math.isfinite(osc):
+        raise ValueError(f"osc must be finite, got {osc}")
     return SmallnessVerdict(applicable=bool(osc <= report.eps), margin=report.eps - osc)

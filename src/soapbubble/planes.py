@@ -153,6 +153,8 @@ def critical_position(
     A point cloud's nearest-sample distance errs by up to about
     spacing**2 / (2 rho), so there the threshold is `tol` itself.
     """
+    if sample_budget < 100:
+        raise ValueError("sample_budget must be at least 100")
     tol, threshold = surface.critical_tolerances(tol)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")

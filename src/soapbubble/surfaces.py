@@ -989,28 +989,7 @@ def mean_curvature_oscillation(
 
 
 _PAIR_BUDGET = 1500  # samples whose every pair the touching-ball estimate bounds
-_PAIR_ROWS = 32  # rows per block of the touching-ball pair screen
-# Relative slack of the touching-ball pair screen. The screen sums |q-p|^2
-# and (q-p) . nu_p over coordinates in its own order and einsum in another
-# (numpy 2.4 sums three terms as (a0 + a2) + a1), from the same rounded
-# products. Either order of a sum of at most 3 terms lies within 2u of the
-# exact sum, relative to the terms' absolute sum (u = 2^-53), so the two
-# differ by at most 4u |q-p|^2 and, by Cauchy-Schwarz, 4u |q-p| |nu_p|. The
-# screen's own products, square root and difference add at most 4u more, so
-# 8u suffices; the slack doubles it.
-_PAIR_SLACK = 16.0 * np.finfo(float).eps / 2.0
-
-
-def _pair_ratio_min(P: np.ndarray, N: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """Least touching ratio |q-p|^2 / (2 |(q-p) . nu_p|) over the pairs
-    (P[p], P[q]) with normals N[p]; a pair whose (q-p) . nu_p is zero to
-    rounding bounds nothing."""
-    diff = P[q] - P[p]
-    d2 = np.einsum("kd,kd->k", diff, diff)
-    perp = np.abs(np.einsum("kd,kd->k", diff, N[p]))
-    valid = perp > 1e-12 * np.sqrt(np.maximum(d2, 1e-300))
-    ratio = np.where(valid, d2 / np.maximum(2.0 * perp, 1e-300), math.inf)
-    return float(ratio.min(initial=math.inf))
+_PAIR_ROWS = 32  # rows per block of the touching-ball pair scan
 
 
 def estimate_touching_radius(surface: Surface, sample_budget: int = 2000, seed: int = 0) -> float:
@@ -1019,37 +998,24 @@ def estimate_touching_radius(surface: Surface, sample_budget: int = 2000, seed: 
     Combines the pointwise curvature bound 1/max|kappa| with the pairwise
     bound |q-p|^2 / (2 |(q-p) . nu_p|) over every ordered pair of up to
     `_PAIR_BUDGET` samples; the pairwise term catches global bottlenecks
-    (thin necks) that curvature alone misses.
+    (thin necks) that curvature alone misses. A pair whose normal component
+    is zero to rounding (at most 1e-12 |q-p|) bounds nothing.
 
-    The pair minimum equals a scan of every pair bit for bit, though most
-    pairs are only screened. A running bound starts at the curvature bound
-    and the ratios of each sample's 9 nearest neighbours. A screen over
-    coordinate columns drops each pair whose ratio cannot fall below the
-    bound, widened by `_PAIR_SLACK` for its own rounding, so it never drops
-    a pair that a full evaluation would put below. The survivors' ratios
-    are computed in full (`_pair_ratio_min`), by the same expressions as the
-    scan, and lower the bound.
+    The scan takes `_PAIR_ROWS` rows p at a time against every column q
+    from the block's first row on, so it meets each pair, and sums |q-p|^2
+    and both normal components one coordinate at a time. Both orders of a
+    pair share |q-p|^2, so its smaller ratio is the one over the larger
+    normal component.
     """
     if sample_budget < 100:
         raise ValueError("sample_budget must be at least 100")
     pts, normals, kappas = surface.probe_geometry(sample_budget, seed)
     kmax = float(np.abs(kappas).max())
-    curv_bound = 1.0 / kmax if kmax > 0 else math.inf
+    best = 1.0 / kmax if kmax > 0 else math.inf
 
     m = min(_PAIR_BUDGET, pts.shape[0])
     sel = np.linspace(0, pts.shape[0] - 1, m).astype(int)
-    P, N = pts[sel], normals[sel]
-    _, near = cKDTree(P).query(P, k=min(9, m))
-    near = near.reshape(m, -1)
-    best = min(
-        curv_bound, _pair_ratio_min(P, N, np.repeat(np.arange(m), near.shape[1]), near.ravel())
-    )
-
-    # one block holds the pairs of rows p in [i0, i0 + _PAIR_ROWS) with the
-    # columns q >= i0, in both orders: |q-p|^2 is the same both ways and
-    # (q-p) . nu_p, (p-q) . nu_q share the coordinate differences
-    X, V = P.T.copy(), N.T.copy()
-    tol = _PAIR_SLACK * float(np.linalg.norm(N, axis=1).max())
+    X, V = pts[sel].T.copy(), normals[sel].T.copy()
     for i0 in range(0, m, _PAIR_ROWS):
         rows = slice(i0, i0 + _PAIR_ROWS)
         diff = X[0, i0:] - X[0, rows, None]  # q - p
@@ -1057,20 +1023,15 @@ def estimate_touching_radius(surface: Surface, sample_budget: int = 2000, seed: 
         along_p = diff * V[0, rows, None]
         along_q = diff * V[0, i0:]
         term = np.empty_like(d2)
-        for j in range(1, P.shape[1]):
+        for j in range(1, X.shape[0]):
             np.subtract(X[j, i0:], X[j, rows, None], out=diff)
             d2 += np.multiply(diff, diff, out=term)
             along_p += np.multiply(diff, V[j, rows, None], out=term)
             along_q += np.multiply(diff, V[j, i0:], out=term)
-        # keep a pair where perp >= |q-p|^2 (1 - s) / (2 best) - s |nu| |q-p|,
-        # every pair while best = inf
-        widen = np.multiply(np.sqrt(d2, out=diff), tol, out=diff)
-        bar = np.multiply(d2, (1.0 - _PAIR_SLACK) * (0.5 / best), out=d2)
-        bar -= widen
-        p1, q1 = np.nonzero(np.abs(along_p, out=along_p) >= bar)
-        p2, q2 = np.nonzero(np.abs(along_q, out=along_q) >= bar)
-        base, other = np.concatenate([p1, q2]) + i0, np.concatenate([q1, p2]) + i0
-        best = min(best, _pair_ratio_min(P, N, base, other))
+        perp = np.maximum(np.abs(along_p, out=along_p), np.abs(along_q, out=along_q), out=along_p)
+        valid = perp > 1e-12 * np.sqrt(np.maximum(d2, 1e-300, out=term), out=term)
+        ratio = np.divide(d2, 2.0 * perp, out=np.full_like(d2, math.inf), where=valid)
+        best = min(best, float(ratio.min()))
     if not (best > 0):
         raise SurfaceError("touching radius estimate is not positive")
     return best

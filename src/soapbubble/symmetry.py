@@ -65,6 +65,8 @@ def radial_bounds(
     converge or does not improve on it, as always on a point cloud, whose
     seeds stand.
     """
+    if sample_budget < 100:
+        raise ValueError("sample_budget must be at least 100")
     center = np.asarray(center, dtype=float)
     pts = surface.probe_points(sample_budget, seed)
     r = np.linalg.norm(pts - center, axis=1)

@@ -187,8 +187,13 @@ def touching_radius_dense(
     chunk = 256
     for i0 in range(0, m, chunk):
         diff = P[None, :, :] - P[i0 : i0 + chunk, None, :]  # q - p
-        d2 = np.einsum("pqd,pqd->pq", diff, diff)
-        perp = np.abs(np.einsum("pqd,pd->pq", diff, N[i0 : i0 + chunk]))
+        # summed one coordinate at a time, in the library's order
+        d2 = diff[..., 0] * diff[..., 0]
+        perp = diff[..., 0] * N[i0 : i0 + chunk, None, 0]
+        for j in range(1, P.shape[1]):
+            d2 = d2 + diff[..., j] * diff[..., j]
+            perp = perp + diff[..., j] * N[i0 : i0 + chunk, None, j]
+        perp = np.abs(perp)
         valid = perp > 1e-12 * np.sqrt(np.maximum(d2, 1e-300))
         ratio = np.where(valid, d2 / np.maximum(2.0 * perp, 1e-300), math.inf)
         pair_bound = min(pair_bound, float(ratio.min()))

@@ -215,6 +215,22 @@ class TestAnalyze:
         assert main(argv) == 2
         assert "tol must be finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "annulus-normal", "--samples", "1", "--trials", "10"],
+            ["verify", "normal-tilt", "--samples", "50"],
+            ["moving-plane", "--direction", "0,0,1", "--samples", "20"],
+        ],
+    )
+    def test_too_few_plane_samples_exit_2(self, argv, ell_spec, capsys):
+        # the moving-planes path needs the touching-radius minimum of 100
+        # samples too; fewer is a wrong input, not a failed stage
+        if argv[0] == "moving-plane":
+            argv = [*argv, "--surface", str(ell_spec)]
+        assert main(argv) == 2
+        assert "sample_budget must be at least 100" in capsys.readouterr().err
+
     def test_zero_tol_allowed(self, ell_spec, capsys):
         assert main(["moving-plane", "--surface", str(ell_spec), "--direction", "0,0,1",
                      "--samples", "500", "--tol", "0"]) == 0
@@ -280,6 +296,18 @@ class TestConstantsCmd:
 
     def test_invalid_inputs_exit_2(self):
         assert main(["constants", "--n", "2", "--rho", "-1", "--area", "1"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--rho", "nan", "--area", "1"],
+        ["--rho", "1", "--area", "inf"],
+        ["--rho", "1", "--area", "1", "--k1", "nan"],
+        ["--rho", "1", "--area", "1", "--osc", "nan"],
+    ])
+    def test_non_finite_inputs_exit_2(self, flags, capsys):
+        # refused before the table, so no nan constant is printed
+        assert main(["constants", "--n", "2", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "input error" in err
 
     def test_one_supplied_constant_clears_the_placeholder(self, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -101,6 +101,16 @@ class TestLedgerValues:
             compute_constants(2, 1.0, 0.0)
         with pytest.raises(ValueError):
             compute_constants(0, 1.0, 1.0)
+        # NaN fails every comparison, so it must be refused by name, as must inf
+        for bad in (math.nan, math.inf):
+            for k in ("rho", "area", "k1", "k2", "k3", "delta"):
+                given = {"rho": 1.0, "area": 1.0, k: bad}
+                with pytest.raises(ValueError, match=k):
+                    compute_constants(2, **given)
+        with pytest.raises(ValueError, match="delta"):
+            compute_constants(2, 1.0, 1.0, delta=0.0)
+        with pytest.raises(ValueError, match="osc"):
+            check_smallness(math.nan, compute_constants(2, 1.0, 1.0))
 
     def test_other_dimensions_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="soapbubble.constants"):

@@ -417,6 +417,14 @@ class TestEmbeddedness:
             critical_position(surface, np.eye(dim)[-1])
 
 
+def test_too_few_samples_raise(unit_sphere):
+    with pytest.raises(ValueError, match="sample_budget must be at least 100"):
+        critical_position(unit_sphere, np.eye(3)[-1], sample_budget=99)
+    assert critical_position(unit_sphere, np.eye(3)[-1], sample_budget=100).level == (
+        pytest.approx(0.0, abs=1e-6)
+    )
+
+
 class TestCriticalCaps:
     def test_sphere_hemispheres(self, unit_sphere):
         g = build_geodesic_graph(unit_sphere, 2000, k=8, seed=0)

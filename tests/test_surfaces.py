@@ -523,14 +523,14 @@ class TestTouchingRadius:
     @pytest.mark.parametrize("name", sorted(_RHO_SURFACES))
     @pytest.mark.parametrize("budget, seed", [(2000, 0), (2000, 1), (2000, 5), (500, 3)])
     def test_equals_dense_scan(self, name, budget, seed):
-        # the screened scan returns the every-pair minimum bit for bit
+        # the blocked scan returns the every-ordered-pair minimum bit for bit
         surface = _RHO_SURFACES[name]()
         rho = sb.estimate_touching_radius(surface, budget, seed)
         assert rho == touching_radius_dense(surface, budget, seed)
 
     @pytest.mark.parametrize(
         "budget, pair_budget",
-        [(500, 200), (2000, 5000), (300, 5)],  # the last keeps fewer than 9
+        [(500, 200), (2000, 5000), (300, 5)],  # the last keeps fewer rows than a block
     )
     def test_equals_dense_scan_pair_budgets(self, ell_111, budget, pair_budget, monkeypatch):
         monkeypatch.setattr(sb.surfaces, "_PAIR_BUDGET", pair_budget)
@@ -567,10 +567,30 @@ class TestTouchingRadius:
         assert rho == touching_radius_dense(flat, 200)
         assert rho == pytest.approx(0.5 * (7.0**2 + 1.0))
 
+    @pytest.mark.parametrize("rows", [1, 5, 32, 1000])
+    @pytest.mark.parametrize("pair_budget", [7, 23, 1500])
+    def test_blocks_keep_the_minimum(self, rows, pair_budget, monkeypatch):
+        # neither the row blocks nor taking each pair once, by its larger
+        # normal component, changes the every-ordered-pair minimum; one
+        # cloud repeats a row, a pair at distance 0 that bounds nothing
+        monkeypatch.setattr(sb.surfaces, "_PAIR_ROWS", rows)
+        monkeypatch.setattr(sb.surfaces, "_PAIR_BUDGET", pair_budget)
+        rng = np.random.default_rng(rows + pair_budget)
+        for size, dim in ((40, 3), (61, 3), (50, 2)):
+            pts = rng.standard_normal((size, dim))
+            pts[size - 1] = pts[0]
+            nu = rng.standard_normal((size, dim))
+            nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+            cloud = _fixed_samples(pts, nu, 0.01)
+            rho = sb.estimate_touching_radius(cloud, 100)
+            assert rho == touching_radius_dense(cloud, 100, pair_budget=pair_budget)
+            assert rho < 100.0
+
     def test_screen_slack_keeps_rounding_ties(self):
         # q lies on the unit ball touching p, so the pair's ratio ties the
-        # curvature bound 1 up to rounding; in full it rounds below 1, while
-        # the screen's other summation order, without its slack, puts it above
+        # curvature bound 1 up to rounding: the order in which |q-p|^2 and
+        # (q-p) . nu_p are summed decides which side of 1 it falls on, and
+        # the scan must land where the dense scan does
         p = np.array([-0.8835235704250701, 0.2958531929802981, 0.7219709837164454])
         nu = np.array([0.8009913132319615, 0.5071082108400855, -0.31820461754271434])
         q = np.array([0.19956767842647583, -0.02330030036399744, 0.891322744987247])

@@ -61,6 +61,10 @@ class TestRadialBounds:
         assert r_i == pytest.approx(1.0, abs=1e-9)
         assert r_e == pytest.approx(1.0, abs=1e-9)
 
+    def test_too_few_samples_raise(self, unit_sphere):
+        with pytest.raises(ValueError, match="sample_budget must be at least 100"):
+            radial_bounds(unit_sphere, np.zeros(3), 99)
+
     def test_ellipsoid_semi_axes(self, ell_111):
         r_i, r_e, p_i, p_e = radial_bounds(ell_111, np.zeros(3))
         assert r_i == pytest.approx(1.0, abs=1e-6)
