@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
+from .geometry import record
+
 _LOG10_MAX = 308.0
 
 logger = logging.getLogger(__name__)
@@ -74,35 +76,11 @@ class ConstantsReport:
     gradient_bound_m: ClassVar[float] = 1.0 / math.sqrt(3.0)
 
     def to_dict(self) -> dict:
+        inputs = ("n", "rho", "area", "k1", "k2", "k3", "k_placeholder")
         return {
-            "inputs": {
-                "n": self.n,
-                "rho": self.rho,
-                "area": self.area,
-                "k1": self.k1,
-                "k2": self.k2,
-                "k3": self.k3,
-                "k_placeholder": self.k_placeholder,
-            },
-            "omega_n": self.omega_n,
-            "delta": self.delta,
-            "L": self.big_l,
-            "r0": self.r0,
-            "eps0": self.eps0,
-            "N0": self.n0,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "eps3": self.eps3,
-            "eps": self.eps,
-            "C1": self.c1,
-            "C": self.c,
-            "diam_bound": self.diam_bound,
-            "eps_corollary": self.eps_corollary,
-            "log10_C1": self.log10_c1,
-            "log10_C": self.log10_c,
-            "log10_eps2": self.log10_eps2,
-            "log10_eps3": self.log10_eps3,
-            "saturated": self.saturated,
+            "inputs": {k: getattr(self, k) for k in inputs},
+            **record(self, skip=inputs, big_l="L", n0="N0", c1="C1", c="C",
+                     log10_c1="log10_C1", log10_c="log10_C"),
             "gradient_bound_M": self.gradient_bound_m,
             "notes": self._notes(),
         }
@@ -169,33 +147,38 @@ def compute_constants(
         logger.warning("compute_constants: ledger evaluated at n=%d; only n=1,2 are exercised "
                        "by the test-suite", n, extra={"stage": "compute_constants"})
 
-    omega_n = unit_ball_volume(n)
-    if delta is None:
-        delta = default_delta(n, rho)
-    big_l = length_budget(n, area, delta)
-    r0 = rho * math.sin(delta / (2.0 * rho))
-    eps0 = min(0.5, rho / (16.0 * big_l) * math.sin(delta / (2.0 * rho)))
+    try:
+        omega_n = unit_ball_volume(n)
+        if delta is None:
+            delta = default_delta(n, rho)
+        big_l = length_budget(n, area, delta)
+        r0 = rho * math.sin(delta / (2.0 * rho))
+        eps0 = min(0.5, rho / (16.0 * big_l) * math.sin(delta / (2.0 * rho)))
 
-    # N0 = 1 + floor(log_{1-eps0}(1/2)); log1p keeps the eps0 -> 0 limit stable
-    n0 = 1 + math.floor(math.log(0.5) / math.log1p(-eps0))
+        # N0 = 1 + floor(log_{1-eps0}(1/2)); log1p keeps the eps0 -> 0 limit stable
+        n0 = 1 + math.floor(math.log(0.5) / math.log1p(-eps0))
 
-    eps1 = 1.0 / (1.0 + 1.25 * k1**2)
-    base = (1.0 + r0 * math.sqrt(5.0)) * k1 + 1.0
-    log10_c1 = (n0 + 1) * math.log10(base)
-    saturated = log10_c1 > _LOG10_MAX
-    c1 = math.inf if saturated else 10.0**log10_c1
+        eps1 = 1.0 / (1.0 + 1.25 * k1**2)
+        base = (1.0 + r0 * math.sqrt(5.0)) * k1 + 1.0
+        log10_c1 = (n0 + 1) * math.log10(base)
+        saturated = log10_c1 > _LOG10_MAX
+        c1 = math.inf if saturated else 10.0**log10_c1
 
-    log10_eps2 = -math.log10(2.0**6) - log10_c1
-    log10_eps3 = math.log10(delta / rho) - log10_c1
-    eps2 = 0.0 if log10_eps2 < -_LOG10_MAX else 10.0**log10_eps2
-    eps3 = 0.0 if log10_eps3 < -_LOG10_MAX else 10.0**log10_eps3
-    eps = min(eps0, eps1, eps2, eps3)
+        log10_eps2 = -math.log10(2.0**6) - log10_c1
+        log10_eps3 = math.log10(delta / rho) - log10_c1
+        eps2 = 0.0 if log10_eps2 < -_LOG10_MAX else 10.0**log10_eps2
+        eps3 = 0.0 if log10_eps3 < -_LOG10_MAX else 10.0**log10_eps3
+        eps = min(eps0, eps1, eps2, eps3)
 
-    log10_c = math.log10(1.25) + log10_c1 + math.log10(k1) + math.log10(k2) + math.log10(k3)
-    c = math.inf if log10_c > _LOG10_MAX else 10.0**log10_c
-    diam_bound = area * 2.0 ** (2 * n) / (omega_n * rho**n)
-    half_rho_over_c = 0.0 if math.isinf(c) else rho / (2.0 * c)
-    eps_corollary = min(eps, half_rho_over_c)
+        log10_c = math.log10(1.25) + log10_c1 + math.log10(k1) + math.log10(k2) + math.log10(k3)
+        c = math.inf if log10_c > _LOG10_MAX else 10.0**log10_c
+        diam_bound = area * 2.0 ** (2 * n) / (omega_n * rho**n)
+        half_rho_over_c = 0.0 if math.isinf(c) else rho / (2.0 * c)
+        eps_corollary = min(eps, half_rho_over_c)
+    except ArithmeticError as exc:
+        # finite inputs whose ledger under- or overflows double precision
+        inputs = ", ".join(f"{k}={v:g}" for k, v in {"n": n, **given}.items() if v is not None)
+        raise ValueError(f"ledger inputs out of double-precision range: {inputs}") from exc
 
     return ConstantsReport(
         n=n,
@@ -233,7 +216,7 @@ class SmallnessVerdict:
     margin: float
 
     def to_dict(self) -> dict:
-        return {"applicable": self.applicable, "margin": self.margin}
+        return record(self)
 
 
 def check_smallness(osc: float, report: ConstantsReport) -> SmallnessVerdict:

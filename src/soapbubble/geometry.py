@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 
@@ -69,3 +71,21 @@ def reflect(xi: np.ndarray, omega: np.ndarray, level: float) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     h = xi @ omega - level
     return xi - 2.0 * np.multiply.outer(h, omega)
+
+
+def record(obj, skip=(), **rename) -> dict:
+    """The report dataclass `obj` as a JSON-ready dict, one key per field in
+    field order: a field in `skip` is left out, and a field named in `rename`
+    takes the given key. Arrays become lists, nested reports their own
+    `to_dict()`, and every other value (None included) passes through."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        if f.name in skip:
+            continue
+        v = getattr(obj, f.name)
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        elif hasattr(v, "to_dict"):
+            v = v.to_dict()
+        out[rename.get(f.name, f.name)] = v
+    return out

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from .constants import compute_constants, length_budget
-from .geometry import resample_polyline, row_dots
+from .geometry import record, resample_polyline, row_dots
 from .surfaces import Surface, SurfaceError
 
 logger = logging.getLogger(__name__)
@@ -146,15 +146,7 @@ class Chain:
     bound_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "total_length": self.total_length,
-            "full_arcs": self.full_arcs,
-            "length_budget": self.length_budget,
-            "bound_ok": self.bound_ok,
-            "waypoints": self.waypoints.tolist(),
-            "arc_lengths": self.arc_lengths.tolist(),
-        }
+        return record(self, skip=("graph", "path_nodes", "path_points"))
 
 
 def piecewise_geodesic_chain(graph: GeodesicGraph, p: int, q: int, delta: float) -> Chain:
@@ -209,16 +201,7 @@ class HarnackChain:
     worst_step_excess: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": len(self.radii),
-            "n0": self.n0,
-            "eps0": self.eps0,
-            "steps_ok": self.steps_ok,
-            "count_ok": self.count_ok,
-            "resubdivided": self.resubdivided,
-            "worst_step_excess": self.worst_step_excess,
-            "radii": self.radii.tolist(),
-        }
+        return {"count": len(self.radii), **record(self, skip=("waypoints",))}
 
 
 def harnack_chain(chain: Chain, eps: float, rho: float, delta: float) -> HarnackChain:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import row_dots, tangent_frame, unit
+from .geometry import record, row_dots, tangent_frame, unit
 from .intrinsic import GeodesicGraph, interface_distances
 from .planes import CriticalPlane, critical_caps, plane_crossing_fn
 from .surfaces import (
@@ -60,16 +60,10 @@ class LemmaVerdict:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack,
-            "tolerance": self.tolerance,
-            "skipped": self.skipped,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return record(self)
+
+    # the column heads of `table_row`, in its widths
+    TABLE_HEADER = f"{'check':<22} {'trials':>7} {'viols':>6} {'worst_slack':>13} {'skips':>6}"
 
     def table_row(self) -> str:
         return (

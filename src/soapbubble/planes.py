@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import reflect, row_dots, unit
+from .geometry import record, reflect, row_dots, unit
 from .intrinsic import GeodesicGraph
 from .surfaces import _ROUNDING, Surface, SurfaceError, quadratic
 
@@ -114,18 +114,7 @@ class CriticalPlane:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "omega": self.direction.tolist(),
-            "m": self.level,
-            "extent": self.extent,
-            "case": self.case,
-            "p0": None if self.tangency_point is None else self.tangency_point.tolist(),
-            "contact_point": None if self.contact_point is None else self.contact_point.tolist(),
-            "contact_gap": self.contact_gap,
-            "normal_alignment": self.normal_alignment,
-            "degenerate_contact": self.degenerate_contact,
-            "tol": self.tol,
-        }
+        return record(self, direction="omega", level="m", tangency_point="p0")
 
 
 def critical_position(

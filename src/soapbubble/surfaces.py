@@ -21,7 +21,7 @@ from numpy.polynomial import legendre
 from scipy.spatial import cKDTree
 from scipy.special import elliprg
 
-from .geometry import row_dots, tangent_frame
+from .geometry import record, row_dots, tangent_frame
 
 
 class SurfaceError(Exception):
@@ -57,16 +57,7 @@ class OscReport:
     resolution_hint: float
 
     def to_dict(self) -> dict:
-        return {
-            "min_h": self.min_h,
-            "max_h": self.max_h,
-            "osc": self.osc,
-            "argmin": self.argmin.tolist(),
-            "argmax": self.argmax.tolist(),
-            "sample_count": self.sample_count,
-            "refined": self.refined,
-            "resolution_hint": self.resolution_hint,
-        }
+        return record(self)
 
 
 _NEWTON_TOL = 1e-12  # residual at which a row stops; phi's counts relative to the size

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .constants import ConstantsReport, compute_constants
-from .geometry import unit
+from .geometry import record, unit
 from .planes import CriticalPlane, critical_position
 from .surfaces import OscReport, Surface, mean_curvature_oscillation, quadratic, touching_radius
 
@@ -108,19 +108,8 @@ class RadialMapReport:
     fill_distance: float | None  # None where the probe dots rule it out
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "transversal_ok": self.transversal_ok,
-            "annulus_normal_ok": self.annulus_normal_ok,
-            "rays_ok": self.rays_ok,
-            "max_radial_dot": self.max_radial_dot,
-            "annulus_bound": self.annulus_bound,
-            "multi_hit_directions": self.multi_hit_directions,
-            "hit_counts": {str(k): v for k, v in self.hit_counts.items()},
-            "rays": self.rays,
-            "certificate_bound": self.certificate_bound,
-            "fill_distance": self.fill_distance,
-        }
+        # JSON keys are strings
+        return {**record(self), "hit_counts": {str(k): v for k, v in self.hit_counts.items()}}
 
 
 def count_ray_hits(
@@ -328,27 +317,13 @@ class StabilityReport:
     metadata: dict
 
     def to_dict(self) -> dict:
+        lhs, rhs, slack = self.cross_check_lhs, self.cross_check_rhs, self.cross_check_slack
         return {
-            "center": self.center.tolist(),
-            "r_i": self.r_i,
-            "r_e": self.r_e,
+            **record(self, skip=("cross_check_lhs", "cross_check_rhs", "cross_check_slack"),
+                     osc_report="osc_detail"),
             "r_e_minus_r_i": self.r_e - self.r_i,
-            "osc": self.osc,
-            "ratio": self.ratio,
-            "ratio_indeterminate": self.ratio_indeterminate,
-            "verdict": self.verdict,
-            "plane_distances": self.plane_distances,
-            "cross_check": {
-                "lhs_re_minus_ri": self.cross_check_lhs,
-                "rhs_twice_plane_distance": self.cross_check_rhs,
-                "slack": self.cross_check_slack,
-                "holds": self.cross_check_lhs <= self.cross_check_rhs + self.cross_check_slack,
-            },
-            "reflection_defect": self.reflection_defect,
-            "radial_map": None if self.radial_map is None else self.radial_map.to_dict(),
-            "osc_detail": self.osc_report.to_dict(),
-            "constants": self.constants.to_dict(),
-            "metadata": self.metadata,
+            "cross_check": {"lhs_re_minus_ri": lhs, "rhs_twice_plane_distance": rhs,
+                            "slack": slack, "holds": lhs <= rhs + slack},
         }
 
 

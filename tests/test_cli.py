@@ -280,6 +280,12 @@ class TestSweep:
         assert main(["sweep-ellipsoid", "--samples", "50"]) == 2
         assert "--samples must be at least 100" in capsys.readouterr().err
 
+    def test_bad_ledger_input_exit_2(self, capsys):
+        # an input error ends the sweep; only numerical failures fail a row
+        assert main(["sweep-ellipsoid", "--k1", "nan", "--steps", "1", "--samples", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be finite and positive: k1" in err
+
 
 class TestConstantsCmd:
     def test_reference_values(self, tmp_path, capsys):
@@ -308,6 +314,18 @@ class TestConstantsCmd:
         assert main(["constants", "--n", "2", *flags]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "input error" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--rho", "1e-300", "--area", "1"],
+        ["--rho", "1e300", "--area", "1"],
+        ["--rho", "1", "--area", "1e308"],
+        ["--rho", "1", "--area", "1", "--k1", "1e200"],
+    ])
+    def test_out_of_range_inputs_exit_2(self, flags, capsys):
+        # finite, but the ledger under- or overflows double precision
+        assert main(["constants", "--n", "2", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "out of double-precision range" in err
 
     def test_one_supplied_constant_clears_the_placeholder(self, tmp_path, capsys):
         out = tmp_path / "c.json"

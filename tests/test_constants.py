@@ -111,6 +111,11 @@ class TestLedgerValues:
             compute_constants(2, 1.0, 1.0, delta=0.0)
         with pytest.raises(ValueError, match="osc"):
             check_smallness(math.nan, compute_constants(2, 1.0, 1.0))
+        # finite inputs whose ledger under- or overflows double precision
+        for given in ({"rho": 1e-300, "area": 1.0}, {"rho": 1e300, "area": 1.0},
+                      {"rho": 1.0, "area": 1e308}, {"rho": 1.0, "area": 1.0, "k1": 1e200}):
+            with pytest.raises(ValueError, match="out of double-precision range: n=2, rho="):
+                compute_constants(2, **given)
 
     def test_other_dimensions_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="soapbubble.constants"):

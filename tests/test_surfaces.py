@@ -586,21 +586,24 @@ class TestTouchingRadius:
             assert rho == touching_radius_dense(cloud, 100, pair_budget=pair_budget)
             assert rho < 100.0
 
-    def test_screen_slack_keeps_rounding_ties(self):
-        # q lies on the unit ball touching p, so the pair's ratio ties the
-        # curvature bound 1 up to rounding: the order in which |q-p|^2 and
-        # (q-p) . nu_p are summed decides which side of 1 it falls on, and
-        # the scan must land where the dense scan does
-        p = np.array([-0.8835235704250701, 0.2958531929802981, 0.7219709837164454])
-        nu = np.array([0.8009913132319615, 0.5071082108400855, -0.31820461754271434])
-        q = np.array([0.19956767842647583, -0.02330030036399744, 0.891322744987247])
+    def test_rounded_tie_below_curvature_bound(self):
+        # q = p + nu + u with unit u lies on the unit ball touching p, so the
+        # pair's ratio ties the curvature bound 1 up to rounding; summed in
+        # coordinate order this pair's ratio rounds below 1, and the scan must
+        # return that value, as the dense scan does
+        p = np.array([0.9616706775524602, 0.3710839689613894, 0.3009185525356326])
+        nu = np.array([-0.9677334093782249, -0.2004977678984984, -0.15261943991810775])
+        u = np.array([0.7932348887725561, 0.3148312752969027, 0.5212098227479183])
+        q = p + nu + u
         # ten near samples and normals that make every other pair bound nothing
         across = np.cross(nu, q - p)
         across /= np.linalg.norm(across)
         near = p + np.outer(np.linspace(0.01, 0.1, 10), np.cross(nu, across))
         normals = np.vstack([nu, np.tile(across, (11, 1))])
         tie = _fixed_samples(np.vstack([p, near, q]), normals, 1.0)
-        assert sb.estimate_touching_radius(tie, 100) == touching_radius_dense(tie, 100)
+        rho = sb.estimate_touching_radius(tie, 100)
+        assert rho < 1.0
+        assert rho == touching_radius_dense(tie, 100)
 
     def test_memory_peak(self):
         tracemalloc.start()
